@@ -44,7 +44,7 @@ def logistic(x):
 
 
 def _same_shape(*mats):
-    arrs = [np.asarray(m, dtype=np.float64) for m in mats]
+    arrs = [validate_matrix(m) for m in mats]
     shapes = {a.shape for a in arrs}
     if len(shapes) != 1:
         raise ShapeMismatchError(f"shapes differ: {sorted(shapes)}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import math
 import sys
 
 import numpy as np
@@ -28,11 +28,11 @@ from .errors import (
     ParseError,
     PoolmaxError,
     RaggedRowsError,
+    SubsetDesignError,
 )
 from .pooltest import BootstrapConfig, marginal_test, naive_test, pool_test
 from .simlab import DgpSpec, run_sweep
-from .subsets import build_family, gcd, verify_identifiability
-from .subsets import circular_family  # noqa: F401  (re-exported for scripts)
+from .subsets import build_family, check_design, verify_identifiability
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -74,26 +74,10 @@ def _write(path, text):
             f.write(text if text.endswith("\n") else text + "\n")
 
 
-def _nearest_coprime(p, q):
-    for delta in range(1, p):
-        for cand in (q - delta, q + delta):
-            if 1 <= cand < p and gcd(p, cand) == 1:
-                return cand
-    return 1
-
-
-def _resolve_design(args, p, parser):
-    q = args.q
+def _family(args, p):
+    """The (p, --q, --d) design, d defaulting to 2p; the library checks it."""
     d = args.d if args.d is not None else 2 * p
-    if not 1 <= q < p:
-        parser.error(f"need 1 <= q < p (p={p}, q={q})")
-    if gcd(p, q) != 1:
-        parser.error(
-            f"q must be coprime with p (p={p}, q={q}); try q={_nearest_coprime(p, q)}"
-        )
-    if d < p:
-        parser.error(f"need d >= p (p={p}, d={d})")
-    return q, d
+    return build_family(p, args.q, d, RngSpec(args.seed, 1))
 
 
 def _add_common(sp, with_design=True):
@@ -114,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subsets-pooling mean tests and VaR backtesting",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("POOLMAX_THREADS", "0")) or None,
-        help="bound worker parallelism; results do not depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("pool-test", help="subsets-based pooling max test")
@@ -182,8 +160,7 @@ def _result_text(res, fmt):
 
 def _cmd_pool_test(args, parser):
     headers, x = ingest_panel(args.infile)
-    q, d = _resolve_design(args, x.shape[1], parser)
-    fam = build_family(x.shape[1], q, d, RngSpec(args.seed, 1))
+    fam = _family(args, x.shape[1])
     cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
     res = pool_test(x, fam, args.alpha, cfg)
     _write(args.out, _result_text(res, args.format))
@@ -210,8 +187,7 @@ def _cmd_backtest(args, parser):
             parser.error(f"--forecast expects NAME=PATH, got {item!r}")
         name, path = item.split("=", 1)
         _, forecasts[name] = ingest_panel(path)
-    q, d = _resolve_design(args, u.shape[1], parser)
-    fam = build_family(u.shape[1], q, d, RngSpec(args.seed, 1))
+    fam = _family(args, u.shape[1])
     cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
     report = full_backtest(u, forecasts, args.theta0, fam, args.alpha, cfg)
     if args.format == "json":
@@ -233,9 +209,11 @@ def _cmd_taildep(args, parser):
 
 def _cmd_subsets_check(args, parser):
     p, q = args.p, args.q
-    if not 1 <= q < p:
-        parser.error(f"need 1 <= q < p, got p={p}, q={q}")
-    out = {"p": p, "q": q, "gcd": gcd(p, q), "coprime": gcd(p, q) == 1}
+    out = {"p": p, "q": q, "gcd": math.gcd(p, q), "coprime": True}
+    try:
+        check_design(p, q)
+    except NotCoprimeError as e:
+        out["coprime"], out["suggested_q"] = False, e.suggested_q
     if p <= 64:
         ident = verify_identifiability(p, q)
         out["identifiable"] = ident.identifiable
@@ -244,8 +222,6 @@ def _cmd_subsets_check(args, parser):
     if out["coprime"] and args.d is not None:
         fam = build_family(p, q, args.d, RngSpec(args.seed, 1))
         out["family"] = fam.to_dict()
-    if not out["coprime"]:
-        out["suggested_q"] = _nearest_coprime(p, q)
     _write(args.out, json.dumps(out, indent=2, sort_keys=True))
     if not out["coprime"]:
         return EXIT_USAGE
@@ -290,7 +266,7 @@ def run(argv=None) -> int:
     try:
         code = _COMMANDS[args.command](args, parser)
         return EXIT_OK if code is None else code
-    except NotCoprimeError as e:
+    except SubsetDesignError as e:
         print(f"poolmax: {e}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateStatisticError as e:

@@ -48,9 +48,9 @@ class SubsetDesignError(PoolmaxError):
 
 
 class NotCoprimeError(SubsetDesignError):
-    def __init__(self, p, q):
-        self.p, self.q = p, q
-        super().__init__(f"p={p} and q={q} are not coprime")
+    def __init__(self, p, q, suggested_q):
+        self.p, self.q, self.suggested_q = p, q, suggested_q
+        super().__init__(f"p={p} and q={q} are not coprime; try q={suggested_q}")
 
 
 class BadCardinalityError(SubsetDesignError):
@@ -84,10 +84,6 @@ class EmptyDrawsError(DegenerateStatisticError):
     pass
 
 
-class BadThetaError(PoolmaxError):
-    pass
-
-
 class ProfileOverflowError(PoolmaxError):
     pass
 
@@ -109,10 +105,6 @@ class BadThresholdError(PoolmaxError):
 
 
 class NonConvergenceError(PoolmaxError):
-    pass
-
-
-class GpdNonConvergenceError(NonConvergenceError):
     pass
 
 

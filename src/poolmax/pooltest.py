@@ -179,7 +179,7 @@ def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
     """Max-type test on individual dimensions (singleton pooling)."""
     x = validate_matrix(x)
     p = x.shape[1]
-    fam = SubsetFamily(p=p, q=1, members=tuple((j,) for j in range(1, p + 1)))
+    fam = SubsetFamily(p=p, q=1, members=np.arange(1, p + 1)[:, None])
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     panel = pooled_panel(x, fam)

@@ -28,7 +28,6 @@ from scipy.stats import genpareto
 from .core import RngSpec
 from .errors import (
     DegenerateSeriesError,
-    GpdNonConvergenceError,
     InsufficientHistoryError,
     NonConvergenceError,
     TooFewExceedancesError,
@@ -241,7 +240,7 @@ def gpd_tail_fit(exceedances) -> Tuple[float, float]:
         pass
     mean, v = exc.mean(), exc.var(ddof=1)
     if not (v > 0 and mean > 0):
-        raise GpdNonConvergenceError("degenerate exceedance sample")
+        raise NonConvergenceError("degenerate exceedance sample")
     xi = 0.5 * (1.0 - mean**2 / v)
     beta = 0.5 * mean * (1.0 + mean**2 / v)
     return float(xi), float(beta)

@@ -20,14 +20,12 @@ from scipy.stats import norm
 
 from .core import RngSpec, substream, validate_matrix
 from .errors import (
-    BadThetaError,
-    NotCoprimeError,
     NotPSDError,
     OutOfRangeError,
     ProfileOverflowError,
 )
 from .pooltest import BootstrapConfig, marginal_test, naive_test, pool_test
-from .subsets import build_family, gcd
+from .subsets import build_family, check_design
 
 __all__ = [
     "DgpSpec",
@@ -110,9 +108,9 @@ def model_a(z: np.ndarray, thetas) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.shape != (z.shape[1],):
-        raise BadThetaError("thetas must have one entry per column")
+        raise OutOfRangeError("thetas must have one entry per column")
     if np.any((thetas <= 0) | (thetas >= 1)):
-        raise BadThetaError("thetas must lie in (0, 1)")
+        raise OutOfRangeError("thetas must lie in (0, 1)")
     cut = norm.ppf(1 - thetas)
     return (z > cut).astype(np.float64) - 0.01
 
@@ -227,9 +225,8 @@ def run_sweep(
     deterministic in (spec.rng, grids).
     """
     grid = [(q, d) for q in q_grid for d in d_grid]
-    for q, _ in grid:
-        if gcd(spec.p, q) != 1:
-            raise NotCoprimeError(spec.p, q)
+    for q, d in grid:
+        check_design(spec.p, q, d)
     if mc_reps == 0:
         return SweepResult()
     counts = {(q, d, m): 0 for (q, d) in grid for m in methods}

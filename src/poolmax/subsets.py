@@ -26,7 +26,7 @@ from .errors import (
 
 __all__ = [
     "SubsetFamily",
-    "gcd",
+    "check_design",
     "circular_family",
     "random_extension",
     "build_family",
@@ -35,47 +35,66 @@ __all__ = [
 ]
 
 
-def gcd(a: int, b: int) -> int:
-    if a < 1 or b < 1:
-        raise ValueError("gcd requires positive integers")
-    return math.gcd(a, b)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetFamily:
-    """d index subsets of {1..p}, each of cardinality q (1-based, sorted)."""
+    """d index subsets of {1..p}, each of cardinality q.
+
+    `members` is a read-only (d, q) int64 array: row ell holds the sorted,
+    1-based indices of subset S_ell.  The constructor also accepts any
+    sequence of equal-length integer rows, sorts each row and rejects rows
+    of the wrong width, repeated indices and indices outside 1..p.
+    """
 
     p: int
     q: int
-    members: Tuple[Tuple[int, ...], ...]
+    members: np.ndarray
+
+    def __post_init__(self):
+        not_rows = f"subsets are not rows of {self.q} indices"
+        if self.q < 1:
+            raise BadCardinalityError(not_rows)
+        try:
+            m = np.asarray(self.members)
+        except ValueError:  # ragged rows
+            raise BadCardinalityError(not_rows) from None
+        if m.ndim == 1 and m.size == 0:  # no subsets
+            m = m.reshape(0, self.q)
+        if m.ndim != 2 or m.shape[1] != self.q:
+            raise BadCardinalityError(not_rows)
+        if m.size and m.dtype.kind not in "iu":
+            raise BadCardinalityError(f"subset indices must be integers, got {m.dtype}")
+        m = np.sort(m.astype(np.int64), axis=1)
+        bad = (m[:, 1:] == m[:, :-1]).any(axis=1) | (m[:, 0] < 1) | (m[:, -1] > self.p)
+        if bad.any():
+            row = tuple(m[bad.argmax()].tolist())
+            raise BadCardinalityError(
+                f"subset {row} does not have {self.q} distinct indices in 1..{self.p}"
+            )
+        m.flags.writeable = False
+        object.__setattr__(self, "members", m)
 
     @property
     def d(self) -> int:
         return len(self.members)
 
-    def __post_init__(self):
-        for m in self.members:
-            if len(m) != self.q or len(set(m)) != self.q:
-                raise BadCardinalityError(
-                    f"subset {m} does not have {self.q} distinct indices"
-                )
-            if min(m) < 1 or max(m) > self.p:
-                raise BadCardinalityError(f"subset {m} has indices outside 1..{self.p}")
+    def __eq__(self, other):
+        if not isinstance(other, SubsetFamily):
+            return NotImplemented
+        return (self.p, self.q) == (other.p, other.q) and np.array_equal(
+            self.members, other.members
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.members.tobytes()))
 
     def indicator(self) -> np.ndarray:
         """p x d 0/1 membership matrix; column ell indicates S_ell."""
         s = np.zeros((self.p, self.d))
-        for ell, m in enumerate(self.members):
-            s[np.asarray(m) - 1, ell] = 1.0
+        s[self.members - 1, np.arange(self.d)[:, None]] = 1.0
         return s
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "d": self.d,
-            "members": [list(m) for m in self.members],
-        }
+        return {"p": self.p, "q": self.q, "d": self.d, "members": self.members.tolist()}
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
@@ -83,8 +102,7 @@ class SubsetFamily:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SubsetFamily":
-        members = tuple(tuple(sorted(int(i) for i in m)) for m in d["members"])
-        fam = cls(p=int(d["p"]), q=int(d["q"]), members=members)
+        fam = cls(p=int(d["p"]), q=int(d["q"]), members=d["members"])
         if "d" in d and int(d["d"]) != fam.d:
             raise BadCardinalityError("declared d does not match member count")
         return fam
@@ -99,35 +117,54 @@ def _check_pq(p: int, q: int) -> None:
         raise BadCardinalityError(f"need 1 <= q < p, got p={p}, q={q}")
 
 
+def _nearest_coprime(p: int, q: int) -> int:
+    for delta in range(1, p):
+        for cand in (q - delta, q + delta):
+            if 1 <= cand < p and math.gcd(p, cand) == 1:
+                return cand
+    return 1
+
+
+def check_design(p: int, q: int, d: Optional[int] = None) -> None:
+    """Raise the `SubsetDesignError` that makes (p, q, d) unusable.
+
+    A design needs d >= p (when d is given), 1 <= q < p and gcd(p, q) = 1;
+    a non-coprime q is reported with the nearest coprime width.
+    """
+    if d is not None and d < p:
+        raise DTooSmallError(f"need d >= p, got d={d}, p={p}")
+    _check_pq(p, q)
+    if math.gcd(p, q) != 1:
+        raise NotCoprimeError(p, q, _nearest_coprime(p, q))
+
+
 def circular_family(p: int, q: int) -> SubsetFamily:
     """The p circular windows {ell, ..., ell+q-1} with wrap-around.
 
     Requires gcd(p, q) = 1, which makes the window sums identify every
     individual mean (see `verify_identifiability`).
     """
-    _check_pq(p, q)
-    if math.gcd(p, q) != 1:
-        raise NotCoprimeError(p, q)
-    members = tuple(
-        tuple(sorted((ell + t) % p + 1 for t in range(q))) for ell in range(p)
-    )
-    return SubsetFamily(p=p, q=q, members=members)
+    check_design(p, q)
+    windows = (np.arange(p)[:, None] + np.arange(q)) % p + 1
+    return SubsetFamily(p=p, q=q, members=windows)
 
 
-def random_extension(p: int, q: int, count: int, rng: RngSpec):
-    """`count` subsets of cardinality q drawn uniformly without replacement.
+def random_extension(p: int, q: int, count: int, rng: RngSpec) -> np.ndarray:
+    """(count, q) array of subsets drawn uniformly without replacement.
 
-    Subsets are sampled freely: duplicates between subsets are permitted.
+    Rows are sorted and 1-based.  Subsets are sampled freely: duplicates
+    between subsets are permitted.
     """
     if q < 1 or q > p:
         raise BadCardinalityError(f"need 1 <= q <= p, got p={p}, q={q}")
     if count < 0:
         raise ValueError("count must be non-negative")
     gen = rng.generator()
-    return [
-        tuple(sorted(int(j) + 1 for j in gen.choice(p, size=q, replace=False)))
-        for _ in range(count)
-    ]
+    out = np.empty((count, q), dtype=np.int64)
+    for i in range(count):
+        out[i] = gen.choice(p, size=q, replace=False)
+    out.sort(axis=1)
+    return out + 1
 
 
 def build_family(
@@ -143,16 +180,14 @@ def build_family(
     leading part of it with caller-chosen subsets (validated for
     cardinality and range only).
     """
-    if d < p:
-        raise DTooSmallError(f"need d >= p, got d={d}, p={p}")
-    base = circular_family(p, q)
-    extra = []
+    check_design(p, q, d)
+    blocks = [circular_family(p, q).members]
     if user_subsets is not None:
-        extra = [tuple(sorted(int(i) for i in m)) for m in user_subsets]
-        if len(extra) > d - p:
+        if len(user_subsets) > d - p:
             raise DTooSmallError("more user subsets than extension slots")
-    extra += random_extension(p, q, d - p - len(extra), rng)
-    return SubsetFamily(p=p, q=q, members=base.members + tuple(extra))
+        blocks.append(SubsetFamily(p=p, q=q, members=user_subsets).members)
+    blocks.append(random_extension(p, q, d - p - sum(map(len, blocks[1:])), rng))
+    return SubsetFamily(p=p, q=q, members=np.concatenate(blocks))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from poolmax.backtest import logistic
 from poolmax.errors import (
     BadThresholdError,
     DegenerateVarianceError,
+    NonFiniteError,
     ShapeMismatchError,
 )
 
@@ -164,6 +165,18 @@ class TestFullBacktest:
         assert rep.comparative[("b", "a")] is None
         assert "b|a" in rep.errors
         assert rep.validation["a"] is not None
+
+    def test_non_finite_forecast_raises(self):
+        u, fam, cfg = self._inputs()
+        good = np.full_like(u, 1.2)
+        bad = good.copy()
+        bad[:, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            exceedance_matrix(u, bad, 0.05)
+        with pytest.raises(NonFiniteError):
+            score_diff_matrix(u, good, bad, 0.05)
+        with pytest.raises(NonFiniteError):
+            full_backtest(u, {"a": good, "b": bad}, 0.05, fam, 0.05, cfg)
 
     def test_csv_layout(self, tmp_path):
         u, fam, cfg = self._inputs()

@@ -60,10 +60,22 @@ def test_pool_test_happy(panel_csv, tmp_path):
 
 
 def test_pool_test_non_coprime_exits_2(panel_csv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["pool-test", "--in", str(panel_csv), "--q", "5", "--B", "10"])
-    assert exc.value.code == EXIT_USAGE
-    assert "coprime" in capsys.readouterr().err
+    code = run(["pool-test", "--in", str(panel_csv), "--q", "5", "--B", "10"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "coprime" in err and "try q=3" in err
+
+
+@pytest.mark.parametrize("design", [["--q", "0"], ["--q", "10"], ["--q", "3", "--d", "9"]])
+def test_pool_test_bad_design_exits_2(panel_csv, capsys, design):
+    code = run(["pool-test", "--in", str(panel_csv), "--B", "10", *design])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("poolmax: need")
+
+
+def test_threads_env_is_ignored(panel_csv, monkeypatch):
+    monkeypatch.setenv("POOLMAX_THREADS", "two")
+    assert run(["naive-test", "--in", str(panel_csv)]) == 0
 
 
 def test_unknown_flag_exits_2(panel_csv):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,20 @@ class TestPanel:
         fam = singleton_family(3)
         with pytest.raises(DimensionMismatchError):
             pooled_panel(np.zeros((4, 2)) + np.eye(4, 2), fam)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(5, 40), p=st.integers(2, 12), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_relabelling_invariance(self, n, p, seed, data):
+        q = data.draw(st.integers(1, p - 1).filter(lambda q: math.gcd(p, q) == 1))
+        perm = np.array(data.draw(st.permutations(range(p))))
+        fam = build_family(p, q, 2 * p, RngSpec(seed))
+        moved = SubsetFamily(p=p, q=q, members=np.argsort(perm)[fam.members - 1] + 1)
+        x = np.random.default_rng(seed).standard_normal((n, p))
+        a = pooled_panel(x, fam).t_stats
+        b = pooled_panel(x[:, perm], moved).t_stats
+        # the floor covers t near 0, where summation order decides the last digits
+        np.testing.assert_allclose(b, a, rtol=1e-12, atol=1e-12 * np.abs(a).max())
 
     def test_max_statistic(self):
         panel = PooledPanel(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolmax import RngSpec, build_family, circular_family, random_extension
 from poolmax.errors import (
@@ -11,18 +13,12 @@ from poolmax.errors import (
     NotCoprimeError,
     TooLargeError,
 )
-from poolmax.subsets import SubsetFamily, gcd, verify_identifiability
-
-
-def test_gcd_basics():
-    assert gcd(100, 49) == 1
-    assert gcd(100, 50) == 50
-    assert gcd(7, 7) == 7
+from poolmax.subsets import SubsetFamily, verify_identifiability
 
 
 def test_circular_family_p5_q2():
     fam = circular_family(5, 2)
-    assert fam.members == ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))
+    assert fam.members.tolist() == [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]
 
 
 def test_circular_family_wraps():
@@ -32,8 +28,9 @@ def test_circular_family_wraps():
 
 
 def test_circular_family_rejects_non_coprime():
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(NotCoprimeError) as exc:
         circular_family(100, 50)
+    assert exc.value.suggested_q == 49 and "try q=49" in str(exc.value)
     with pytest.raises(BadCardinalityError):
         circular_family(5, 5)
 
@@ -48,9 +45,9 @@ def test_circular_family_coverage(p, q):
 
 
 def test_random_extension_empty_and_forced():
-    assert random_extension(100, 49, 0, RngSpec(1)) == []
+    assert random_extension(100, 49, 0, RngSpec(1)).shape == (0, 49)
     subs = random_extension(3, 3, 2, RngSpec(1))
-    assert subs == [(1, 2, 3), (1, 2, 3)]
+    assert subs.tolist() == [[1, 2, 3], [1, 2, 3]]
 
 
 def test_random_extension_inclusion_frequency():
@@ -65,12 +62,12 @@ def test_random_extension_inclusion_frequency():
 
 def test_build_family_sizes_and_determinism():
     fam = build_family(5, 2, 5, RngSpec(0))
-    assert fam.members == circular_family(5, 2).members
+    assert np.array_equal(fam.members, circular_family(5, 2).members)
     for d in (200, 300):
         fam = build_family(100, 49, d, RngSpec(3))
         assert fam.d == d
-        assert fam.members[:100] == circular_family(100, 49).members
-        assert fam.members == build_family(100, 49, d, RngSpec(3)).members
+        assert np.array_equal(fam.members[:100], circular_family(100, 49).members)
+        assert np.array_equal(fam.members, build_family(100, 49, d, RngSpec(3)).members)
     with pytest.raises(DTooSmallError):
         build_family(100, 49, 99, RngSpec(0))
 
@@ -78,7 +75,7 @@ def test_build_family_sizes_and_determinism():
 def test_build_family_user_subsets():
     user = [(1, 3), (2, 5)]
     fam = build_family(5, 2, 8, RngSpec(1), user_subsets=user)
-    assert fam.members[5] == (1, 3) and fam.members[6] == (2, 5)
+    assert fam.members[5].tolist() == [1, 3] and fam.members[6].tolist() == [2, 5]
 
 
 def test_family_json_roundtrip():
@@ -87,6 +84,36 @@ def test_family_json_roundtrip():
     assert back == fam
     payload = json.loads(fam.to_json())
     assert payload["p"] == 10 and payload["q"] == 3 and payload["d"] == 12
+
+
+@pytest.mark.parametrize(
+    "members",
+    [((1, 2), (3,)), ((1, 2, 3),), ((1, 1),), ((0, 2),), ((2, 6),), ((1.5, 2),)],
+)
+def test_family_rejects_bad_rows(members):
+    with pytest.raises(BadCardinalityError):
+        SubsetFamily(p=5, q=2, members=members)
+
+
+def test_family_members_sorted_read_only():
+    fam = SubsetFamily(p=5, q=2, members=((3, 1), (5, 4)))
+    assert fam.members.tolist() == [[1, 3], [4, 5]]
+    with pytest.raises(ValueError):
+        fam.members[0, 0] = 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(2, 60), extra=st.integers(0, 60), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_build_family_properties(p, extra, seed, data):
+    q = data.draw(st.integers(1, p - 1).filter(lambda q: math.gcd(p, q) == 1))
+    fam = build_family(p, q, p + extra, RngSpec(seed))
+    m = fam.members
+    assert m.shape == (p + extra, q)
+    assert (np.diff(m, axis=1) > 0).all()
+    assert m.min() >= 1 and m.max() <= p
+    assert (fam.indicator().sum(axis=0) == q).all()
+    assert SubsetFamily.from_json(fam.to_json()) == fam
 
 
 def test_identifiability_examples():
