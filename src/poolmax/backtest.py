@@ -17,13 +17,21 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 from scipy.stats import rankdata
 
-from .core import TestResult, validate_matrix
+from .core import TestResult, substream_normals, validate_matrix
 from .errors import (
     BadThresholdError,
     DegenerateVarianceError,
+    NonFiniteError,
     ShapeMismatchError,
 )
-from .pooltest import BootstrapConfig, _bootstrap_result, pool_test, pooled_panel
+from .pooltest import (
+    BootstrapConfig,
+    _bootstrap_result,
+    _weighted_max,
+    multiplier_bootstrap,
+    pool_test,
+    pooled_panel,
+)
 from .subsets import SubsetFamily
 
 __all__ = [
@@ -77,6 +85,11 @@ def score(r, x, theta: float, g: Callable = logistic):
     x = np.asarray(x, dtype=np.float64)
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
+    bad = ~(np.isfinite(r) & np.isfinite(x))
+    if bad.any():
+        # positioned as validate_matrix does it: a 1-d input is one column
+        i, j = np.argwhere(bad.reshape(len(bad) if bad.ndim > 1 else bad.size, -1))[0]
+        raise NonFiniteError(int(i), int(j))
     hit = (x > r).astype(np.float64)
     out = (theta - hit) * g(r) + hit * g(x)
     return out if out.shape else float(out)
@@ -112,7 +125,8 @@ def comparative_test(
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     panel = pooled_panel(diff, fam)
-    return _bootstrap_result(panel, alpha, cfg, "subsets-pool", one_sided=True)
+    draws = multiplier_bootstrap(panel, cfg, one_sided=True)
+    return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided=True)
 
 
 def tail_dependence(zhat, u: float) -> np.ndarray:
@@ -186,6 +200,16 @@ class BacktestReport:
                 w.writerow(row)
 
 
+def _forecast(name: str, r, shape) -> np.ndarray:
+    try:
+        r = validate_matrix(r)
+    except NonFiniteError as e:
+        raise NonFiniteError(e.row, e.col, f"forecast {name!r}") from None
+    if r.shape != shape:
+        raise ShapeMismatchError(f"forecast {name!r} has shape {r.shape}, losses {shape}")
+    return r
+
+
 def full_backtest(
     u,
     forecasts: Dict[str, np.ndarray],
@@ -196,32 +220,38 @@ def full_backtest(
 ) -> BacktestReport:
     """Validation test per method and one-sided comparisons per pair.
 
-    Degenerate cells (no variation in indicators or score differences)
-    are recorded in the report instead of aborting it.
+    The losses and every forecast are validated before any bootstrap runs.
+    The multiplier weights depend only on (cfg.rng, B, n), so one weight
+    matrix is drawn and shared by all tests; each cell equals the
+    `validation_test` or `comparative_test` call it stands for, byte for
+    byte.  Degenerate cells (no variation in indicators or score
+    differences) are recorded in the report instead of aborting it.
     """
-    names = list(forecasts)
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    u = validate_matrix(u)
+    fcs = {m: _forecast(m, r, u.shape) for m, r in forecasts.items()}
+    names = list(fcs)
     report = BacktestReport(
         method_names=names,
         config={"theta0": theta0, "alpha": alpha, "B": cfg.replicates,
                 "q": fam.q, "d": fam.d},
     )
-    u = validate_matrix(u)
-    for m in names:
+    xi = substream_normals(cfg.rng, cfg.replicates, u.shape[0])
+
+    def cell(key: str, x, one_sided: bool) -> Optional[TestResult]:
         try:
-            report.validation[m] = validation_test(
-                u, forecasts[m], theta0, fam, alpha, cfg
-            )
+            panel = pooled_panel(x, fam)
         except DegenerateVarianceError as e:
-            report.validation[m] = None
-            report.errors[m] = str(e)
+            report.errors[key] = str(e)
+            return None
+        draws = _weighted_max(panel, xi, one_sided)
+        return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
+
+    for m in names:
+        report.validation[m] = cell(m, exceedance_matrix(u, fcs[m], theta0), False)
     for i, a in enumerate(names):
         for b in names[:i]:
-            try:
-                report.comparative[(a, b)] = comparative_test(
-                    u, forecasts[a], forecasts[b], theta0, fam, alpha, cfg,
-                    one_sided=True,
-                )
-            except DegenerateVarianceError as e:
-                report.comparative[(a, b)] = None
-                report.errors[f"{a}|{b}"] = str(e)
+            diff = score_diff_matrix(u, fcs[a], fcs[b], theta0)
+            report.comparative[(a, b)] = cell(f"{a}|{b}", diff, True)
     return report

@@ -14,9 +14,10 @@ class DataError(PoolmaxError):
 
 
 class NonFiniteError(DataError):
-    def __init__(self, row, col):
+    def __init__(self, row, col, where=None):
         self.row, self.col = row, col
-        super().__init__(f"non-finite entry at ({row}, {col})")
+        at = f"non-finite entry at ({row}, {col})"
+        super().__init__(at if where is None else f"{at} of {where}")
 
 
 class TooSmallError(DataError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .core import RngSpec, TestResult, substream, validate_matrix
+from .core import RngSpec, TestResult, substream_normals, validate_matrix
 from .errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
@@ -118,18 +118,23 @@ def multiplier_bootstrap(
     """B bootstrap draws of the max statistic under standard-normal weights.
 
     Replicate b draws its weights from substream(cfg.rng, b), so the
-    output is independent of evaluation order.  The pooled sums enter
-    uncentered.
+    output is independent of evaluation order.  The weights depend only on
+    (cfg.rng, B, n), never on the data: ``substream_normals`` derives the
+    Philox keys of all B replicates in one batch, and ``full_backtest``
+    draws the weight matrix once for all of its tests.  The pooled sums
+    enter uncentered.
     """
-    n = panel.n
-    B = cfg.replicates
-    xi = np.empty((B, n))
-    for b in range(B):
-        xi[b] = substream(cfg.rng, b).generator().standard_normal(n)
-    t_b = (xi @ panel.y) / np.sqrt(n * panel.sigma_hat)
-    if one_sided:
-        return t_b.max(axis=1)
-    return np.abs(t_b).max(axis=1)
+    return _weighted_max(panel, substream_normals(cfg.rng, cfg.replicates, panel.n),
+                         one_sided)
+
+
+def _weighted_max(panel: PooledPanel, xi: np.ndarray, one_sided: bool = False) -> np.ndarray:
+    """The max statistic of each replicate, for a ready (B, n) weight matrix."""
+    t_b = xi @ panel.y
+    t_b /= np.sqrt(panel.n * panel.sigma_hat)
+    if not one_sided:
+        np.abs(t_b, out=t_b)
+    return t_b.max(axis=1)
 
 
 def bootstrap_quantile(draws, alpha: float) -> float:
@@ -147,14 +152,13 @@ def bootstrap_quantile(draws, alpha: float) -> float:
 def _bootstrap_result(
     panel: PooledPanel,
     alpha: float,
-    cfg: BootstrapConfig,
+    draws: np.ndarray,
     method: str,
     one_sided: bool = False,
 ) -> TestResult:
     stat = float(panel.t_stats.max()) if one_sided else max_statistic(panel)
-    draws = multiplier_bootstrap(panel, cfg, one_sided=one_sided)
     c = bootstrap_quantile(draws, alpha)
-    B = cfg.replicates
+    B = draws.size
     p_value = float((1 + np.count_nonzero(draws >= stat)) / (B + 1))
     return TestResult(
         statistic=stat,
@@ -172,7 +176,7 @@ def pool_test(x, fam: SubsetFamily, alpha: float, cfg: BootstrapConfig) -> TestR
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     panel = pooled_panel(x, fam)
-    return _bootstrap_result(panel, alpha, cfg, "subsets-pool")
+    return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "subsets-pool")
 
 
 def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
@@ -183,4 +187,4 @@ def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     panel = pooled_panel(x, fam)
-    return _bootstrap_result(panel, alpha, cfg, "marginal")
+    return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "marginal")

@@ -93,6 +93,7 @@ def test_criterion_01_identifiability_oracle():
     report(1, ok, "window-sum oracle == coprimality, witnesses verified")
 
 
+@pytest.mark.slow
 def test_criterion_02_size_calibration():
     rates = _a1_rates(under_null=True, seed=20260826)
     lo, hi = binomial_band(MC_REPS, ALPHA)
@@ -105,6 +106,7 @@ def test_criterion_02_size_calibration():
     )
 
 
+@pytest.mark.slow
 def test_criterion_03_cancellation_phenomenon():
     rates = _a1_rates(under_null=False, seed=20260827)
     lo, hi = binomial_band(MC_REPS, ALPHA)
@@ -226,6 +228,7 @@ def test_criterion_09_evt_oracle():
     report(9, ok, f"median rel err: pareto={mp:.3f} exp={me:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_validation_calibration():
     theta0 = 0.01
     true_q = norm.ppf(1 - theta0)

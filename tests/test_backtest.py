@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import poolmax.backtest
 from poolmax import (
+    BacktestReport,
     BootstrapConfig,
     RngSpec,
     build_family,
@@ -53,6 +57,14 @@ class TestScore:
         expected = -0.99 * 0.5 + 1 / (1 + np.exp(-1))
         assert score(0.0, 1.0, 0.01) == pytest.approx(expected, abs=1e-6)
 
+    def test_non_finite_raises(self):
+        for r, x in [(np.nan, 1.0), (0.0, np.inf), (np.array([1.0, -np.inf]), 0.0)]:
+            with pytest.raises(NonFiniteError):
+                score(r, x, 0.01)
+        with pytest.raises(NonFiniteError) as exc:
+            score(np.zeros((3, 2)), np.array([[0.0, 0.0], [0.0, np.nan], [0.0, 0.0]]), 0.01)
+        assert (exc.value.row, exc.value.col) == (1, 1)
+
     def test_diff_antisymmetry_and_bounds(self):
         gen = np.random.default_rng(1)
         u, r, rs = gen.standard_normal((3, 20, 4))
@@ -95,17 +107,21 @@ class TestComparative:
         with pytest.raises(DegenerateVarianceError):
             comparative_test(u, r, r, 0.01, fam, 0.05, cfg)
 
-    def test_two_sided_swap_invariance(self):
-        gen = np.random.default_rng(5)
-        u = gen.standard_normal((100, 4))
-        r = np.full((100, 4), 1.0)
-        rs = np.full((100, 4), 1.5)
-        fam = build_family(4, 3, 6, RngSpec(1))
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(20, 120), p=st.sampled_from([4, 5, 7]), seed=st.integers(0, 2**16))
+    def test_two_sided_swap_invariance(self, n, p, seed):
+        gen = np.random.default_rng(seed)
+        u = gen.standard_normal((n, p))
+        r = gen.uniform(0.5, 1.5, (n, p))
+        rs = gen.uniform(0.5, 1.5, (n, p))
+        fam = build_family(p, 3, 2 * p, RngSpec(1))
         cfg = BootstrapConfig(rng=RngSpec(2), replicates=100)
-        a = comparative_test(u, r, rs, 0.01, fam, 0.05, cfg)
-        b = comparative_test(u, rs, r, 0.01, fam, 0.05, cfg)
+        a = comparative_test(u, r, rs, 0.1, fam, 0.05, cfg)
+        b = comparative_test(u, rs, r, 0.1, fam, 0.05, cfg)
         assert a.statistic == b.statistic
-        assert np.allclose(a.per_subset_t, -b.per_subset_t)
+        assert a.critical_value == b.critical_value
+        assert a.p_value == b.p_value
+        assert np.array_equal(a.per_subset_t, -b.per_subset_t)
 
 
 class TestTailDependence:
@@ -177,6 +193,53 @@ class TestFullBacktest:
             score_diff_matrix(u, good, bad, 0.05)
         with pytest.raises(NonFiniteError):
             full_backtest(u, {"a": good, "b": bad}, 0.05, fam, 0.05, cfg)
+
+    def test_inputs_checked_before_any_bootstrap(self, monkeypatch):
+        u, fam, cfg = self._inputs()
+        good = np.full_like(u, 1.2)
+        bad = good.copy()
+        bad[0, 3] = np.nan
+
+        def no_bootstrap(*args):
+            raise AssertionError("a bootstrap ran before the inputs were checked")
+
+        monkeypatch.setattr(poolmax.backtest, "substream_normals", no_bootstrap)
+        fcs = {"a": good, "b": good + 0.1, "c": bad}
+        with pytest.raises(NonFiniteError, match=r"\(0, 3\) of forecast 'c'"):
+            full_backtest(u, fcs, 0.05, fam, 0.05, cfg)
+        with pytest.raises(ShapeMismatchError, match="forecast 'c'"):
+            full_backtest(u, {"a": good, "c": good[:, :3]}, 0.05, fam, 0.05, cfg)
+        with pytest.raises(ValueError, match="alpha"):
+            full_backtest(u, {"a": good}, 0.05, fam, 1.5, cfg)
+
+    def test_matches_single_tests(self):
+        u, fam, cfg = self._inputs()
+        fcs = {"emp": np.full_like(u, 1.2), "evt": np.full_like(u, 1.5),
+               "dup": np.full_like(u, 1.2), "var": 1.3 + 0.2 * np.sin(u)}
+        rep = full_backtest(u, fcs, 0.05, fam, 0.05, cfg)
+        ref = BacktestReport(
+            method_names=list(fcs),
+            config={"theta0": 0.05, "alpha": 0.05, "B": 60, "q": 3, "d": 8},
+        )
+        names = list(fcs)
+        for m in names:
+            ref.validation[m] = validation_test(u, fcs[m], 0.05, fam, 0.05, cfg)
+        for i, a in enumerate(names):
+            for b in names[:i]:
+                try:
+                    ref.comparative[(a, b)] = comparative_test(
+                        u, fcs[a], fcs[b], 0.05, fam, 0.05, cfg, one_sided=True
+                    )
+                except DegenerateVarianceError as e:
+                    ref.comparative[(a, b)] = None
+                    ref.errors[f"{a}|{b}"] = str(e)
+        assert list(ref.errors) == ["dup|emp"]
+        assert rep.to_json() == ref.to_json()
+        cells = [(rep.validation, ref.validation), (rep.comparative, ref.comparative)]
+        for got, want in cells:
+            for key, res in want.items():
+                if res is not None:
+                    assert got[key].to_json() == res.to_json()
 
     def test_csv_layout(self, tmp_path):
         u, fam, cfg = self._inputs()

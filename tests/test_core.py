@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from poolmax import RngSpec, substream, validate_matrix
+from poolmax.core import substream_normals
 from poolmax.errors import NonFiniteError, TooSmallError
 
 
@@ -51,3 +52,28 @@ def test_generator_independent_of_construction_order():
     vals = [substream(RngSpec(9), k).generator().standard_normal() for k in (2, 0, 1)]
     again = [substream(RngSpec(9), k).generator().standard_normal() for k in (0, 1, 2)]
     assert vals[1] == again[0] and vals[2] == again[1] and vals[0] == again[2]
+
+
+def _normals_loop(rng, replicates, n):
+    xi = np.empty((replicates, n))
+    for b in range(replicates):
+        xi[b] = substream(rng, b).generator().standard_normal(n)
+    return xi
+
+
+@pytest.mark.parametrize(
+    "rng, replicates, n",
+    [
+        (RngSpec(0), 1, 2),
+        (RngSpec(3, 2), 300, 50),
+        (RngSpec(2**40 + 3, 7), 20, 5),  # seed takes two 32-bit words
+        (RngSpec(5, 92_600), 200, 3),  # Cantor-paired ids pass 2**32
+        (RngSpec(1, 6_074_000_950), 100, 3),  # ... and 2**64
+        (RngSpec(2**70, 2**40), 10, 4),
+    ],
+)
+def test_substream_normals_matches_per_replicate_generators(rng, replicates, n):
+    xi = substream_normals(rng, replicates, n)
+    assert xi.shape == (replicates, n)
+    assert xi.tobytes() == _normals_loop(rng, replicates, n).tobytes()
+
