@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import TestResult, substream_normals, validate_matrix
 from .errors import (
@@ -136,6 +135,8 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
     rank-CDF strictly exceeds 1 - u, so the top observation always
     qualifies.  Entry (j1, j2) is the joint tail count over n*u.
     """
+    from scipy.stats import rankdata  # here, not above: scipy.stats takes ~1 s to import
+
     z = validate_matrix(zhat)
     n = z.shape[0]
     if not 0 < u < 0.5:

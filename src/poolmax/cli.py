@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .backtest import full_backtest, tail_dependence
 from .core import RngSpec, validate_matrix
 from .errors import (
     DataError,
@@ -31,7 +30,6 @@ from .errors import (
     SubsetDesignError,
 )
 from .pooltest import BootstrapConfig, marginal_test, naive_test, pool_test
-from .simlab import DgpSpec, run_sweep
 from .subsets import build_family, check_design, verify_identifiability
 
 EXIT_OK = 0
@@ -179,7 +177,13 @@ def _cmd_marginal_test(args, parser):
     _write(args.out, _result_text(res, args.format))
 
 
+# Each command imports only the layers it computes with: simlab loads
+# scipy.stats, and pool-test, the cold-start path, needs neither it nor backtest.
+
+
 def _cmd_backtest(args, parser):
+    from .backtest import full_backtest
+
     _, u = ingest_panel(args.returns)
     forecasts = {}
     for item in args.forecast:
@@ -199,6 +203,8 @@ def _cmd_backtest(args, parser):
 
 
 def _cmd_taildep(args, parser):
+    from .backtest import tail_dependence
+
     headers, z = ingest_panel(args.infile)
     lam = tail_dependence(z, args.u)
     lines = [",".join([""] + headers)]
@@ -229,6 +235,8 @@ def _cmd_subsets_check(args, parser):
 
 
 def _cmd_simulate(args, parser):
+    from .simlab import DgpSpec, run_sweep
+
     with open(args.config) as f:
         cfg = json.load(f)
     spec = DgpSpec.from_dict(cfg)

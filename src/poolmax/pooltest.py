@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import RngSpec, TestResult, substream_normals, validate_matrix
 from .errors import (
@@ -91,6 +90,8 @@ def max_statistic(panel: PooledPanel) -> float:
 
 def naive_test(x, alpha: float) -> TestResult:
     """Studentized full row sum against the two-sided normal quantile."""
+    from scipy.stats import norm  # here, not above: scipy.stats takes ~1 s to import
+
     x = validate_matrix(x)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -101,7 +102,7 @@ def naive_test(x, alpha: float) -> TestResult:
     sigma_hat = y.var()
     t = float(y.sum() / np.sqrt(n * sigma_hat))
     z = float(norm.ppf(1 - alpha / 2))
-    p_value = float(2 * (1 - norm.cdf(abs(t))))
+    p_value = float(2 * norm.sf(abs(t)))
     return TestResult(
         statistic=t,
         critical_value=z,

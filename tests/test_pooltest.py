@@ -46,6 +46,14 @@ class TestNaive:
         with pytest.raises(DegenerateVarianceError):
             naive_test(np.full((5, 3), 2.0), 0.05)
 
+    def test_p_value_does_not_underflow(self):
+        # t is about 30 here, far past where 1 - cdf(t) rounds to 0.
+        x = np.random.default_rng(0).standard_normal((200, 5)) + 1.0
+        res = naive_test(x, 0.05)
+        assert res.statistic > 25
+        assert 0 < res.p_value < 1e-100
+        assert res.reject
+
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 6))
