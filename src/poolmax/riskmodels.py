@@ -51,6 +51,7 @@ __all__ = [
 
 MIN_FIT_LENGTH = 300
 _BIG = 1e12
+_PARAM_NAMES = ("a0", "a1", "b0", "b1", "b2", "nu", "gamma")
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,18 @@ class GarchParams:
 
 @dataclass(frozen=True)
 class GarchFit(GarchParams):
+    """Fitted parameters, the conditional path and how the fit went.
+
+    `converged` is the optimizer's success flag for the chosen start,
+    `n_starts` the starts tried, `nit` the chosen start's iterations and
+    `at_bound` the names of parameters that ended on a box bound.
+    """
+
     loglik: float = float("nan")
+    converged: bool = False
+    n_starts: int = 0
+    nit: int = 0
+    at_bound: Tuple[str, ...] = ()
     cond_mean: np.ndarray = field(default=None, repr=False)
     cond_vol: np.ndarray = field(default=None, repr=False)
     residuals: np.ndarray = field(default=None, repr=False)
@@ -117,7 +129,9 @@ def garch_filter(
 
 
 def _nll(theta, u, sig2_init):
-    a0, a1, b0, b1, b2, nu, gamma = theta
+    # Python floats: their scalar arithmetic is cheaper than numpy scalars'
+    # and rounds identically; the fit depends on every bit of this value.
+    a0, a1, b0, b1, b2, nu, gamma = theta.tolist()
     if b1 + b2 > 0.999 or b0 <= 0 or nu <= 2.05 or gamma <= 0:
         return _BIG
     try:
@@ -142,9 +156,10 @@ def garch_fit(
     """Joint quasi-MLE of the seven model parameters.
 
     Box-constrained L-BFGS-B; the volatility recursion starts at the
-    sample variance during estimation.  On failure, up to `restarts`
-    deterministic random restarts are attempted before raising
-    NonConvergenceError.
+    sample variance during estimation.  Unless the first start converges,
+    `restarts` deterministic random starts follow and the best finite one
+    is returned, converged or not (see `GarchFit.converged`); if none is
+    finite, NonConvergenceError is raised.
     """
     u = np.asarray(series, dtype=np.float64)
     if u.size < MIN_FIT_LENGTH:
@@ -207,9 +222,15 @@ def garch_fit(
     b1, b2 = max(b1, 0.0), max(b2, 0.0)
     params = GarchParams(a0, a1, b0, b1, b2, nu, gamma)
     mu, vol, z = garch_filter(u, params, sig2_init=var)
+    at_bound = tuple(
+        name for name, v, (lo, hi) in zip(_PARAM_NAMES, best.x, bounds)
+        if v <= lo or v >= hi
+    )
     return GarchFit(
         a0=a0, a1=a1, b0=b0, b1=b1, b2=b2, nu=nu, gamma=gamma,
-        loglik=-float(best.fun), cond_mean=mu, cond_vol=vol, residuals=z,
+        loglik=-float(best.fun), converged=bool(best.success),
+        n_starts=k + 1, nit=int(best.nit), at_bound=at_bound,
+        cond_mean=mu, cond_vol=vol, residuals=z,
     )
 
 
@@ -325,9 +346,7 @@ def rolling_forecasts(
         if fit is None or h % refit_every == 0:
             fit = garch_fit(win)
         else:
-            params = GarchParams(fit.a0, fit.a1, fit.b0, fit.b1, fit.b2,
-                                 fit.nu, fit.gamma)
-            mu, vol, z = garch_filter(win, params, sig2_init=win.var())
+            mu, vol, z = garch_filter(win, fit, sig2_init=win.var())
             fit = replace(fit, cond_mean=mu, cond_vol=vol, residuals=z)
         out[h] = forecast_var(win, method, theta, fit=fit)
     return out

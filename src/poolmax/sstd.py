@@ -5,13 +5,23 @@ and by 1/gamma on the negative side, then shifted and rescaled to mean 0,
 variance 1.  gamma = 1 recovers the symmetric standardized t; gamma > 1
 skews to the right.  The mass left of the (pre-standardization) mode is
 1 / (1 + gamma^2), which drives the piecewise quantile inversion.
+
+The Student-t kernel is evaluated with `scipy.special` directly, without
+the `scipy.stats.t` wrapper, whose argument handling cost most of a GARCH
+likelihood evaluation.  `_t1_logpdf` performs the operations of scipy's
+own `t._logpdf` in the same order, and `stdtr`/`stdtrit` are what `t.cdf`
+and `t.ppf` compute, so every value is bitwise equal to the `scipy.stats.t`
+form.  That equality matters: L-BFGS-B with finite differences follows a
+different path, and ends at different fits and forecasts, when the
+likelihood changes by a rounding error.  tests/test_sstd.py compares the
+bytes against `scipy.stats.t`, so a scipy release that changes its formula
+fails there.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import t as student_t
+from scipy.special import gammaln, poch, stdtr, stdtrit
 
 from .errors import BadParamsError
 
@@ -42,15 +52,22 @@ def sstd_moments(nu: float, gamma: float):
 
 def _t1_logpdf(x, nu):
     c = np.sqrt(nu / (nu - 2.0))
-    return student_t.logpdf(np.asarray(x) * c, df=nu) + np.log(c)
+    x = np.asarray(x) * c
+    # scipy's `t._logpdf` for finite df, op for op
+    logpdf = (
+        np.log(poch(0.5 * nu, 0.5))
+        - 0.5 * (np.log(nu) + np.log(np.pi))
+        - (nu + 1) / 2 * np.log1p(x * x / nu)
+    )
+    return logpdf + np.log(c)
 
 
 def _t1_cdf(x, nu):
-    return student_t.cdf(np.asarray(x) * np.sqrt(nu / (nu - 2.0)), df=nu)
+    return stdtr(nu, np.asarray(x) * np.sqrt(nu / (nu - 2.0)))
 
 
 def _t1_ppf(u, nu):
-    return student_t.ppf(u, df=nu) / np.sqrt(nu / (nu - 2.0))
+    return stdtrit(nu, u) / np.sqrt(nu / (nu - 2.0))
 
 
 def sstd_logpdf(z, nu: float, gamma: float):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poolmax import sstd
 from poolmax.riskmodels import GarchParams
 
 
@@ -23,6 +24,29 @@ def simulate_ar_garch(params: GarchParams, n: int, rng: np.random.Generator,
         sig2 = params.b0 + params.b1 * eps**2 + params.b2 * sig2
         prev = u[t]
     return u[burn:]
+
+
+def use_scipy_stats_t(monkeypatch):
+    """Route sstd's unit-variance Student-t kernels through scipy.stats.t.
+
+    The reference for the bitwise tests: sstd evaluates the same kernels
+    with scipy.special directly, without the scipy.stats wrapper.
+    """
+    from scipy.stats import t as student_t
+
+    def t1_logpdf(x, nu):
+        c = np.sqrt(nu / (nu - 2.0))
+        return student_t.logpdf(np.asarray(x) * c, df=nu) + np.log(c)
+
+    def t1_cdf(x, nu):
+        return student_t.cdf(np.asarray(x) * np.sqrt(nu / (nu - 2.0)), df=nu)
+
+    def t1_ppf(u, nu):
+        return student_t.ppf(u, df=nu) / np.sqrt(nu / (nu - 2.0))
+
+    monkeypatch.setattr(sstd, "_t1_logpdf", t1_logpdf)
+    monkeypatch.setattr(sstd, "_t1_cdf", t1_cdf)
+    monkeypatch.setattr(sstd, "_t1_ppf", t1_ppf)
 
 
 @pytest.fixture(scope="session")

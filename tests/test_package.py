@@ -73,6 +73,12 @@ def test_naive_test_loads_scipy(panels):
     assert "scipy.stats" in res["scipy"]
 
 
+def test_sstd_loads_no_scipy_stats():
+    out = fresh_python("-c", "import sys, poolmax.sstd; print(sorted("
+                       "m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert out.split() == ["[]"]
+
+
 def test_every_public_name_resolves_to_its_home():
     for name in poolmax.__all__:
         value = getattr(poolmax, name)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from poolmax import RngSpec
+from conftest import use_scipy_stats_t
+from poolmax import RngSpec, riskmodels
 from poolmax.errors import (
     DegenerateSeriesError,
     InsufficientHistoryError,
@@ -56,6 +57,28 @@ class TestFit:
         refit = garch_fit(u, init=GarchParams(fit.a0, fit.a1, fit.b0, fit.b1,
                                               fit.b2, fit.nu, fit.gamma))
         assert refit.loglik >= fit.loglik - 1e-6
+
+    def test_reports_convergence(self, garch_path):
+        _, u = garch_path
+        fit = garch_fit(u[:1000])
+        assert fit.converged is True
+        assert fit.n_starts == 1  # the first start converged: no restarts
+        assert fit.nit > 1
+        assert fit.at_bound == ()
+
+    def test_reports_non_convergence(self, garch_path):
+        _, u = garch_path
+        fit = garch_fit(u[:1000], max_iter=1)
+        assert fit.converged is False
+        assert fit.n_starts == 6  # the first start and 5 restarts
+        assert fit.nit == 1
+        assert np.isfinite(fit.loglik)
+
+    def test_reports_parameters_at_bound(self):
+        # no volatility clustering: the ARCH coefficient b1 ends at its bound 0
+        fit = garch_fit(np.random.default_rng(3).standard_normal(1000))
+        assert fit.at_bound == ("b1",)
+        assert fit.b1 == 0.0
 
     def test_constant_series(self):
         with pytest.raises(DegenerateSeriesError):
@@ -155,3 +178,40 @@ class TestRolling:
         assert daily.shape == single.shape == (30,)
         rel = np.abs(daily - single) / np.abs(daily)
         assert rel.mean() < 0.05
+
+
+@pytest.mark.parametrize("kind", ["empirical", "skew-t", "evt"])
+def test_fits_unchanged_by_likelihood_kernel(kind, garch_path, monkeypatch):
+    """The scipy.special kernels leave the L-BFGS-B path as it was.
+
+    With the scipy.stats.t forms patched back in, every fit inside
+    rolling_forecasts has the same parameters, log-likelihood and residual
+    bytes, and the forecasts the same bytes.
+    """
+    _, u = garch_path
+    series = u[:402]
+
+    def run():
+        fits = []
+
+        def recording_fit(*args, **kwargs):
+            fits.append(garch_fit(*args, **kwargs))
+            return fits[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(riskmodels, "garch_fit", recording_fit)
+            out = rolling_forecasts(series, window=400, horizon=2,
+                                    method=VarMethod(kind), theta=0.01)
+        return out, fits
+
+    def fit_bytes(fit):
+        x = np.array([fit.a0, fit.a1, fit.b0, fit.b1, fit.b2, fit.nu, fit.gamma,
+                      fit.loglik])
+        return x.tobytes() + fit.residuals.tobytes()
+
+    out, fits = run()
+    use_scipy_stats_t(monkeypatch)
+    want_out, want_fits = run()
+    assert len(fits) == len(want_fits) == 2
+    assert [fit_bytes(f) for f in fits] == [fit_bytes(f) for f in want_fits]
+    assert out.tobytes() == want_out.tobytes()

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from conftest import use_scipy_stats_t
 from poolmax.errors import BadParamsError
 from poolmax.sstd import sstd_cdf, sstd_logpdf, sstd_pdf, sstd_quantile
 
@@ -57,3 +58,37 @@ def test_bad_params():
         sstd_quantile(0.5, 5.0, -1.0)
     with pytest.raises(BadParamsError):
         sstd_quantile(1.5, 5.0, 1.0)
+
+
+Z_GRID = np.concatenate([
+    [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, 1e-300, -1e-300],
+    np.linspace(-40.0, 40.0, 161),
+    np.random.default_rng(0).standard_normal(200) * 3.0,
+])
+P_GRID = np.concatenate([
+    [1e-300, 1e-12, 1e-3, 0.5, 1 - 1e-12, 1 - 1e-16],
+    np.random.default_rng(1).uniform(size=200),
+])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("nu", [2.05, 3.0, 8.0, 100.0, 1e6])
+@pytest.mark.parametrize("gamma", [0.1, 0.7, 1.0, 1.5, 10.0])
+def test_bitwise_equal_to_scipy_stats_t(nu, gamma, monkeypatch):
+    """The scipy.special kernels give the bytes of the scipy.stats.t form.
+
+    GARCH fits depend on the likelihood to the last bit (see the module
+    docstring), so a scipy release that changes `t._logpdf`, `t._cdf` or
+    `t._ppf` must fail here rather than move every fitted forecast.
+    """
+    def values():
+        arrays = [sstd_logpdf(Z_GRID, nu, gamma), sstd_cdf(Z_GRID, nu, gamma),
+                  sstd_quantile(P_GRID, nu, gamma)]
+        scalars = [f(z, nu, gamma) for f in (sstd_logpdf, sstd_cdf)
+                   for z in (0.0, -0.0, 1.7, -2.3)]
+        scalars.append(sstd_quantile(0.01, nu, gamma))
+        return [a.tobytes() for a in arrays] + [np.float64(v).tobytes() for v in scalars]
+
+    got = values()
+    use_scipy_stats_t(monkeypatch)
+    assert got == values()
