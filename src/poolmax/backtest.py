@@ -128,6 +128,28 @@ def comparative_test(
     return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided=True)
 
 
+def _average_ranks(z: np.ndarray) -> np.ndarray:
+    """1-based ranks down each column; tied values share their mean rank.
+
+    The values are those of `scipy.stats.rankdata(z, axis=0)`: a tie group
+    at sorted positions first..last gets (first + last) / 2 + 1, which is
+    exact in float64.
+    """
+    n = z.shape[0]
+    order = np.argsort(z, axis=0, kind="stable")
+    s = np.take_along_axis(z, order, axis=0)
+    pos = np.arange(n)[:, None]
+    starts = np.ones(s.shape, dtype=bool)
+    starts[1:] = s[1:] != s[:-1]
+    ends = np.ones(s.shape, dtype=bool)
+    ends[:-1] = starts[1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=0)
+    last = np.minimum.accumulate(np.where(ends, pos, n - 1)[::-1], axis=0)[::-1]
+    ranks = np.empty(z.shape)
+    np.put_along_axis(ranks, order, (first + last) / 2 + 1, axis=0)
+    return ranks
+
+
 def tail_dependence(zhat, u: float) -> np.ndarray:
     """Pairwise upper tail-dependence coefficients of a residual panel.
 
@@ -135,15 +157,13 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
     rank-CDF strictly exceeds 1 - u, so the top observation always
     qualifies.  Entry (j1, j2) is the joint tail count over n*u.
     """
-    from scipy.stats import rankdata  # here, not above: scipy.stats takes ~1 s to import
-
     z = validate_matrix(zhat)
     n = z.shape[0]
     if not 0 < u < 0.5:
         raise BadThresholdError("u must lie in (0, 0.5)")
     if n * u < 1:
         raise BadThresholdError("need n * u >= 1")
-    cdf = rankdata(z, axis=0) / n
+    cdf = _average_ranks(z) / n
     hits = (cdf > 1.0 - u).astype(np.float64)
     return (hits.T @ hits) / (n * u)
 

@@ -178,7 +178,7 @@ def _cmd_marginal_test(args, parser):
 
 
 # Each command imports only the layers it computes with: simlab loads
-# scipy.stats, and pool-test, the cold-start path, needs neither it nor backtest.
+# scipy.special, and pool-test, the cold-start path, needs neither it nor backtest.
 
 
 def _cmd_backtest(args, parser):

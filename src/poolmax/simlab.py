@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .core import RngSpec, substream, validate_matrix
 from .errors import (
@@ -111,7 +111,7 @@ def model_a(z: np.ndarray, thetas) -> np.ndarray:
         raise OutOfRangeError("thetas must have one entry per column")
     if np.any((thetas <= 0) | (thetas >= 1)):
         raise OutOfRangeError("thetas must lie in (0, 1)")
-    cut = norm.ppf(1 - thetas)
+    cut = ndtri(1 - thetas)
     return (z > cut).astype(np.float64) - 0.01
 
 
@@ -139,7 +139,7 @@ def model_b(z: np.ndarray, mus, alpha_n: float = 0.01) -> np.ndarray:
     mus = np.asarray(mus, dtype=np.float64)
     if mus.shape != (z.shape[1],):
         raise OutOfRangeError("mus must have one entry per column")
-    return g_transform(norm.cdf(z), alpha_n) - mus
+    return g_transform(ndtr(z), alpha_n) - mus
 
 
 @dataclass(frozen=True)

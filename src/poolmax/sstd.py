@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, poch, stdtr, stdtrit
 
-from .errors import BadParamsError
+from .errors import BadParamsError, OutOfRangeError
 
 __all__ = ["sstd_logpdf", "sstd_pdf", "sstd_cdf", "sstd_quantile", "sstd_moments"]
 
@@ -97,7 +97,10 @@ def sstd_cdf(z, nu: float, gamma: float):
 
 
 def sstd_quantile(prob, nu: float, gamma: float):
-    """Inverse CDF of the standardized skew-t."""
+    """Inverse CDF of the standardized skew-t.
+
+    Raises OutOfRangeError where the Student-t quantile is not finite.
+    """
     m, s = sstd_moments(nu, gamma)
     prob = np.asarray(prob, dtype=np.float64)
     if np.any((prob <= 0) | (prob >= 1)):
@@ -112,5 +115,11 @@ def sstd_quantile(prob, nu: float, gamma: float):
         _t1_ppf(lo, nu) / gamma,
         _t1_ppf(hi, nu) * gamma,
     )
+    # stdtrit overflows to +inf far in the lower tail (below p ~ 1e-241 at nu = 3)
+    overflow = ~np.isfinite(x)
+    if overflow.any():
+        raise OutOfRangeError(
+            f"no finite quantile at p={float(prob[overflow][0])!r} for nu={float(nu)!r}"
+        )
     out = (x - m) / s
     return out if out.shape else float(out)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from poolmax import sstd
-from poolmax.riskmodels import GarchParams
+from poolmax import riskmodels, sstd
+from poolmax.riskmodels import GarchParams, garch_filter
 
 
 def simulate_ar_garch(params: GarchParams, n: int, rng: np.random.Generator,
@@ -47,6 +47,44 @@ def use_scipy_stats_t(monkeypatch):
     monkeypatch.setattr(sstd, "_t1_logpdf", t1_logpdf)
     monkeypatch.setattr(sstd, "_t1_cdf", t1_cdf)
     monkeypatch.setattr(sstd, "_t1_ppf", t1_ppf)
+
+
+def reference_nll(theta, u, sig2_init):
+    """The GARCH negative log-likelihood at one point, _BIG where inadmissible.
+
+    The one-point form that riskmodels batches: the reference of the
+    bitwise tests of `_nll_and_grad` and of `use_scipy_finite_differences`.
+    """
+    a0, a1, b0, b1, b2, nu, gamma = theta.tolist()
+    if b1 + b2 > 0.999 or b0 <= 0 or nu <= 2.05 or gamma <= 0:
+        return riskmodels._BIG
+    try:
+        params = GarchParams(a0, a1, b0, b1, b2, nu, gamma)
+    except ValueError:
+        return riskmodels._BIG
+    _, vol, z = garch_filter(u, params, sig2_init=sig2_init)
+    ll = sstd.sstd_logpdf(z, nu, gamma) - np.log(vol)
+    total = ll.sum()
+    if not np.isfinite(total):
+        return riskmodels._BIG
+    return -total
+
+
+def use_scipy_finite_differences(monkeypatch):
+    """Fit with L-BFGS-B's own finite differences of `reference_nll`.
+
+    Replaces `riskmodels.minimize` by scipy's `minimize` on the one-point
+    likelihood with no gradient, so scipy differences it itself: the
+    reference for the bitwise tests of the batched gradient.
+    """
+    from scipy.optimize import minimize
+
+    def fd_minimize(fun, x0, args, jac, method, bounds, options):
+        u, sig2_init, _, _ = args
+        return minimize(reference_nll, x0, args=(u, sig2_init), method=method,
+                        bounds=bounds, options={"maxiter": options["maxiter"]})
+
+    monkeypatch.setattr(riskmodels, "minimize", fd_minimize)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from poolmax import (
     tail_dependence,
     validation_test,
 )
-from poolmax.backtest import logistic
+from poolmax.backtest import _average_ranks, logistic
 from poolmax.errors import (
     BadThresholdError,
     DegenerateVarianceError,
@@ -141,6 +141,20 @@ class TestTailDependence:
         z = np.random.default_rng(8).standard_normal((10**5, 2))
         lam = tail_dependence(z, 0.01)
         assert lam[0, 1] == pytest.approx(0.01, abs=0.005)
+
+    def test_ranks_bitwise_equal_to_rankdata(self):
+        from scipy.stats import rankdata  # the reference, in the test only
+
+        gen = np.random.default_rng(10)
+        for k in range(200):
+            z = gen.integers(-3, 4, size=(int(gen.integers(1, 300)), 7)).astype(np.float64)
+            if k % 4 == 0:
+                z[gen.uniform(size=z.shape) < 0.3] = -0.0
+            assert _average_ranks(z).tobytes() == rankdata(z, axis=0).tobytes()
+        z = gen.integers(0, 5, size=(400, 7)).astype(np.float64)
+        hits = (rankdata(z, axis=0) / 400 > 1 - 0.05).astype(np.float64)
+        want = (hits.T @ hits) / (400 * 0.05)
+        assert tail_dependence(z, 0.05).tobytes() == want.tobytes()
 
     def test_bad_threshold(self):
         z = np.random.default_rng(9).standard_normal((50, 2))

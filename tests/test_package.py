@@ -67,10 +67,28 @@ def test_pool_marginal_backtest_subsets_load_no_scipy(panels):
     assert res == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
+def test_taildep_loads_no_scipy(panels):
+    res = fresh_run(["taildep", "--in", panels["x"], "--u", "0.05", "--out", panels["out"]])
+    assert res == {"codes": [0], "scipy": []}
+
+
 def test_naive_test_loads_scipy(panels):
     res = fresh_run(["naive-test", "--in", panels["x"], "--out", panels["out"]])
     assert res["codes"] == [0]
-    assert "scipy.stats" in res["scipy"]
+    assert "scipy.special" in res["scipy"]
+    assert not [m for m in res["scipy"] if m.startswith("scipy.stats")]
+
+
+def test_simulate_loads_no_scipy_stats(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "model": "B1", "n": 60, "p": 9, "p0": 2, "under_null": True, "seed": 3,
+        "q_grid": [2], "d_grid": [18], "alpha": 0.1, "B": 20, "mc_reps": 2,
+    }))
+    res = fresh_run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
+    assert res["codes"] == [0]
+    assert "scipy.special" in res["scipy"]
+    assert not [m for m in res["scipy"] if m.startswith("scipy.stats")]
 
 
 def test_sstd_loads_no_scipy_stats():

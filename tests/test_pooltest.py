@@ -54,6 +54,16 @@ class TestNaive:
         assert 0 < res.p_value < 1e-100
         assert res.reject
 
+    def test_bitwise_equal_to_scipy_stats_norm(self):
+        from scipy.stats import norm  # the reference, in the test only
+
+        gen = np.random.default_rng(1)
+        for shift, alpha in [(0.0, 0.05), (0.3, 0.01), (1.0, 0.5), (-2.0, 1e-6)]:
+            res = naive_test(gen.standard_normal((100, 4)) + shift, alpha)
+            want = [float(norm.ppf(1 - alpha / 2)), float(2 * norm.sf(abs(res.statistic)))]
+            got = [res.critical_value, res.p_value]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 6))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
-from conftest import use_scipy_stats_t
+from conftest import reference_nll, use_scipy_finite_differences, use_scipy_stats_t
 from poolmax import RngSpec, riskmodels
 from poolmax.errors import (
     DegenerateSeriesError,
@@ -180,6 +181,28 @@ class TestRolling:
         assert rel.mean() < 0.05
 
 
+def fit_bytes(fit):
+    x = np.array([fit.a0, fit.a1, fit.b0, fit.b1, fit.b2, fit.nu, fit.gamma, fit.loglik])
+    return (x.tobytes() + fit.residuals.tobytes()
+            + repr((fit.converged, fit.n_starts, fit.nit, fit.at_bound)).encode())
+
+
+def rolling_run(series, kind, monkeypatch):
+    """Two days of rolling forecasts, with the fit made for each day."""
+    fits = []
+
+    def recording_fit(*args, **kwargs):
+        fits.append(garch_fit(*args, **kwargs))
+        return fits[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(riskmodels, "garch_fit", recording_fit)
+        out = rolling_forecasts(series, window=400, horizon=2,
+                                method=VarMethod(kind), theta=0.01)
+    assert len(fits) == 2
+    return out.tobytes(), [fit_bytes(f) for f in fits]
+
+
 @pytest.mark.parametrize("kind", ["empirical", "skew-t", "evt"])
 def test_fits_unchanged_by_likelihood_kernel(kind, garch_path, monkeypatch):
     """The scipy.special kernels leave the L-BFGS-B path as it was.
@@ -188,30 +211,90 @@ def test_fits_unchanged_by_likelihood_kernel(kind, garch_path, monkeypatch):
     rolling_forecasts has the same parameters, log-likelihood and residual
     bytes, and the forecasts the same bytes.
     """
-    _, u = garch_path
-    series = u[:402]
-
-    def run():
-        fits = []
-
-        def recording_fit(*args, **kwargs):
-            fits.append(garch_fit(*args, **kwargs))
-            return fits[-1]
-
-        with monkeypatch.context() as m:
-            m.setattr(riskmodels, "garch_fit", recording_fit)
-            out = rolling_forecasts(series, window=400, horizon=2,
-                                    method=VarMethod(kind), theta=0.01)
-        return out, fits
-
-    def fit_bytes(fit):
-        x = np.array([fit.a0, fit.a1, fit.b0, fit.b1, fit.b2, fit.nu, fit.gamma,
-                      fit.loglik])
-        return x.tobytes() + fit.residuals.tobytes()
-
-    out, fits = run()
+    series = garch_path[1][:402]
+    got = rolling_run(series, kind, monkeypatch)
     use_scipy_stats_t(monkeypatch)
-    want_out, want_fits = run()
-    assert len(fits) == len(want_fits) == 2
-    assert [fit_bytes(f) for f in fits] == [fit_bytes(f) for f in want_fits]
-    assert out.tobytes() == want_out.tobytes()
+    assert got == rolling_run(series, kind, monkeypatch)
+
+
+def random_box_points(gen, count):
+    """(theta, series, lb, ub) inside garch_fit's box, with its edge cases.
+
+    Coordinates on a bound, b1 + b2 within 1e-8 of the 0.999 guard, nu on
+    its bound 2.1, and series scaled by 1e9 (where x + 1e-8 rounds back to
+    x, so scipy falls back to its relative step) or by 1e-4.
+    """
+    for k in range(count):
+        n = int(gen.integers(300, 700))
+        u = gen.standard_normal(n) * (1e9 if k % 10 == 0 else 1e-4 if k % 10 == 1 else 1.0)
+        var = u.var()
+        scale = np.sqrt(var)
+        lb = np.array([-10 * scale, -0.995, 1e-12 * var, 0.0, 0.0, 2.1, 0.1])
+        ub = np.array([10 * scale, 0.995, 10 * var, 0.998, 0.998, 100.0, 10.0])
+        theta = lb + (ub - lb) * gen.uniform(size=7)
+        theta[0] = gen.uniform(-1, 1) * scale
+        theta[2] = var * gen.uniform(0.001, 0.9)
+        if k % 3 == 0:
+            j = gen.integers(7)
+            theta[j] = lb[j] if gen.uniform() < 0.5 else ub[j]
+        if k % 4 == 1:
+            theta[3] = gen.uniform(0.0, 0.3)
+            theta[4] = 0.999 - theta[3] + gen.choice([-1e-8, -5e-9, 0.0, 5e-9, 1e-8])
+        if k % 7 == 2:
+            theta[5] = 2.1
+        yield np.clip(theta, lb, ub), u, lb, ub
+
+
+def test_gradient_bitwise_equal_to_scipy_finite_differences():
+    """`_nll_and_grad` returns the bytes of scipy's own forward differences.
+
+    The reference is what L-BFGS-B computes when given no gradient:
+    `approx_derivative` of the one-point likelihood, method "2-point",
+    abs_step 1e-8, bounded by the box.
+    """
+    gen = np.random.default_rng(2024)
+    mismatches = inadmissible = relative_steps = 0
+    for theta, u, lb, ub in random_box_points(gen, 1200):
+        f0 = reference_nll(theta, u, u.var())
+        want = approx_derivative(reference_nll, theta, method="2-point", abs_step=1e-8,
+                                 f0=f0, bounds=(lb, ub), args=(u, u.var()))
+        f, grad = riskmodels._nll_and_grad(theta, u, u.var(), lb, ub)
+        if np.float64(f).tobytes() != np.float64(f0).tobytes() or grad.tobytes() != want.tobytes():
+            mismatches += 1
+        inadmissible += f0 == riskmodels._BIG or bool((want == 0).any())
+        relative_steps += bool(((theta + 1e-8) - theta == 0).any())
+    assert mismatches == 0
+    assert inadmissible > 100 and relative_steps > 100  # the edge cases were reached
+
+
+@pytest.mark.parametrize("kind", ["empirical", "skew-t", "evt"])
+def test_fits_bitwise_equal_to_scipy_finite_differences(kind, garch_path, monkeypatch):
+    """Fits and forecasts keep their bytes against L-BFGS-B's own differences."""
+    series = garch_path[1][:402]
+    got = rolling_run(series, kind, monkeypatch)
+    use_scipy_finite_differences(monkeypatch)
+    assert got == rolling_run(series, kind, monkeypatch)
+
+
+def test_edge_fits_bitwise_equal_to_scipy_finite_differences(garch_path, monkeypatch):
+    """Unconverged fits with restarts, and a fit with b1 on its bound, keep their bytes."""
+    u = garch_path[1]
+    iid = np.random.default_rng(3).standard_normal(1000)
+
+    def fits():
+        return [garch_fit(u[:1000], max_iter=1), garch_fit(u[:400] * 1e9, max_iter=1),
+                garch_fit(iid)]
+
+    got = fits()
+    assert [(f.converged, f.n_starts) for f in got[:2]] == [(False, 6), (False, 6)]
+    assert got[2].at_bound == ("b1",)
+    use_scipy_finite_differences(monkeypatch)
+    assert [fit_bytes(f) for f in got] == [fit_bytes(f) for f in fits()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_emits_no_runtime_warning(garch_path):
+    u = garch_path[1]
+    garch_fit(u[:1000])
+    garch_fit(u[:400] * 1e9, max_iter=20)
+    garch_fit(np.random.default_rng(3).standard_normal(1000))

@@ -136,3 +136,29 @@ def test_sweep_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "model,q,d,method,alpha,mc_reps,reject_rate"
     assert len(lines) == 2
+
+
+def test_normal_functions_bitwise_equal_to_scipy_stats_norm():
+    """simlab's ndtri and ndtr give the bytes of norm.ppf and norm.cdf.
+
+    scipy.stats is imported here only: the library calls the scipy.special
+    functions that norm.ppf, norm.cdf and norm.sf (as ndtr(-x)) evaluate.
+    """
+    from scipy.special import ndtr, ndtri
+    from scipy.stats import norm
+
+    gen = np.random.default_rng(11)
+    q = np.concatenate([[0.0, 1e-300, 1e-16, 0.5, 1 - 1e-16, 1.0], gen.uniform(size=500)])
+    x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -40.0, 40.0],
+                        gen.standard_normal(500) * 5])
+    assert ndtri(q).tobytes() == norm.ppf(q).tobytes()
+    assert ndtr(x).tobytes() == norm.cdf(x).tobytes()
+    assert ndtr(-x).tobytes() == norm.sf(x).tobytes()
+
+    z = np.column_stack([x[:500], gen.standard_normal(500), x[9:509] * 0.1])
+    thetas = np.array([1e-300, 0.01, 1 - 1e-16])
+    want_a = (z > norm.ppf(1 - thetas)).astype(np.float64) - 0.01
+    assert model_a(z, thetas).tobytes() == want_a.tobytes()
+    mus = np.array([0.0, 0.0075, -0.0075])
+    want_b = g_transform(norm.cdf(z), 0.01) - mus
+    assert model_b(z, mus).tobytes() == want_b.tobytes()

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from conftest import use_scipy_stats_t
-from poolmax.errors import BadParamsError
+from poolmax.errors import BadParamsError, OutOfRangeError
 from poolmax.sstd import sstd_cdf, sstd_logpdf, sstd_pdf, sstd_quantile
 
 
@@ -79,16 +79,36 @@ def test_bitwise_equal_to_scipy_stats_t(nu, gamma, monkeypatch):
 
     GARCH fits depend on the likelihood to the last bit (see the module
     docstring), so a scipy release that changes `t._logpdf`, `t._cdf` or
-    `t._ppf` must fail here rather than move every fitted forecast.
+    `t._ppf` must fail here rather than move every fitted forecast.  At
+    p = 1e-300 the quantile overflows for nu <= 8, and both forms raise
+    the same error there.
     """
+    overflows = P_GRID == 1e-300 if nu <= 8 else np.zeros(P_GRID.size, dtype=bool)
+
     def values():
         arrays = [sstd_logpdf(Z_GRID, nu, gamma), sstd_cdf(Z_GRID, nu, gamma),
-                  sstd_quantile(P_GRID, nu, gamma)]
+                  sstd_quantile(P_GRID[~overflows], nu, gamma)]
         scalars = [f(z, nu, gamma) for f in (sstd_logpdf, sstd_cdf)
                    for z in (0.0, -0.0, 1.7, -2.3)]
         scalars.append(sstd_quantile(0.01, nu, gamma))
-        return [a.tobytes() for a in arrays] + [np.float64(v).tobytes() for v in scalars]
+        errors = []
+        for p in P_GRID[overflows]:
+            with pytest.raises(OutOfRangeError) as info:
+                sstd_quantile(p, nu, gamma)
+            errors.append(str(info.value))
+        return ([a.tobytes() for a in arrays] + [np.float64(v).tobytes() for v in scalars]
+                + errors)
 
     got = values()
     use_scipy_stats_t(monkeypatch)
     assert got == values()
+
+
+def test_tiny_probability_raises_instead_of_inf():
+    """stdtrit overflows to +inf below p ~ 1e-241 at nu = 3: no silent +inf VaR."""
+    message = r"no finite quantile at p=1e-250 for nu=3\.0"
+    with pytest.raises(OutOfRangeError, match=message):
+        sstd_quantile(1e-250, 3.0, 1.0)
+    with pytest.raises(OutOfRangeError, match=message):
+        sstd_quantile(np.array([0.5, 1e-250, 0.01]), 3.0, 1.0)
+    assert np.isfinite(sstd_quantile(np.array([1e-200, 1 - 1e-16]), 3.0, 1.0)).all()
