@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,7 +41,33 @@ EXIT_DEGENERATE = 4
 
 def ingest_panel(path):
     """Read a CSV loss/forecast panel: header row of identifiers, one
-    column per asset, numeric body."""
+    column per asset, numeric body.  Values use Python `float` syntax.
+
+    numpy's C parser reads the body.  Any body it rejects, warns about or
+    reads with another column count than the header is read again by
+    `_ingest_rows`, which alone reports errors and alone accepts what
+    `float` parses but numpy does not (quoted numbers, `1_000`, non-ASCII
+    digits); where both accept a body, they give the same bytes.
+    """
+    with open(path, newline="") as f:
+        headers = next((rec for rec in csv.reader(f) if rec), None)
+        x = None
+        if headers is not None:
+            headers = [h.strip() for h in headers]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    x = np.loadtxt(f, delimiter=",", comments=None, ndmin=2,
+                                   dtype=np.float64)
+            except (ValueError, Warning):
+                pass
+    if x is None or x.shape[1] != len(headers):
+        headers, x = _ingest_rows(path)
+    return headers, validate_matrix(x)
+
+
+def _ingest_rows(path):
+    """The row-by-row reader: every parse, ragged-row and empty-input error."""
     headers = None
     rows = []
     with open(path, newline="") as f:
@@ -60,8 +87,7 @@ def ingest_panel(path):
         raise ParseError(0, "empty file")
     if not rows:
         raise DataError("header-only file: no observations")
-    x = np.array(rows, dtype=np.float64).reshape(len(rows), len(headers))
-    return headers, validate_matrix(x)
+    return headers, np.array(rows, dtype=np.float64).reshape(len(rows), len(headers))
 
 
 def _write(path, text):
@@ -78,16 +104,38 @@ def _family(args, p):
     return build_family(p, args.q, d, RngSpec(args.seed, 1))
 
 
+def _checked(convert, ok, expected):
+    """A converter for flag and config values: `convert`, then `ok`; on
+    failure an ArgumentTypeError naming the value and what was expected."""
+
+    def check(value):
+        try:
+            out = convert(value)
+            if ok(out):
+                return out
+        except (TypeError, ValueError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+    return check
+
+
+_LEVEL = _checked(float, lambda v: 0 < v < 1, "a level in (0, 1)")
+_POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def _add_common(sp, with_design=True):
     sp.add_argument("--in", dest="infile", required=True, help="input CSV panel")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=_LEVEL, default=0.05)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     if with_design:
         sp.add_argument("--q", type=int, default=49, help="subset cardinality (default 49)")
         sp.add_argument("--d", type=int, default=None, help="number of subsets (default 2p)")
-    sp.add_argument("--B", type=int, default=1000, help="bootstrap replicates (default 1000)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--B", type=_POSITIVE, default=1000,
+                    help="bootstrap replicates (default 1000)")
+    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("naive-test", help="full-pooling normal test")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--alpha", type=float, default=0.05)
+    sp.add_argument("--alpha", type=_LEVEL, default=0.05)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("marginal-test", help="per-dimension max test baseline")
@@ -122,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta0", type=float, default=0.01)
     sp.add_argument("--q", type=int, default=49)
     sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--B", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--alpha", type=_LEVEL, default=0.05)
+    sp.add_argument("--B", type=_POSITIVE, default=1000)
+    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
 
@@ -137,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("simulate", help="Monte Carlo size/power sweep")
@@ -184,11 +232,14 @@ def _cmd_marginal_test(args, parser):
 def _cmd_backtest(args, parser):
     from .backtest import full_backtest
 
-    _, u = ingest_panel(args.returns)
-    forecasts = {}
+    if args.format == "csv" and args.out is None:
+        parser.error("csv backtest output requires --out")
     for item in args.forecast:
         if "=" not in item:
             parser.error(f"--forecast expects NAME=PATH, got {item!r}")
+    _, u = ingest_panel(args.returns)
+    forecasts = {}
+    for item in args.forecast:
         name, path = item.split("=", 1)
         _, forecasts[name] = ingest_panel(path)
     fam = _family(args, u.shape[1])
@@ -197,8 +248,6 @@ def _cmd_backtest(args, parser):
     if args.format == "json":
         _write(args.out, report.to_json(indent=2))
     else:
-        if args.out is None:
-            parser.error("csv backtest output requires --out")
         report.to_csv(args.out)
 
 
@@ -234,26 +283,65 @@ def _cmd_subsets_check(args, parser):
     return EXIT_OK
 
 
-def _cmd_simulate(args, parser):
-    from .simlab import DgpSpec, run_sweep
+def _list_of(convert):
+    def parse(values):
+        if not isinstance(values, list):
+            raise TypeError(f"not a list: {values!r}")
+        return [convert(v) for v in values]
 
+    return parse
+
+
+def _cmd_simulate(args, parser):
+    from .simlab import METHODS, MODELS, DgpSpec, run_sweep
+
+    if args.format == "csv" and args.out is None:
+        parser.error("csv sweep output requires --out")
     with open(args.config) as f:
         cfg = json.load(f)
-    spec = DgpSpec.from_dict(cfg)
+    if not isinstance(cfg, dict):
+        raise DataError(f"sweep config must be a JSON object, got a {type(cfg).__name__}")
+
+    def setting(key, convert, default=None):
+        """cfg[key] through `convert`, or `default` if absent; a missing key
+        without a default, or a value `convert` rejects, is a DataError."""
+        if key not in cfg:
+            if default is None:
+                raise DataError(f"sweep config {key!r}: missing")
+            return default
+        try:
+            return convert(cfg[key])
+        except argparse.ArgumentTypeError as e:
+            raise DataError(f"sweep config {key!r}: {e}") from None
+
+    model = _checked(str, MODELS.__contains__, f"one of {', '.join(MODELS)}")
+    flag = _checked(lambda v: v, lambda v: isinstance(v, bool), "true or false")
+    number = _checked(float, math.isfinite, "a finite number")
+    grid = _checked(_list_of(int), bool, "a non-empty list of integers")
+    methods = _checked(_list_of(str), lambda ms: ms and set(ms) <= set(METHODS),
+                       f"a non-empty list of {', '.join(METHODS)}")
+    spec = DgpSpec(
+        model=setting("model", model),
+        n=setting("n", _POSITIVE),
+        p=setting("p", _POSITIVE),
+        p0=setting("p0", _NONNEGATIVE),
+        under_null=setting("under_null", flag),
+        rng=RngSpec(setting("seed", _NONNEGATIVE, 0),
+                    setting("stream_id", _NONNEGATIVE, 0)),
+        alpha_n=setting("alpha_n", number, 0.01),
+    )
     result = run_sweep(
         spec,
-        q_grid=cfg.get("q_grid", [49]),
-        d_grid=cfg.get("d_grid", [2 * spec.p]),
-        alpha=float(cfg.get("alpha", 0.05)),
-        B=int(cfg.get("B", 1000)),
-        mc_reps=int(cfg.get("mc_reps", 1000)),
-        methods=tuple(cfg.get("methods", ("subsets-pool", "naive", "marginal"))),
+        q_grid=setting("q_grid", grid, [49]),
+        d_grid=setting("d_grid", grid, [2 * spec.p]),
+        alpha=setting("alpha", _LEVEL, 0.05),
+        B=setting("B", _POSITIVE, 1000),
+        mc_reps=setting("mc_reps", _NONNEGATIVE, 1000),
+        methods=tuple(setting("methods", methods, METHODS)),
     )
     if args.format == "json":
         _write(args.out, result.to_json(indent=2))
     else:
-        if args.out is None:
-            parser.error("csv sweep output requires --out")
         result.to_csv(args.out)
 
 

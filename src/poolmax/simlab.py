@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MODELS = ("A1", "A2", "B1", "B2")
+METHODS = ("subsets-pool", "naive", "marginal")
 
 
 def sigma1(p: int) -> np.ndarray:
@@ -161,18 +162,6 @@ class DgpSpec:
         if needed > self.p:
             raise ProfileOverflowError(f"p0={self.p0} too large for p={self.p}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DgpSpec":
-        return cls(
-            model=d["model"],
-            n=int(d["n"]),
-            p=int(d["p"]),
-            p0=int(d["p0"]),
-            under_null=bool(d["under_null"]),
-            rng=RngSpec(int(d.get("seed", 0)), int(d.get("stream_id", 0))),
-            alpha_n=float(d.get("alpha_n", 0.01)),
-        )
-
 
 def generate_panel(spec: DgpSpec, rng: RngSpec) -> np.ndarray:
     """One synthetic dataset from the given process, using `rng` only."""
@@ -216,7 +205,7 @@ def run_sweep(
     alpha: float = 0.05,
     B: int = 1000,
     mc_reps: int = 1000,
-    methods: Sequence[str] = ("subsets-pool", "naive", "marginal"),
+    methods: Sequence[str] = METHODS,
 ) -> SweepResult:
     """Empirical rejection rates over the (q, d) product grid.
 

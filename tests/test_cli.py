@@ -1,8 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poolmax import cli
 from poolmax.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_USAGE, ingest_panel, run
 from poolmax.errors import DataError, ParseError, RaggedRowsError
 
@@ -29,8 +33,11 @@ def test_ingest_happy_path(tmp_path):
 def test_ingest_header_only(tmp_path):
     p = tmp_path / "h.csv"
     p.write_text("a,b\n")
-    with pytest.raises(DataError):
-        ingest_panel(p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError):
+            ingest_panel(p)
+    assert caught == []
 
 
 def test_ingest_ragged(tmp_path):
@@ -46,6 +53,111 @@ def test_ingest_parse_error(tmp_path):
     p.write_text("a,b\n1,x\n")
     with pytest.raises(ParseError):
         ingest_panel(p)
+
+
+def _force_row_reader(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("numpy parser disabled")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+def _ingest_outcome(path):
+    """What ingest_panel gives: headers and bytes, or the error raised."""
+    try:
+        headers, x = ingest_panel(path)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return headers, x.shape, x.tobytes()
+
+
+# Each body is read by numpy's parser and by the row reader alone; they must
+# agree on headers and bytes, or on the error class, line and message.
+EDGE_CASES = {
+    "lf": "a,b\n1,2\n3,4\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "cr_only": "a,b\r1,2\r3,4\r",
+    "no_final_newline": "a,b\n1,2\n3,4",
+    "blank_line": "a,b\n1,2\n\n3,4\n",
+    "crlf_blank_line": "a,b\r\n\r\n1,2\r\n3,4\r\n",
+    "leading_blank_lines": "\n\na,b\n1,2\n3,4\n",
+    "whitespace_line": "a,b\n1,2\n \n3,4\n",
+    "whitespace_line_one_column": "a\n1\n \n3\n",
+    "hash_line": "a,b\n1,2\n#c\n3,4\n",
+    "hash_line_one_column": "a\n1\n#c\n3\n",
+    "hash_after_value": "a,b\n1,2 # x\n3,4\n",
+    "trailing_comma": "a,b\n1,2,\n3,4,\n",
+    "trailing_comma_in_header": "a,b,\n1,2,\n3,4,\n",
+    "quoted_value": 'a,b\n"1",2\n3,4\n',
+    "quoted_header": '"a","b"\n1,2\n3,4\n',
+    "multiline_quoted_value": 'a,b\n1,"2\n3"\n4,5\n',
+    "underscore": "a,b\n1_000,2\n3,4\n",
+    "arabic_digit": "a,b\n\u0661,2\n3,4\n",
+    "inf": "a,b\n1,inf\n3,4\n",
+    "nan": "a,b\nnan,2\n3,4\n",
+    "overflow": "a,b\n1e999,2\n3,4\n",
+    "hex": "a,b\n0x10,2\n3,4\n",
+    "fortran_exponent": "a,b\n1d5,2\n3,4\n",
+    "empty_field": "a,b\n1,\n3,4\n",
+    "empty_middle_field": "a,b,c\n1,,2\n3,4,5\n",
+    "header_only": "a,b\n",
+    "header_then_blank_lines": "a,b\n\n\n",
+    "empty": "",
+    "one_column": "a\n1\n2\n3\n",
+    "one_row": "a,b\n1,2\n",
+    "ragged_row": "a,b\n1,2\n3\n",
+    "text_value": "a,b\n1,x\n",
+    "padded_fields": "a , b \n 1 , 2 \n3,4\n",
+    "nbsp": "a,b\n\u00a01,2\n3,4\n",
+    "vertical_tab_in_field": "a,b\n1\x0b,2\n3,4\n",
+    "vertical_tab_between_rows": "a,b\n1,2\x0b3,4\n",
+    "signs_and_points": "a,b\n+1,-2\n.5,5.\n-0,1e-320\n",
+}
+
+
+@pytest.mark.parametrize("text", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_ingest_numpy_parser_agrees_with_row_reader(tmp_path, monkeypatch, text):
+    p = tmp_path / "e.csv"
+    p.write_bytes(text.encode())
+    fast = _ingest_outcome(p)
+    _force_row_reader(monkeypatch)
+    assert _ingest_outcome(p) == fast
+
+
+def test_ingest_plain_panel_skips_row_reader(panel_csv, monkeypatch):
+    monkeypatch.setattr(cli, "_ingest_rows", None)
+    headers, x = ingest_panel(panel_csv)
+    assert x.shape == (60, 10) and headers[-1] == "a9"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.integers(2, 7).flatmap(lambda n: st.integers(1, 6).flatmap(
+        lambda p: st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=p, max_size=p), min_size=n, max_size=n))),
+    fmt=st.sampled_from([repr, "%.9g".__mod__, "%.17g".__mod__]),
+    eol=st.sampled_from(["\n", "\r\n"]),
+    final_eol=st.booleans(),
+)
+def test_ingest_returns_float_of_each_field(tmp_path_factory, values, fmt, eol, final_eol):
+    fields = [[fmt(v) for v in row] for row in values]
+    lines = [",".join(f"c{j}" for j in range(len(fields[0])))]
+    lines += [",".join(row) for row in fields]
+    p = tmp_path_factory.getbasetemp() / "property.csv"
+    p.write_bytes((eol.join(lines) + (eol if final_eol else "")).encode())
+    expected = np.array([[float(f) for f in row] for row in fields])
+    headers, x = ingest_panel(p)
+    assert len(headers) == x.shape[1]
+    assert x.tobytes() == expected.tobytes()
+
+
+def test_pool_test_bytes_equal_through_row_reader(panel_csv, tmp_path, monkeypatch):
+    fast, rows = tmp_path / "fast.json", tmp_path / "rows.json"
+    argv = ["pool-test", "--in", str(panel_csv), "--q", "3", "--B", "40"]
+    assert run(argv + ["--out", str(fast)]) == 0
+    _force_row_reader(monkeypatch)
+    assert run(argv + ["--out", str(rows)]) == 0
+    assert rows.read_bytes() == fast.read_bytes()
 
 
 def test_pool_test_happy(panel_csv, tmp_path):
@@ -82,6 +194,42 @@ def test_unknown_flag_exits_2(panel_csv):
     with pytest.raises(SystemExit) as exc:
         run(["pool-test", "--in", str(panel_csv), "--bogus", "1"])
     assert exc.value.code == EXIT_USAGE
+
+
+def _exit_code(argv):
+    try:
+        return run(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv", [
+    [cmd, "--in", "missing.csv", flag, value]
+    for cmd in ("pool-test", "marginal-test", "naive-test")
+    for flag, value in (("--alpha", "2"), ("--alpha", "0"), ("--alpha", "nan"),
+                        ("--B", "0"), ("--seed", "-1"))
+    if cmd != "naive-test" or flag == "--alpha"
+] + [
+    ["backtest", "--returns", "missing.csv", "--forecast", "f=missing.csv",
+     "--out", "r.csv", flag, value]
+    for flag, value in (("--alpha", "1"), ("--B", "0"), ("--seed", "-1"))
+] + [
+    ["subsets-check", "--p", "10", "--q", "3", "--d", "12", "--seed", "-2"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_bad_flag_value_exits_2_before_reading(argv, capsys):
+    """A nonexistent input would exit 3 if it were opened."""
+    assert _exit_code(argv) == EXIT_USAGE
+    assert f"argument {argv[-2]}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["backtest", "--returns", "missing.csv", "--forecast", "f=missing.csv"],
+    ["backtest", "--returns", "missing.csv", "--forecast", "missing.csv",
+     "--format", "json"],
+    ["simulate", "--config", "missing.json"],
+], ids=["backtest-csv-without-out", "backtest-forecast-syntax", "simulate-csv-without-out"])
+def test_usage_error_before_any_input_is_read(argv):
+    assert _exit_code(argv) == EXIT_USAGE
 
 
 def test_determinism_byte_identical(panel_csv, tmp_path):
@@ -138,12 +286,15 @@ def test_taildep_command(tmp_path):
     assert len(lines) == 4
 
 
+SWEEP_CONFIG = {
+    "model": "B1", "n": 60, "p": 9, "p0": 2, "under_null": True,
+    "seed": 3, "q_grid": [2], "d_grid": [18], "alpha": 0.1,
+    "B": 20, "mc_reps": 3,
+}
+
+
 def test_simulate_command(tmp_path):
-    cfg = {
-        "model": "B1", "n": 60, "p": 9, "p0": 2, "under_null": True,
-        "seed": 3, "q_grid": [2], "d_grid": [18], "alpha": 0.1,
-        "B": 20, "mc_reps": 3,
-    }
+    cfg = SWEEP_CONFIG
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "sweep.csv"
@@ -151,6 +302,31 @@ def test_simulate_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("model,q,d,method")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"under_null": None}, "'under_null': missing"),
+    ({"n": "abc"}, "'n': expected an integer >= 1, got 'abc'"),
+    ({"model": "C3"}, "'model': expected one of A1, A2, B1, B2, got 'C3'"),
+    ({"q_grid": "x"}, "'q_grid': expected a non-empty list of integers, got 'x'"),
+    ({"under_null": "false"}, "'under_null': expected true or false, got 'false'"),
+    ({"methods": ["naive", "pool"]}, "'methods': expected a non-empty list of"),
+], ids=["missing-key", "bad-int", "unknown-model", "grid-not-list", "flag-string",
+        "unknown-method"])
+def test_simulate_bad_config_exits_3(tmp_path, capsys, edit, message):
+    cfg = {k: v for k, v in {**SWEEP_CONFIG, **edit}.items() if v is not None}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_DATA
+    assert f"poolmax: sweep config {message}" in capsys.readouterr().err
+
+
+def test_simulate_config_not_an_object_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([SWEEP_CONFIG]))
+    assert run(["simulate", "--config", str(cfg_path), "--format", "json"]) == EXIT_DATA
+    assert "must be a JSON object, got a list" in capsys.readouterr().err
 
 
 def test_backtest_command(tmp_path):
