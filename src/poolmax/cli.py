@@ -50,7 +50,7 @@ def ingest_panel(path):
     digits); where both accept a body, they give the same bytes.
     """
     with open(path, newline="") as f:
-        headers = next((rec for rec in csv.reader(f) if rec), None)
+        headers = next((rec for _, rec in _records(f)), None)
         x = None
         if headers is not None:
             headers = [h.strip() for h in headers]
@@ -66,14 +66,29 @@ def ingest_panel(path):
     return headers, validate_matrix(x)
 
 
+def _records(f):
+    """(line, record) for each non-empty `csv` record of f, with the line the
+    record starts on; a record `csv` cannot read, such as one with a field
+    over its 131072-character limit, is a ParseError at its line."""
+    reader = csv.reader(f)
+    while True:
+        line = reader.line_num + 1
+        try:
+            rec = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise ParseError(line, str(e)) from None
+        if rec:
+            yield line, rec
+
+
 def _ingest_rows(path):
     """The row-by-row reader: every parse, ragged-row and empty-input error."""
     headers = None
     rows = []
     with open(path, newline="") as f:
-        for lineno, rec in enumerate(csv.reader(f), start=1):
-            if not rec:
-                continue
+        for lineno, rec in _records(f):
             if headers is None:
                 headers = [h.strip() for h in rec]
                 continue
@@ -120,9 +135,18 @@ def _checked(convert, ok, expected):
     return check
 
 
+def _whole(value):
+    """The int of a flag string or a JSON number; a fraction, a non-finite
+    number or a bool (all of which `int` would take) is a ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 _LEVEL = _checked(float, lambda v: 0 < v < 1, "a level in (0, 1)")
-_POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_NONNEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_TAIL = _checked(float, lambda v: 0 < v < 0.5, "a tail probability in (0, 0.5)")
+_POSITIVE = _checked(_whole, lambda v: v >= 1, "an integer >= 1")
+_NONNEGATIVE = _checked(_whole, lambda v: v >= 0, "an integer >= 0")
 
 
 def _add_common(sp, with_design=True):
@@ -167,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=PATH",
         help="named VaR forecast panel; repeatable",
     )
-    sp.add_argument("--theta0", type=float, default=0.01)
+    sp.add_argument("--theta0", type=_LEVEL, default=0.01)
     sp.add_argument("--q", type=int, default=49)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--alpha", type=_LEVEL, default=0.05)
@@ -178,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("taildep", help="upper tail-dependence matrix of residuals")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--u", type=float, default=0.01)
+    sp.add_argument("--u", type=_TAIL, default=0.01)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("subsets-check", help="design diagnostics for (p, q)")
@@ -317,7 +341,7 @@ def _cmd_simulate(args, parser):
     model = _checked(str, MODELS.__contains__, f"one of {', '.join(MODELS)}")
     flag = _checked(lambda v: v, lambda v: isinstance(v, bool), "true or false")
     number = _checked(float, math.isfinite, "a finite number")
-    grid = _checked(_list_of(int), bool, "a non-empty list of integers")
+    grid = _checked(_list_of(_whole), bool, "a non-empty list of integers")
     methods = _checked(_list_of(str), lambda ms: ms and set(ms) <= set(METHODS),
                        f"a non-empty list of {', '.join(METHODS)}")
     spec = DgpSpec(

