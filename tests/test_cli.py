@@ -403,3 +403,69 @@ def test_backtest_command(tmp_path):
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == ",emp,evt"
+
+
+def _write_input(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _panel_text(x):
+    header = ",".join(f"a{j}" for j in range(x.shape[1]))
+    return header + "\n" + "\n".join(",".join(map(str, r)) for r in x) + "\n"
+
+
+_NOISE = _panel_text(np.random.default_rng(3).standard_normal((60, 10)))
+_SHORT = _panel_text(np.random.default_rng(3).standard_normal((30, 10)))
+_CONSTANT_COLUMN = "a,b,c\n1,7,2\n3,7,5\n4,7,1\n"
+
+# One CLI case per raise family: (argv with {csv}, {csv2} and {cfg} for input
+# files, the files' contents, exit code, the whole stderr after "poolmax: ").
+EXIT_CODE_TABLE = {
+    "q-out-of-range": (["pool-test", "--in", "{csv}", "--q", "0"], {"csv": _NOISE},
+                       EXIT_USAGE, "need 1 <= q < p, got p=10, q=0"),
+    "d-below-p": (["pool-test", "--in", "{csv}", "--q", "3", "--d", "9"], {"csv": _NOISE},
+                  EXIT_USAGE, "need d >= p, got d=9, p=10"),
+    "q-not-coprime": (["pool-test", "--in", "{csv}", "--q", "5"], {"csv": _NOISE},
+                      EXIT_USAGE, "p=10 and q=5 are not coprime; try q=3"),
+    "constant-column": (["marginal-test", "--in", "{csv}", "--B", "10"],
+                        {"csv": _CONSTANT_COLUMN},
+                        EXIT_DEGENERATE, "zero variance estimate (subset/column 1)"),
+    "constant-row-sum": (["naive-test", "--in", "{csv}"], {"csv": "a\n1\n1\n1\n"},
+                         EXIT_DEGENERATE, "zero variance estimate"),
+    "ragged-row": (["naive-test", "--in", "{csv}"], {"csv": "a,b\n1,2\n3\n"},
+                   EXIT_DATA, "line 3: inconsistent number of fields"),
+    "unparseable-value": (["naive-test", "--in", "{csv}"], {"csv": "a,b\n1,x\n"},
+                          EXIT_DATA, "line 2: unparseable value"),
+    "empty-file": (["naive-test", "--in", "{csv}"], {"csv": ""},
+                   EXIT_DATA, "line 0: empty file"),
+    "header-only": (["naive-test", "--in", "{csv}"], {"csv": "a,b\n"},
+                    EXIT_DATA, "header-only file: no observations"),
+    "one-row": (["naive-test", "--in", "{csv}"], {"csv": "a,b\n1,2\n"},
+                EXIT_DATA, "need at least 2 observations, got 1"),
+    "non-finite-entry": (["naive-test", "--in", "{csv}"], {"csv": "a,b\n1,2\n3,inf\n"},
+                         EXIT_DATA, "non-finite entry at (1, 1)"),
+    "forecast-shape": (["backtest", "--returns", "{csv}", "--forecast", "f={csv2}",
+                        "--q", "3", "--B", "10", "--format", "json"],
+                       {"csv": _NOISE, "csv2": _SHORT},
+                       EXIT_DATA, "forecast 'f' has shape (30, 10), losses (60, 10)"),
+    "taildep-n-u-below-1": (["taildep", "--in", "{csv}"], {"csv": _NOISE},
+                            EXIT_DATA, "need n * u >= 1"),
+    "alpha-n-out-of-range": (["simulate", "--config", "{cfg}", "--format", "json"],
+                             {"cfg": json.dumps({**SWEEP_CONFIG, "alpha_n": 0.7})},
+                             EXIT_DATA, "alpha_n must lie in (0, 0.5)"),
+    "p0-too-large": (["simulate", "--config", "{cfg}", "--format", "json"],
+                     {"cfg": json.dumps({**SWEEP_CONFIG, "p0": 5})},
+                     EXIT_DATA, "p0=5 too large for p=9"),
+}
+
+
+@pytest.mark.parametrize("argv, files, code, message", EXIT_CODE_TABLE.values(),
+                         ids=EXIT_CODE_TABLE.keys())
+def test_exit_code_table(tmp_path, capsys, argv, files, code, message):
+    paths = {key: _write_input(tmp_path, key, text) for key, text in files.items()}
+    assert run([arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"poolmax: {message}\n"
+    assert captured.out == ""
