@@ -17,12 +17,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import TestResult, substream_normals, validate_matrix
-from .errors import (
-    BadThresholdError,
-    DegenerateVarianceError,
-    NonFiniteError,
-    ShapeMismatchError,
-)
+from .errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from .pooltest import (
     BootstrapConfig,
     _bootstrap_result,
@@ -54,7 +49,7 @@ def _same_shape(*mats):
     arrs = [validate_matrix(m) for m in mats]
     shapes = {a.shape for a in arrs}
     if len(shapes) != 1:
-        raise ShapeMismatchError(f"shapes differ: {sorted(shapes)}")
+        raise PoolmaxError(f"shapes differ: {sorted(shapes)}")
     return arrs
 
 
@@ -62,7 +57,7 @@ def exceedance_matrix(u, r, theta0: float) -> np.ndarray:
     """Centered violation indicators 1{U > R} - theta0 (ties are misses)."""
     u, r = _same_shape(u, r)
     if not 0 < theta0 < 1:
-        raise BadThresholdError("theta0 must lie in (0, 1)")
+        raise PoolmaxError("theta0 must lie in (0, 1)")
     return (u > r).astype(np.float64) - theta0
 
 
@@ -160,9 +155,9 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
     z = validate_matrix(zhat)
     n = z.shape[0]
     if not 0 < u < 0.5:
-        raise BadThresholdError("u must lie in (0, 0.5)")
+        raise PoolmaxError("u must lie in (0, 0.5)")
     if n * u < 1:
-        raise BadThresholdError("need n * u >= 1")
+        raise PoolmaxError("need n * u >= 1")
     cdf = _average_ranks(z) / n
     hits = (cdf > 1.0 - u).astype(np.float64)
     return (hits.T @ hits) / (n * u)
@@ -227,7 +222,7 @@ def _forecast(name: str, r, shape) -> np.ndarray:
     except NonFiniteError as e:
         raise NonFiniteError(e.row, e.col, f"forecast {name!r}") from None
     if r.shape != shape:
-        raise ShapeMismatchError(f"forecast {name!r} has shape {r.shape}, losses {shape}")
+        raise PoolmaxError(f"forecast {name!r} has shape {r.shape}, losses {shape}")
     return r
 
 

@@ -22,12 +22,10 @@ import numpy as np
 from . import __version__
 from .core import RngSpec, validate_matrix
 from .errors import (
-    DataError,
     DegenerateStatisticError,
     NotCoprimeError,
     ParseError,
     PoolmaxError,
-    RaggedRowsError,
     SubsetDesignError,
 )
 from .pooltest import BootstrapConfig, marginal_test, naive_test, pool_test
@@ -93,7 +91,7 @@ def _ingest_rows(path):
                 headers = [h.strip() for h in rec]
                 continue
             if len(rec) != len(headers):
-                raise RaggedRowsError(lineno)
+                raise ParseError(lineno, "inconsistent number of fields")
             try:
                 rows.append([float(v) for v in rec])
             except ValueError:
@@ -101,7 +99,7 @@ def _ingest_rows(path):
     if headers is None:
         raise ParseError(0, "empty file")
     if not rows:
-        raise DataError("header-only file: no observations")
+        raise PoolmaxError("header-only file: no observations")
     return headers, np.array(rows, dtype=np.float64).reshape(len(rows), len(headers))
 
 
@@ -258,14 +256,18 @@ def _cmd_backtest(args, parser):
 
     if args.format == "csv" and args.out is None:
         parser.error("csv backtest output requires --out")
+    paths = {}
     for item in args.forecast:
-        if "=" not in item:
+        name, eq, path = item.partition("=")
+        if not eq:
             parser.error(f"--forecast expects NAME=PATH, got {item!r}")
+        if not name:
+            parser.error(f"--forecast NAME is empty in {item!r}")
+        if name in paths:
+            parser.error(f"--forecast NAME {name!r} is given twice")
+        paths[name] = path
     _, u = ingest_panel(args.returns)
-    forecasts = {}
-    for item in args.forecast:
-        name, path = item.split("=", 1)
-        _, forecasts[name] = ingest_panel(path)
+    forecasts = {name: ingest_panel(path)[1] for name, path in paths.items()}
     fam = _family(args, u.shape[1])
     cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
     report = full_backtest(u, forecasts, args.theta0, fam, args.alpha, cfg)
@@ -324,19 +326,19 @@ def _cmd_simulate(args, parser):
     with open(args.config) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
-        raise DataError(f"sweep config must be a JSON object, got a {type(cfg).__name__}")
+        raise PoolmaxError(f"sweep config must be a JSON object, got a {type(cfg).__name__}")
 
     def setting(key, convert, default=None):
         """cfg[key] through `convert`, or `default` if absent; a missing key
-        without a default, or a value `convert` rejects, is a DataError."""
+        without a default, or a value `convert` rejects, is a PoolmaxError."""
         if key not in cfg:
             if default is None:
-                raise DataError(f"sweep config {key!r}: missing")
+                raise PoolmaxError(f"sweep config {key!r}: missing")
             return default
         try:
             return convert(cfg[key])
         except argparse.ArgumentTypeError as e:
-            raise DataError(f"sweep config {key!r}: {e}") from None
+            raise PoolmaxError(f"sweep config {key!r}: {e}") from None
 
     model = _checked(str, MODELS.__contains__, f"one of {', '.join(MODELS)}")
     flag = _checked(lambda v: v, lambda v: isinstance(v, bool), "true or false")
@@ -392,10 +394,7 @@ def run(argv=None) -> int:
     except DegenerateStatisticError as e:
         print(f"poolmax: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (DataError, OSError, json.JSONDecodeError) as e:
-        print(f"poolmax: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except PoolmaxError as e:
+    except (PoolmaxError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"poolmax: {e}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, TooSmallError
+from .errors import NonFiniteError, PoolmaxError
 
 __all__ = ["RngSpec", "substream", "substream_normals", "TestResult", "validate_matrix"]
 
@@ -152,7 +152,7 @@ def validate_matrix(values) -> np.ndarray:
 
     Raises
     ------
-    TooSmallError
+    PoolmaxError
         fewer than 2 rows or no columns
     NonFiniteError
         any NaN/Inf entry (first offending position reported)
@@ -161,12 +161,12 @@ def validate_matrix(values) -> np.ndarray:
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
-        raise TooSmallError(f"expected a 2-d panel, got ndim={x.ndim}")
+        raise PoolmaxError(f"expected a 2-d panel, got ndim={x.ndim}")
     n, p = x.shape
     if n < 2:
-        raise TooSmallError(f"need at least 2 observations, got {n}")
+        raise PoolmaxError(f"need at least 2 observations, got {n}")
     if p < 1:
-        raise TooSmallError("need at least 1 dimension")
+        raise PoolmaxError("need at least 1 dimension")
     bad = ~np.isfinite(x)
     if bad.any():
         i, j = np.argwhere(bad)[0]

@@ -1,121 +1,70 @@
 """Exception taxonomy.
 
 Every operation either returns a value or raises one of these; NaNs are
-never silently propagated.
+never silently propagated.  A class exists only because some caller tells
+it apart from its base:
+
+=========================  ==============================================
+class                      told apart by
+=========================  ==============================================
+PoolmaxError               the CLI: exit 3 (unusable input data)
+SubsetDesignError          the CLI: exit 2 (invalid pooling design)
+DegenerateStatisticError   the CLI: exit 4 (degenerate statistic)
+NotCoprimeError            ``subsets-check``, which reads ``suggested_q``
+NonFiniteError             ``backtest._forecast``, which reads ``row``/``col``
+DegenerateVarianceError    ``full_backtest``, which records it per cell;
+                           the sweep-a1 benchmark, which prints its name
+ParseError                 the tests, which read ``line``
+=========================  ==============================================
+
+A new class needs a caller that catches it or reads its attributes.
 """
 
 
 class PoolmaxError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; the CLI exits 3 on one that no
+    subclass below claims."""
 
 
-class DataError(PoolmaxError):
-    """Malformed or unusable input data."""
+class NonFiniteError(PoolmaxError):
+    """A NaN or inf entry; `backtest._forecast` catches it and re-raises it
+    with the forecast's name at the same `row` and `col`."""
 
-
-class NonFiniteError(DataError):
     def __init__(self, row, col, where=None):
         self.row, self.col = row, col
         at = f"non-finite entry at ({row}, {col})"
         super().__init__(at if where is None else f"{at} of {where}")
 
 
-class TooSmallError(DataError):
-    pass
+class ParseError(PoolmaxError):
+    """An input file that cannot be read; `line` is where (0: no line)."""
 
-
-class ShapeMismatchError(DataError):
-    pass
-
-
-class DimensionMismatchError(DataError):
-    pass
-
-
-class ParseError(DataError):
     def __init__(self, line, msg="unparseable value"):
         self.line = line
         super().__init__(f"line {line}: {msg}")
 
 
-class RaggedRowsError(DataError):
-    def __init__(self, line):
-        self.line = line
-        super().__init__(f"line {line}: inconsistent number of fields")
-
-
 class SubsetDesignError(PoolmaxError):
-    """Invalid pooling design."""
+    """Invalid pooling design; the CLI exits 2."""
 
 
 class NotCoprimeError(SubsetDesignError):
+    """p and q share a factor; `subsets-check` reports `suggested_q`."""
+
     def __init__(self, p, q, suggested_q):
         self.p, self.q, self.suggested_q = p, q, suggested_q
         super().__init__(f"p={p} and q={q} are not coprime; try q={suggested_q}")
 
 
-class BadCardinalityError(SubsetDesignError):
-    pass
-
-
-class DTooSmallError(SubsetDesignError):
-    pass
-
-
-class TooLargeError(SubsetDesignError):
-    pass
-
-
 class DegenerateStatisticError(PoolmaxError):
-    """A statistic cannot be formed from the given data."""
+    """A statistic cannot be formed from the given data; the CLI exits 4."""
 
 
 class DegenerateVarianceError(DegenerateStatisticError):
+    """A zero variance estimate; `full_backtest` records it in the report's
+    errors instead of aborting."""
+
     def __init__(self, index=None):
         self.index = index
         where = "" if index is None else f" (subset/column {index})"
         super().__init__(f"zero variance estimate{where}")
-
-
-class DegenerateSeriesError(DegenerateStatisticError):
-    pass
-
-
-class EmptyDrawsError(DegenerateStatisticError):
-    pass
-
-
-class ProfileOverflowError(PoolmaxError):
-    pass
-
-
-class OutOfRangeError(PoolmaxError):
-    pass
-
-
-class NotPSDError(PoolmaxError):
-    pass
-
-
-class BadParamsError(PoolmaxError):
-    pass
-
-
-class BadThresholdError(PoolmaxError):
-    pass
-
-
-class NonConvergenceError(PoolmaxError):
-    pass
-
-
-class TooFewObservationsError(DataError):
-    pass
-
-
-class TooFewExceedancesError(DataError):
-    pass
-
-
-class InsufficientHistoryError(DataError):
-    pass

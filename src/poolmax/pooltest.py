@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngSpec, TestResult, substream_normals, validate_matrix
-from .errors import (
-    DegenerateVarianceError,
-    DimensionMismatchError,
-    EmptyDrawsError,
-)
+from .errors import DegenerateStatisticError, DegenerateVarianceError, PoolmaxError
 from .subsets import SubsetFamily
 
 __all__ = [
@@ -74,7 +70,7 @@ def pooled_panel(x, fam: SubsetFamily) -> PooledPanel:
     x = validate_matrix(x)
     n, p = x.shape
     if fam.p != p:
-        raise DimensionMismatchError(f"family has p={fam.p}, panel has p={p}")
+        raise PoolmaxError(f"family has p={fam.p}, panel has p={p}")
     y = x @ fam.indicator()
     constant = np.flatnonzero((y == y[0]).all(axis=0))
     if constant.size:
@@ -142,7 +138,7 @@ def bootstrap_quantile(draws, alpha: float) -> float:
     """The ceil((1-alpha)(B+1))-th order statistic, clamped to the max draw."""
     draws = np.asarray(draws, dtype=np.float64)
     if draws.size == 0:
-        raise EmptyDrawsError("no bootstrap draws")
+        raise DegenerateStatisticError("no bootstrap draws")
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     B = draws.size

@@ -43,13 +43,7 @@ from scipy.optimize import brentq, minimize
 from scipy.signal import lfilter
 
 from .core import RngSpec
-from .errors import (
-    DegenerateSeriesError,
-    InsufficientHistoryError,
-    NonConvergenceError,
-    TooFewExceedancesError,
-    TooFewObservationsError,
-)
+from .errors import DegenerateStatisticError, PoolmaxError
 from .sstd import sstd_logpdf, sstd_quantile
 
 __all__ = [
@@ -251,16 +245,16 @@ def garch_fit(
     estimation.  Unless the first start converges,
     `restarts` deterministic random starts follow and the best finite one
     is returned, converged or not (see `GarchFit.converged`); if none is
-    finite, NonConvergenceError is raised.
+    finite, PoolmaxError is raised.
     """
     u = np.asarray(series, dtype=np.float64)
     if u.size < MIN_FIT_LENGTH:
-        raise TooFewObservationsError(
+        raise PoolmaxError(
             f"need at least {MIN_FIT_LENGTH} observations, got {u.size}"
         )
     var = u.var()
     if var == 0.0:
-        raise DegenerateSeriesError("constant series")
+        raise DegenerateStatisticError("constant series")
     scale = np.sqrt(var)
     bounds = [
         (-10 * scale, 10 * scale),  # a0
@@ -313,7 +307,7 @@ def garch_fit(
             if res.success and k == 0:
                 break
     if best is None:
-        raise NonConvergenceError("all optimizer starts failed")
+        raise PoolmaxError("all optimizer starts failed")
     a0, a1, b0, b1, b2, nu, gamma = best.x
     b1, b2 = max(b1, 0.0), max(b2, 0.0)
     params = GarchParams(a0, a1, b0, b1, b2, nu, gamma)
@@ -337,7 +331,7 @@ def empirical_var(residuals, theta: float) -> float:
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
     if m < 1.0 / theta:
-        raise TooFewObservationsError(f"need at least {int(np.ceil(1/theta))} points")
+        raise PoolmaxError(f"need at least {int(np.ceil(1/theta))} points")
     k = int(np.ceil((1 - theta) * m))
     return float(r[k - 1])
 
@@ -396,14 +390,14 @@ def gpd_tail_fit(exceedances) -> GpdFit:
     likelihood is unbounded, as for xi < -1), or is not finite, or has
     beta <= 0 or xi >= 1, the probability-weighted moment estimates of
     Hosking & Wallis (1987) are returned instead; `method` says which.
-    Constant excesses raise NonConvergenceError, negative ones ValueError.
+    Constant excesses raise PoolmaxError, negative ones ValueError.
     """
     y = np.asarray(exceedances, dtype=np.float64)
     low = y.min()
     if low < 0:
         raise ValueError("excesses must be non-negative")
     if not low < y.max():
-        raise NonConvergenceError("degenerate exceedance sample")
+        raise PoolmaxError("degenerate exceedance sample")
     theta = _profile_mle(y)
     if theta is not None:
         xi = np.log1p(theta * y).mean()
@@ -428,7 +422,7 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
     if k < 10 or k >= m:
-        raise TooFewExceedancesError(f"need 10 <= k < m, got k={k}, m={m}")
+        raise PoolmaxError(f"need 10 <= k < m, got k={k}, m={m}")
     desc = np.sort(r)[::-1]
     u = desc[k]
     exc = desc[:k] - u
@@ -482,7 +476,7 @@ def rolling_forecasts(
     """
     u = np.asarray(series, dtype=np.float64)
     if u.size < window + horizon:
-        raise InsufficientHistoryError(
+        raise PoolmaxError(
             f"need {window + horizon} observations, got {u.size}"
         )
     if refit_every < 1:

@@ -19,11 +19,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .core import RngSpec, substream, validate_matrix
-from .errors import (
-    NotPSDError,
-    OutOfRangeError,
-    ProfileOverflowError,
-)
+from .errors import PoolmaxError
 from .pooltest import BootstrapConfig, marginal_test, naive_test, pool_test
 from .subsets import build_family, check_design
 
@@ -72,7 +68,7 @@ def sample_gaussian(n: int, cov: np.ndarray, rng: RngSpec) -> np.ndarray:
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh((cov + cov.T) / 2)
         if w.min() < -1e-10:
-            raise NotPSDError(f"smallest eigenvalue {w.min():.3e}")
+            raise PoolmaxError(f"smallest eigenvalue {w.min():.3e}")
         root = v * np.sqrt(np.clip(w, 0.0, None))
     z = rng.generator().standard_normal((n, cov.shape[0]))
     return z @ root.T
@@ -85,7 +81,7 @@ def theta_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
     0.005 at the leading indices, so the average stays exactly 0.01.
     """
     if 4 * p0 > p:
-        raise ProfileOverflowError(f"need 4*p0 <= p, got p0={p0}, p={p}")
+        raise PoolmaxError(f"need 4*p0 <= p, got p0={p0}, p={p}")
     theta = np.full(p, 0.01)
     if not under_null:
         theta[:p0] = 0.025
@@ -96,7 +92,7 @@ def theta_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
 def mu_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
     """Mean shifts for the mixture models; the profile always sums to 0."""
     if 2 * p0 > p:
-        raise ProfileOverflowError(f"need 2*p0 <= p, got p0={p0}, p={p}")
+        raise PoolmaxError(f"need 2*p0 <= p, got p0={p0}, p={p}")
     mu = np.zeros(p)
     if not under_null:
         mu[:p0] = -0.0075
@@ -109,9 +105,9 @@ def model_a(z: np.ndarray, thetas) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.shape != (z.shape[1],):
-        raise OutOfRangeError("thetas must have one entry per column")
+        raise PoolmaxError("thetas must have one entry per column")
     if np.any((thetas <= 0) | (thetas >= 1)):
-        raise OutOfRangeError("thetas must lie in (0, 1)")
+        raise PoolmaxError("thetas must lie in (0, 1)")
     cut = ndtri(1 - thetas)
     return (z > cut).astype(np.float64) - 0.01
 
@@ -125,9 +121,9 @@ def g_transform(x, alpha_n: float):
     """
     x = np.asarray(x, dtype=np.float64)
     if not 0 < alpha_n < 0.5:
-        raise OutOfRangeError("alpha_n must lie in (0, 0.5)")
+        raise PoolmaxError("alpha_n must lie in (0, 0.5)")
     if np.any((x < 0) | (x > 1)):
-        raise OutOfRangeError("x must lie in [0, 1]")
+        raise PoolmaxError("x must lie in [0, 1]")
     body = (2 * alpha_n / (1 - alpha_n)) * x - alpha_n
     tail = (2 / alpha_n) * x + 1 - 2 / alpha_n
     out = np.where(x <= 1 - alpha_n, body, tail)
@@ -139,7 +135,7 @@ def model_b(z: np.ndarray, mus, alpha_n: float = 0.01) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     mus = np.asarray(mus, dtype=np.float64)
     if mus.shape != (z.shape[1],):
-        raise OutOfRangeError("mus must have one entry per column")
+        raise PoolmaxError("mus must have one entry per column")
     return g_transform(ndtr(z), alpha_n) - mus
 
 
@@ -157,10 +153,10 @@ class DgpSpec:
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
         if not 0 < self.alpha_n < 0.5:
-            raise OutOfRangeError("alpha_n must lie in (0, 0.5)")
+            raise PoolmaxError("alpha_n must lie in (0, 0.5)")
         needed = 4 * self.p0 if self.model.startswith("A") else 2 * self.p0
         if needed > self.p:
-            raise ProfileOverflowError(f"p0={self.p0} too large for p={self.p}")
+            raise PoolmaxError(f"p0={self.p0} too large for p={self.p}")
 
 
 def generate_panel(spec: DgpSpec, rng: RngSpec) -> np.ndarray:

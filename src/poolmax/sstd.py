@@ -23,16 +23,16 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln, poch, stdtr, stdtrit
 
-from .errors import BadParamsError, OutOfRangeError
+from .errors import PoolmaxError
 
 __all__ = ["sstd_logpdf", "sstd_pdf", "sstd_cdf", "sstd_quantile", "sstd_moments"]
 
 
 def _check(nu: float, gamma: float) -> None:
     if not nu > 2:
-        raise BadParamsError(f"need nu > 2, got {nu}")
+        raise PoolmaxError(f"need nu > 2, got {nu}")
     if not gamma > 0:
-        raise BadParamsError(f"need gamma > 0, got {gamma}")
+        raise PoolmaxError(f"need gamma > 0, got {gamma}")
 
 
 def sstd_moments(nu: float, gamma: float):
@@ -99,12 +99,12 @@ def sstd_cdf(z, nu: float, gamma: float):
 def sstd_quantile(prob, nu: float, gamma: float):
     """Inverse CDF of the standardized skew-t.
 
-    Raises OutOfRangeError where the Student-t quantile is not finite.
+    Raises PoolmaxError where the Student-t quantile is not finite.
     """
     m, s = sstd_moments(nu, gamma)
     prob = np.asarray(prob, dtype=np.float64)
     if np.any((prob <= 0) | (prob >= 1)):
-        raise BadParamsError("prob must lie in (0, 1)")
+        raise PoolmaxError("prob must lie in (0, 1)")
     split = 1.0 / (1.0 + gamma**2)
     w = 2.0 / (gamma + 1.0 / gamma)
     # guard both branch arguments into (0, 1); np.where evaluates both
@@ -118,7 +118,7 @@ def sstd_quantile(prob, nu: float, gamma: float):
     # stdtrit overflows to +inf far in the lower tail (below p ~ 1e-241 at nu = 3)
     overflow = ~np.isfinite(x)
     if overflow.any():
-        raise OutOfRangeError(
+        raise PoolmaxError(
             f"no finite quantile at p={float(prob[overflow][0])!r} for nu={float(nu)!r}"
         )
     out = (x - m) / s

@@ -17,12 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import RngSpec
-from .errors import (
-    BadCardinalityError,
-    DTooSmallError,
-    NotCoprimeError,
-    TooLargeError,
-)
+from .errors import NotCoprimeError, SubsetDesignError
 
 __all__ = [
     "SubsetFamily",
@@ -52,22 +47,22 @@ class SubsetFamily:
     def __post_init__(self):
         not_rows = f"subsets are not rows of {self.q} indices"
         if self.q < 1:
-            raise BadCardinalityError(not_rows)
+            raise SubsetDesignError(not_rows)
         try:
             m = np.asarray(self.members)
         except ValueError:  # ragged rows
-            raise BadCardinalityError(not_rows) from None
+            raise SubsetDesignError(not_rows) from None
         if m.ndim == 1 and m.size == 0:  # no subsets
             m = m.reshape(0, self.q)
         if m.ndim != 2 or m.shape[1] != self.q:
-            raise BadCardinalityError(not_rows)
+            raise SubsetDesignError(not_rows)
         if m.size and m.dtype.kind not in "iu":
-            raise BadCardinalityError(f"subset indices must be integers, got {m.dtype}")
+            raise SubsetDesignError(f"subset indices must be integers, got {m.dtype}")
         m = np.sort(m.astype(np.int64), axis=1)
         bad = (m[:, 1:] == m[:, :-1]).any(axis=1) | (m[:, 0] < 1) | (m[:, -1] > self.p)
         if bad.any():
             row = tuple(m[bad.argmax()].tolist())
-            raise BadCardinalityError(
+            raise SubsetDesignError(
                 f"subset {row} does not have {self.q} distinct indices in 1..{self.p}"
             )
         m.flags.writeable = False
@@ -104,7 +99,7 @@ class SubsetFamily:
     def from_dict(cls, d: dict) -> "SubsetFamily":
         fam = cls(p=int(d["p"]), q=int(d["q"]), members=d["members"])
         if "d" in d and int(d["d"]) != fam.d:
-            raise BadCardinalityError("declared d does not match member count")
+            raise SubsetDesignError("declared d does not match member count")
         return fam
 
     @classmethod
@@ -114,7 +109,7 @@ class SubsetFamily:
 
 def _check_pq(p: int, q: int) -> None:
     if q < 1 or q >= p:
-        raise BadCardinalityError(f"need 1 <= q < p, got p={p}, q={q}")
+        raise SubsetDesignError(f"need 1 <= q < p, got p={p}, q={q}")
 
 
 def _nearest_coprime(p: int, q: int) -> int:
@@ -132,7 +127,7 @@ def check_design(p: int, q: int, d: Optional[int] = None) -> None:
     a non-coprime q is reported with the nearest coprime width.
     """
     if d is not None and d < p:
-        raise DTooSmallError(f"need d >= p, got d={d}, p={p}")
+        raise SubsetDesignError(f"need d >= p, got d={d}, p={p}")
     _check_pq(p, q)
     if math.gcd(p, q) != 1:
         raise NotCoprimeError(p, q, _nearest_coprime(p, q))
@@ -156,7 +151,7 @@ def random_extension(p: int, q: int, count: int, rng: RngSpec) -> np.ndarray:
     between subsets are permitted.
     """
     if q < 1 or q > p:
-        raise BadCardinalityError(f"need 1 <= q <= p, got p={p}, q={q}")
+        raise SubsetDesignError(f"need 1 <= q <= p, got p={p}, q={q}")
     if count < 0:
         raise ValueError("count must be non-negative")
     gen = rng.generator()
@@ -184,7 +179,7 @@ def build_family(
     blocks = [circular_family(p, q).members]
     if user_subsets is not None:
         if len(user_subsets) > d - p:
-            raise DTooSmallError("more user subsets than extension slots")
+            raise SubsetDesignError("more user subsets than extension slots")
         blocks.append(SubsetFamily(p=p, q=q, members=user_subsets).members)
     blocks.append(random_extension(p, q, d - p - sum(map(len, blocks[1:])), rng))
     return SubsetFamily(p=p, q=q, members=np.concatenate(blocks))
@@ -228,7 +223,7 @@ def verify_identifiability(p: int, q: int, max_p: int = 64) -> IdentifiabilityRe
     """
     _check_pq(p, q)
     if p > max_p:
-        raise TooLargeError(f"p={p} exceeds the small-instance bound {max_p}")
+        raise SubsetDesignError(f"p={p} exceeds the small-instance bound {max_p}")
     rows = [
         [Fraction(1 if ((c - ell) % p) < q else 0) for c in range(p)]
         for ell in range(p)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from poolmax import cli
 from poolmax.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_USAGE, ingest_panel, run
-from poolmax.errors import DataError, ParseError, RaggedRowsError
+from poolmax.errors import ParseError, PoolmaxError
 
 
 @pytest.fixture
@@ -35,7 +35,7 @@ def test_ingest_header_only(tmp_path):
     p.write_text("a,b\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(DataError):
+        with pytest.raises(PoolmaxError, match="^header-only file: no observations$"):
             ingest_panel(p)
     assert caught == []
 
@@ -43,7 +43,7 @@ def test_ingest_header_only(tmp_path):
 def test_ingest_ragged(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("a,b\n1,2\n3\n")
-    with pytest.raises(RaggedRowsError) as exc:
+    with pytest.raises(ParseError, match="^line 3: inconsistent number of fields$") as exc:
         ingest_panel(p)
     assert exc.value.line == 3
 
@@ -469,3 +469,32 @@ def test_exit_code_table(tmp_path, capsys, argv, files, code, message):
     captured = capsys.readouterr()
     assert captured.err == f"poolmax: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["naive-test", "--in", "{dir}/bad.csv"],
+    ["pool-test", "--in", "{dir}/bad.csv", "--q", "1"],
+    ["backtest", "--returns", "{dir}/ok.csv", "--forecast", "f={dir}/bad.csv", "--q", "1",
+     "--format", "json"],
+    ["simulate", "--config", "{dir}/bad.json", "--format", "json"],
+], ids=["naive-test", "pool-test", "backtest-forecast", "simulate-config"])
+def test_input_not_utf8_exits_3(tmp_path, capsys, argv):
+    (tmp_path / "bad.csv").write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+    (tmp_path / "bad.json").write_bytes(b'{"model": "\xff"}')
+    (tmp_path / "ok.csv").write_text("a,b\n1,2\n3,5\n")
+    assert run([arg.format(dir=tmp_path) for arg in argv]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("poolmax: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("forecasts, message", [
+    (["x=missing.csv", "x=other.csv"], "--forecast NAME 'x' is given twice"),
+    (["=missing.csv"], "--forecast NAME is empty in '=missing.csv'"),
+], ids=["repeated", "empty"])
+def test_forecast_name_repeated_or_empty_exits_2_before_reading(capsys, forecasts, message):
+    """A nonexistent input would exit 3 if it were opened."""
+    argv = ["backtest", "--returns", "missing.csv", "--format", "json"]
+    for item in forecasts:
+        argv += ["--forecast", item]
+    assert _exit_code(argv) == EXIT_USAGE
+    assert f"poolmax: error: {message}" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 
 from poolmax import RngSpec, substream, validate_matrix
 from poolmax.core import substream_normals
-from poolmax.errors import NonFiniteError, TooSmallError
+from poolmax.errors import NonFiniteError, PoolmaxError
 
 
 def test_minimal_legal_shape():
@@ -18,7 +18,7 @@ def test_nonfinite_reports_position():
 
 
 def test_too_few_rows():
-    with pytest.raises(TooSmallError):
+    with pytest.raises(PoolmaxError, match="^need at least 2 observations, got 1$"):
         validate_matrix([[1.0, 2.0, 3.0]])
 
 

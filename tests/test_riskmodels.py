@@ -6,13 +6,7 @@ from scipy.stats import genpareto
 
 from conftest import reference_nll, use_scipy_finite_differences, use_scipy_stats_t
 from poolmax import RngSpec, riskmodels
-from poolmax.errors import (
-    DegenerateSeriesError,
-    InsufficientHistoryError,
-    NonConvergenceError,
-    TooFewExceedancesError,
-    TooFewObservationsError,
-)
+from poolmax.errors import DegenerateStatisticError, PoolmaxError
 from poolmax.riskmodels import (
     GarchParams,
     VarMethod,
@@ -86,11 +80,11 @@ class TestFit:
         assert fit.b1 == 0.0
 
     def test_constant_series(self):
-        with pytest.raises(DegenerateSeriesError):
+        with pytest.raises(DegenerateStatisticError, match="^constant series$"):
             garch_fit(np.ones(500))
 
     def test_too_short(self):
-        with pytest.raises(TooFewObservationsError):
+        with pytest.raises(PoolmaxError, match="^need at least 300 observations, got 100$"):
             garch_fit(np.random.default_rng(1).standard_normal(100))
 
 
@@ -106,16 +100,16 @@ class TestEmpiricalVar:
         assert all(a >= b for a, b in zip(qs, qs[1:]))
 
     def test_too_few(self):
-        with pytest.raises(TooFewObservationsError):
+        with pytest.raises(PoolmaxError, match="^need at least 100 points$"):
             empirical_var(np.arange(10.0), 0.01)
 
 
 class TestEvtVar:
     def test_guards(self):
         r = np.random.default_rng(3).standard_normal(100)
-        with pytest.raises(TooFewExceedancesError):
+        with pytest.raises(PoolmaxError, match="^need 10 <= k < m, got k=100, m=100$"):
             evt_var(r, 0.01, k=100)
-        with pytest.raises(TooFewExceedancesError):
+        with pytest.raises(PoolmaxError, match="^need 10 <= k < m, got k=5, m=100$"):
             evt_var(r, 0.01, k=5)
 
     def test_pareto_oracle(self):
@@ -209,7 +203,7 @@ class TestGpdFit:
 
     def test_constant_excesses_raise(self):
         for y in (np.full(50, 0.3), np.zeros(50)):
-            with pytest.raises(NonConvergenceError, match="degenerate exceedance sample"):
+            with pytest.raises(PoolmaxError, match="^degenerate exceedance sample$"):
                 gpd_tail_fit(y)
 
     def test_negative_excess_raises(self):
@@ -291,7 +285,7 @@ class TestForecast:
 
 class TestRolling:
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(PoolmaxError, match="^need 110 observations, got 100$"):
             rolling_forecasts(np.zeros(100), window=90, horizon=20,
                               method=VarMethod("empirical"), theta=0.01)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poolmax import RngSpec, run_sweep
-from poolmax.errors import NotCoprimeError, OutOfRangeError, ProfileOverflowError
+from poolmax.errors import NotCoprimeError, PoolmaxError
 from poolmax.simlab import (
     DgpSpec,
     g_transform,
@@ -46,7 +46,7 @@ def test_theta_profile():
     assert (alt[80:] == 0.01).all()
     assert alt.mean() == pytest.approx(0.01, abs=1e-15)
     assert (theta_profile(100, 20, under_null=True) == 0.01).all()
-    with pytest.raises(ProfileOverflowError):
+    with pytest.raises(PoolmaxError, match=r"^need 4\*p0 <= p, got p0=30, p=100$"):
         theta_profile(100, 30, under_null=False)
 
 
@@ -74,9 +74,9 @@ def test_g_transform_values():
     assert g_transform(0.0, 0.01) == pytest.approx(-0.01)
     assert g_transform(0.995, 0.01) == pytest.approx(0.0, abs=1e-12)
     assert g_transform(1.0, 0.01) == pytest.approx(1.0)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(PoolmaxError, match=r"^x must lie in \[0, 1\]$"):
         g_transform(1.5, 0.01)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(PoolmaxError, match=r"^alpha_n must lie in \(0, 0\.5\)$"):
         g_transform(0.5, 0.7)
 
 

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from conftest import use_scipy_stats_t
-from poolmax.errors import BadParamsError, OutOfRangeError
+from poolmax.errors import PoolmaxError
 from poolmax.sstd import sstd_cdf, sstd_logpdf, sstd_pdf, sstd_quantile
 
 
@@ -52,11 +52,11 @@ def test_logpdf_matches_pdf():
 
 
 def test_bad_params():
-    with pytest.raises(BadParamsError):
+    with pytest.raises(PoolmaxError, match=r"^need nu > 2, got 1\.5$"):
         sstd_quantile(0.5, 1.5, 1.0)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(PoolmaxError, match=r"^need gamma > 0, got -1\.0$"):
         sstd_quantile(0.5, 5.0, -1.0)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(PoolmaxError, match=r"^prob must lie in \(0, 1\)$"):
         sstd_quantile(1.5, 5.0, 1.0)
 
 
@@ -93,7 +93,7 @@ def test_bitwise_equal_to_scipy_stats_t(nu, gamma, monkeypatch):
         scalars.append(sstd_quantile(0.01, nu, gamma))
         errors = []
         for p in P_GRID[overflows]:
-            with pytest.raises(OutOfRangeError) as info:
+            with pytest.raises(PoolmaxError, match="^no finite quantile at p=") as info:
                 sstd_quantile(p, nu, gamma)
             errors.append(str(info.value))
         return ([a.tobytes() for a in arrays] + [np.float64(v).tobytes() for v in scalars]
@@ -107,8 +107,8 @@ def test_bitwise_equal_to_scipy_stats_t(nu, gamma, monkeypatch):
 def test_tiny_probability_raises_instead_of_inf():
     """stdtrit overflows to +inf below p ~ 1e-241 at nu = 3: no silent +inf VaR."""
     message = r"no finite quantile at p=1e-250 for nu=3\.0"
-    with pytest.raises(OutOfRangeError, match=message):
+    with pytest.raises(PoolmaxError, match=message):
         sstd_quantile(1e-250, 3.0, 1.0)
-    with pytest.raises(OutOfRangeError, match=message):
+    with pytest.raises(PoolmaxError, match=message):
         sstd_quantile(np.array([0.5, 1e-250, 0.01]), 3.0, 1.0)
     assert np.isfinite(sstd_quantile(np.array([1e-200, 1 - 1e-16]), 3.0, 1.0)).all()

@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poolmax import RngSpec, build_family, circular_family, random_extension
-from poolmax.errors import (
-    BadCardinalityError,
-    DTooSmallError,
-    NotCoprimeError,
-    TooLargeError,
-)
+from poolmax.errors import NotCoprimeError, SubsetDesignError
 from poolmax.subsets import SubsetFamily, verify_identifiability
 
 
@@ -31,7 +26,7 @@ def test_circular_family_rejects_non_coprime():
     with pytest.raises(NotCoprimeError) as exc:
         circular_family(100, 50)
     assert exc.value.suggested_q == 49 and "try q=49" in str(exc.value)
-    with pytest.raises(BadCardinalityError):
+    with pytest.raises(SubsetDesignError, match="^need 1 <= q < p, got p=5, q=5$"):
         circular_family(5, 5)
 
 
@@ -68,7 +63,7 @@ def test_build_family_sizes_and_determinism():
         assert fam.d == d
         assert np.array_equal(fam.members[:100], circular_family(100, 49).members)
         assert np.array_equal(fam.members, build_family(100, 49, d, RngSpec(3)).members)
-    with pytest.raises(DTooSmallError):
+    with pytest.raises(SubsetDesignError, match="^need d >= p, got d=99, p=100$"):
         build_family(100, 49, 99, RngSpec(0))
 
 
@@ -91,7 +86,9 @@ def test_family_json_roundtrip():
     [((1, 2), (3,)), ((1, 2, 3),), ((1, 1),), ((0, 2),), ((2, 6),), ((1.5, 2),)],
 )
 def test_family_rejects_bad_rows(members):
-    with pytest.raises(BadCardinalityError):
+    with pytest.raises(SubsetDesignError, match=r"^subsets are not rows of 2 indices$"
+                       r"|^subset \(.*\) does not have 2 distinct indices in 1\.\.5$"
+                       r"|^subset indices must be integers, got float64$"):
         SubsetFamily(p=5, q=2, members=members)
 
 
@@ -128,7 +125,7 @@ def test_identifiability_examples():
 
 
 def test_identifiability_bound():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(SubsetDesignError, match="^p=65 exceeds the small-instance bound 64$"):
         verify_identifiability(65, 2)
 
 
