@@ -45,23 +45,40 @@ def ingest_panel(path):
     reads with another column count than the header is read again by
     `_ingest_rows`, which alone reports errors and alone accepts what
     `float` parses but numpy does not (quoted numbers, `1_000`, non-ASCII
-    digits); where both accept a body, they give the same bytes.
+    digits); where both accept a body, they give the same bytes.  A file
+    that is not UTF-8 is a ParseError at the line of its first bad byte.
     """
-    with open(path, newline="") as f:
-        headers = next((rec for _, rec in _records(f)), None)
-        x = None
-        if headers is not None:
-            headers = [h.strip() for h in headers]
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    x = np.loadtxt(f, delimiter=",", comments=None, ndmin=2,
-                                   dtype=np.float64)
-            except (ValueError, Warning):
-                pass
-    if x is None or x.shape[1] != len(headers):
-        headers, x = _ingest_rows(path)
+    try:
+        with open(path, newline="") as f:
+            headers = next((rec for _, rec in _records(f)), None)
+            x = None
+            if headers is not None:
+                headers = [h.strip() for h in headers]
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        x = np.loadtxt(f, delimiter=",", comments=None, ndmin=2,
+                                       dtype=np.float64)
+                except (ValueError, Warning):
+                    pass
+        if x is None or x.shape[1] != len(headers):
+            headers, x = _ingest_rows(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return headers, validate_matrix(x)
+
+
+def _not_utf8(path) -> ParseError:
+    """The ParseError for a file that does not decode as UTF-8: its path and
+    the line that holds the first bad byte.  No UTF-8 sequence contains a
+    newline byte, so each line decodes on its own."""
+    with open(path, "rb") as f:
+        for line, raw in enumerate(f, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return ParseError(line, f"{path} is not UTF-8 (byte 0x{raw[e.start]:02x})")
+    return ParseError(0, f"{path} is not UTF-8")
 
 
 def _records(f):
@@ -323,8 +340,11 @@ def _cmd_simulate(args, parser):
 
     if args.format == "csv" and args.out is None:
         parser.error("csv sweep output requires --out")
-    with open(args.config) as f:
-        cfg = json.load(f)
+    try:
+        with open(args.config) as f:
+            cfg = json.load(f)
+    except UnicodeDecodeError:
+        raise _not_utf8(args.config) from None
     if not isinstance(cfg, dict):
         raise PoolmaxError(f"sweep config must be a JSON object, got a {type(cfg).__name__}")
 
@@ -394,7 +414,7 @@ def run(argv=None) -> int:
     except DegenerateStatisticError as e:
         print(f"poolmax: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (PoolmaxError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (PoolmaxError, OSError, json.JSONDecodeError) as e:
         print(f"poolmax: {e}", file=sys.stderr)
         return EXIT_DATA
 

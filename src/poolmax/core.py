@@ -65,13 +65,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 
 
-def _words(v) -> list:
-    """Little-endian 32-bit words of a non-negative int, at least one."""
-    out = [v & _MASK32]
-    while v > _MASK32:
-        v >>= 32
-        out.append(v & _MASK32)
-    return out
+def _n_words(v: int) -> int:
+    """How many 32-bit words a non-negative int takes, at least one."""
+    return max(1, (v.bit_length() + 31) // 32)
 
 
 def _philox_keys(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
@@ -82,7 +78,7 @@ def _philox_keys(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
     lane mixes the same number of words.  The tests compare the result with
     NumPy's own SeedSequence, so a change there cannot pass unnoticed.
     """
-    run = _words(seed)
+    run = [(seed >> (32 * j)) & _MASK32 for j in range(_n_words(seed))]
     run += [0] * (_POOL_SIZE - len(run))  # a spawned sequence pads to the pool
     spawn = [((ids >> (32 * j)) & _MASK32).astype(np.uint32) for j in range(n_words)]
     entropy = [np.full(ids.size, w, dtype=np.uint32) for w in run] + spawn
@@ -128,27 +124,29 @@ def substream_normals(rng: RngSpec, replicates: int, n: int) -> np.ndarray:
     row.
     """
     ids = _cantor(rng.stream_id, np.arange(replicates, dtype=object))
-    n_words = np.array([len(_words(i)) for i in ids], dtype=np.int64)
+    n_words = np.array([_n_words(i) for i in ids], dtype=np.int64)
     keys = np.empty((replicates, 2), dtype=np.uint64)
-    for k in np.unique(n_words):
+    for k in set(n_words.tolist()):
         rows = n_words == k
-        keys[rows] = _philox_keys(rng.seed, ids[rows], int(k))
+        keys[rows] = _philox_keys(rng.seed, ids[rows], k)
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     xi = np.empty((replicates, n))
-    for b in range(replicates):
-        fresh["state"]["key"] = keys[b]
+    for key, row in zip(keys, xi):
+        fresh["state"]["key"] = key
         bitgen.state = fresh
-        gen.standard_normal(n, out=xi[b])
+        gen.standard_normal(out=row)
     return xi
 
 
 def validate_matrix(values) -> np.ndarray:
     """Validate an observations-by-dimensions panel.
 
-    Returns a float64 C-contiguous copy with n_rows >= 2, n_cols >= 1 and
-    all entries finite.
+    Returns a float64 C-contiguous array with n_rows >= 2, n_cols >= 1 and
+    all entries finite.  That is `values` itself when it already is such an
+    array (a 1-d input comes back as a view of one column), so callers must
+    not write to the result.
 
     Raises
     ------

@@ -52,7 +52,7 @@ class NotCoprimeError(SubsetDesignError):
     """p and q share a factor; `subsets-check` reports `suggested_q`."""
 
     def __init__(self, p, q, suggested_q):
-        self.p, self.q, self.suggested_q = p, q, suggested_q
+        self.suggested_q = suggested_q
         super().__init__(f"p={p} and q={q} are not coprime; try q={suggested_q}")
 
 
@@ -61,10 +61,5 @@ class DegenerateStatisticError(PoolmaxError):
 
 
 class DegenerateVarianceError(DegenerateStatisticError):
-    """A zero variance estimate; `full_backtest` records it in the report's
-    errors instead of aborting."""
-
-    def __init__(self, index=None):
-        self.index = index
-        where = "" if index is None else f" (subset/column {index})"
-        super().__init__(f"zero variance estimate{where}")
+    """A variance estimate that is zero, or out of floating-point range;
+    `full_backtest` records it in the report's errors instead of aborting."""

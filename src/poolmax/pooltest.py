@@ -5,7 +5,7 @@
 * subsets-pool test: max absolute studentized subset sum, calibrated by a
   Gaussian multiplier bootstrap;
 * marginal test: the no-pooling baseline, i.e. the subsets-pool test with
-  singleton subsets.
+  singleton subsets, run on the columns themselves.
 
 Variance estimates everywhere use divisor n, and the bootstrap multiplies
 uncentered subset sums; both choices follow the displayed estimators
@@ -68,16 +68,39 @@ class PooledPanel:
 
 def pooled_panel(x, fam: SubsetFamily) -> PooledPanel:
     x = validate_matrix(x)
-    n, p = x.shape
+    p = x.shape[1]
     if fam.p != p:
         raise PoolmaxError(f"family has p={fam.p}, panel has p={p}")
-    y = x @ fam.indicator()
+    return _studentized(x @ fam.indicator())
+
+
+def _studentized(y: np.ndarray) -> PooledPanel:
+    """The panel whose pooled sums are the columns of y.
+
+    A constant column, or a variance that under- or overflows the float
+    range, would make a t-statistic infinite, zero or inexact; each raises
+    instead.  A subnormal variance counts as underflow: it has lost bits.
+    """
+    n = y.shape[0]
     constant = np.flatnonzero((y == y[0]).all(axis=0))
     if constant.size:
-        raise DegenerateVarianceError(int(constant[0]))
-    sigma_hat = y.var(axis=0)
-    t_stats = y.sum(axis=0) / np.sqrt(n * sigma_hat)
+        raise DegenerateVarianceError(f"zero variance estimate (subset/column {constant[0]})")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        sigma_hat = y.var(axis=0)
+        scale = n * sigma_hat
+    bad = np.flatnonzero(~(np.isfinite(scale) & (sigma_hat >= _SMALLEST_NORMAL)))
+    if bad.size:
+        raise _out_of_range(sigma_hat[bad[0]], f" (subset/column {bad[0]})")
+    t_stats = y.sum(axis=0) / np.sqrt(scale)
     return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
+
+
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
+
+
+def _out_of_range(sigma_hat, where="") -> DegenerateVarianceError:
+    return DegenerateVarianceError(
+        f"variance estimate {float(sigma_hat)!r} is out of floating-point range{where}")
 
 
 def max_statistic(panel: PooledPanel) -> float:
@@ -94,9 +117,13 @@ def naive_test(x, alpha: float) -> TestResult:
     n = x.shape[0]
     y = x.sum(axis=1)
     if (y == y[0]).all():
-        raise DegenerateVarianceError()
-    sigma_hat = y.var()
-    t = float(y.sum() / np.sqrt(n * sigma_hat))
+        raise DegenerateVarianceError("zero variance estimate")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        sigma_hat = y.var()
+        scale = n * sigma_hat
+    if not (np.isfinite(scale) and sigma_hat >= _SMALLEST_NORMAL):
+        raise _out_of_range(sigma_hat)
+    t = float(y.sum() / np.sqrt(scale))
     z = float(ndtri(1 - alpha / 2))
     p_value = float(2 * ndtr(-abs(t)))
     return TestResult(
@@ -177,11 +204,10 @@ def pool_test(x, fam: SubsetFamily, alpha: float, cfg: BootstrapConfig) -> TestR
 
 
 def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
-    """Max-type test on individual dimensions (singleton pooling)."""
+    """Max-type test on individual dimensions: the subsets-pool test with
+    singleton subsets, whose pooled sums are the columns of x themselves."""
     x = validate_matrix(x)
-    p = x.shape[1]
-    fam = SubsetFamily(p=p, q=1, members=np.arange(1, p + 1)[:, None])
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    panel = pooled_panel(x, fam)
+    panel = _studentized(x)
     return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "marginal")

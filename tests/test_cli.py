@@ -434,6 +434,11 @@ EXIT_CODE_TABLE = {
                         EXIT_DEGENERATE, "zero variance estimate (subset/column 1)"),
     "constant-row-sum": (["naive-test", "--in", "{csv}"], {"csv": "a\n1\n1\n1\n"},
                          EXIT_DEGENERATE, "zero variance estimate"),
+    "variance-underflow": (["marginal-test", "--in", "{csv}", "--B", "10"],
+                           {"csv": "a,b\n1,2e-170\n2,-1e-170\n3,3e-170\n"},
+                           EXIT_DEGENERATE,
+                           "variance estimate 0.0 is out of floating-point range"
+                           " (subset/column 1)"),
     "ragged-row": (["naive-test", "--in", "{csv}"], {"csv": "a,b\n1,2\n3\n"},
                    EXIT_DATA, "line 3: inconsistent number of fields"),
     "unparseable-value": (["naive-test", "--in", "{csv}"], {"csv": "a,b\n1,x\n"},
@@ -483,8 +488,8 @@ def test_input_not_utf8_exits_3(tmp_path, capsys, argv):
     (tmp_path / "bad.json").write_bytes(b'{"model": "\xff"}')
     (tmp_path / "ok.csv").write_text("a,b\n1,2\n3,5\n")
     assert run([arg.format(dir=tmp_path) for arg in argv]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("poolmax: ") and err.count("\n") == 1
+    bad, line = (tmp_path / "bad.json", 1) if argv[0] == "simulate" else (tmp_path / "bad.csv", 3)
+    assert capsys.readouterr().err == f"poolmax: line {line}: {bad} is not UTF-8 (byte 0xff)\n"
 
 
 @pytest.mark.parametrize("forecasts, message", [

@@ -17,8 +17,9 @@ from poolmax import (
     pool_test,
     pooled_panel,
 )
+from poolmax.core import validate_matrix
 from poolmax.errors import DegenerateStatisticError, DegenerateVarianceError, PoolmaxError
-from poolmax.pooltest import PooledPanel
+from poolmax.pooltest import PooledPanel, _bootstrap_result
 from poolmax.subsets import build_family
 
 
@@ -202,3 +203,91 @@ class TestPoolTest:
         x2 = np.column_stack([x[:, 0] + [0.1, 0.2, 0.3, 0.4]] * 2)
         res = marginal_test(x2, 0.05, cfg)
         assert res.per_subset_t[0] == res.per_subset_t[1]
+
+
+def _marginal_by_pooling(x, alpha, cfg):
+    """The marginal test as the subsets-pool test over singleton subsets."""
+    x = validate_matrix(x)
+    panel = pooled_panel(x, singleton_family(x.shape[1]))
+    return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "marginal")
+
+
+def _outcome(test, *args):
+    try:
+        res = test(*args)
+    except DegenerateVarianceError as e:
+        return f"{type(e).__name__}: {e}"
+    return res.to_json() + res.per_subset_t.tobytes().hex()
+
+
+class TestMarginalOnColumns:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bytes_equal_singleton_pooling(self, seed):
+        """Signed zeros, ties and scales far from 1 included: x @ I turns
+        -0.0 into +0.0, which no statistic may tell apart."""
+        gen = np.random.default_rng(seed)
+        n, p = int(gen.integers(2, 60)), int(gen.integers(1, 40))
+        x = gen.integers(-2, 3, size=(n, p)).astype(np.float64)
+        x[gen.random((n, p)) < 0.3] = -0.0
+        x[:, gen.random(p) < 0.3] += gen.standard_normal(n)[:, None]
+        x *= 10.0 ** gen.uniform(-140, 140)
+        cfg = BootstrapConfig(rng=RngSpec(seed, 3), replicates=int(gen.integers(1, 60)))
+        alpha = float(gen.uniform(0.01, 0.5))
+        want = _outcome(_marginal_by_pooling, x, alpha, cfg)
+        assert _outcome(marginal_test, x, alpha, cfg) == want
+
+    def test_constant_column_message(self):
+        x = np.random.default_rng(0).standard_normal((10, 4))
+        x[:, 2] = -0.0
+        cfg = BootstrapConfig(rng=RngSpec(0), replicates=10)
+        message = r"^zero variance estimate \(subset/column 2\)$"
+        with pytest.raises(DegenerateVarianceError, match=message):
+            marginal_test(x, 0.05, cfg)
+        with pytest.raises(DegenerateVarianceError, match=message):
+            pooled_panel(x, singleton_family(4))
+
+    def test_no_indicator_product(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("marginal_test built the singleton indicator")
+
+        monkeypatch.setattr(SubsetFamily, "indicator", refuse)
+        x = np.random.default_rng(1).standard_normal((20, 5))
+        res = marginal_test(x, 0.05, BootstrapConfig(rng=RngSpec(1), replicates=20))
+        assert res.per_subset_t.shape == (5,)
+
+    def test_input_not_written(self):
+        x = np.random.default_rng(2).standard_normal((20, 5))
+        x[0, 0] = -0.0
+        before = x.tobytes()
+        marginal_test(x, 0.05, BootstrapConfig(rng=RngSpec(2), replicates=20))
+        assert x.tobytes() == before
+
+
+class TestVarianceOutOfRange:
+    """A variance that underflows to 0 or overflows to inf raises instead of
+    giving a statistic of +-inf or 0; so does a subnormal one, which at
+    scale 1e-161 moved the marginal p-value from 0.235 to 0.255."""
+
+    X = np.random.default_rng(0).standard_normal((50, 6))
+    CFG = BootstrapConfig(rng=RngSpec(2), replicates=50)
+    TESTS = {
+        "pool": lambda x, cfg: pool_test(x, build_family(6, 5, 12, RngSpec(1)), 0.05, cfg),
+        "marginal": lambda x, cfg: marginal_test(x, 0.05, cfg),
+        "naive": lambda x, cfg: naive_test(x, 0.05),
+    }
+
+    @pytest.mark.parametrize("scale, shown", [(1e-170, "0.0"), (1e-160, r"[0-9.]+e-32[0-9]"),
+                                              (1e160, "inf")],
+                             ids=["underflow", "subnormal", "overflow"])
+    @pytest.mark.parametrize("test", TESTS.keys())
+    def test_raises(self, test, scale, shown):
+        where = "" if test == "naive" else r" \(subset/column 0\)"
+        message = rf"^variance estimate {shown} is out of floating-point range{where}$"
+        with pytest.raises(DegenerateVarianceError, match=message):
+            self.TESTS[test](scale * self.X, self.CFG)
+
+    @pytest.mark.parametrize("test", TESTS.keys())
+    def test_scales_in_range_pass(self, test):
+        for scale in (1e-150, 1e150):
+            res = self.TESTS[test](scale * self.X, self.CFG)
+            assert math.isfinite(res.statistic) and res.statistic != 0
