@@ -45,11 +45,12 @@ def ingest_panel(path):
     reads with another column count than the header is read again by
     `_ingest_rows`, which alone reports errors and alone accepts what
     `float` parses but numpy does not (quoted numbers, `1_000`, non-ASCII
-    digits); where both accept a body, they give the same bytes.  A file
-    that is not UTF-8 is a ParseError at the line of its first bad byte.
+    digits); where both accept a body, they give the same bytes.  The file
+    is read as UTF-8 whatever the locale; one that is not UTF-8 is a
+    ParseError at the line of its first bad byte.
     """
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8") as f:
             headers = next((rec for _, rec in _records(f)), None)
             x = None
             if headers is not None:
@@ -71,7 +72,8 @@ def ingest_panel(path):
 def _not_utf8(path) -> ParseError:
     """The ParseError for a file that does not decode as UTF-8: its path and
     the line that holds the first bad byte.  No UTF-8 sequence contains a
-    newline byte, so each line decodes on its own."""
+    newline byte, so each line decodes on its own.  Line 0 means the file
+    decoded on this second read: it changed after the first."""
     with open(path, "rb") as f:
         for line, raw in enumerate(f, 1):
             try:
@@ -102,7 +104,7 @@ def _ingest_rows(path):
     """The row-by-row reader: every parse, ragged-row and empty-input error."""
     headers = None
     rows = []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         for lineno, rec in _records(f):
             if headers is None:
                 headers = [h.strip() for h in rec]
@@ -341,7 +343,7 @@ def _cmd_simulate(args, parser):
     if args.format == "csv" and args.out is None:
         parser.error("csv sweep output requires --out")
     try:
-        with open(args.config) as f:
+        with open(args.config, encoding="utf-8") as f:
             cfg = json.load(f)
     except UnicodeDecodeError:
         raise _not_utf8(args.config) from None

@@ -10,6 +10,7 @@ parallelism degree.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,12 +28,17 @@ class RngSpec:
     Identical (seed, stream_id) reproduce identical draws across runs and
     across thread counts; the underlying generator is counter-based
     (Philox), so streams with distinct ids are statistically independent.
+    Both fields are stored as Python ints (through `operator.index`), so a
+    numpy integer such as an element of `np.arange` cannot overflow in
+    `substream`.
     """
 
     seed: int
     stream_id: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "stream_id", operator.index(self.stream_id))
         if self.seed < 0 or self.stream_id < 0:
             raise ValueError("seed and stream_id must be non-negative")
 

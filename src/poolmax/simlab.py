@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -62,22 +62,15 @@ def sigma2(p: int) -> np.ndarray:
 
 def sample_gaussian(n: int, cov: np.ndarray, rng: RngSpec) -> np.ndarray:
     """n i.i.d. rows from N(0, cov) via Cholesky (eigen fallback)."""
-    return _gaussian(n, _root(np.asarray(cov, dtype=np.float64)), rng)
-
-
-def _root(cov: np.ndarray) -> np.ndarray:
-    """A matrix r with r @ r.T == cov: the Cholesky factor, else from eigh."""
+    cov = np.asarray(cov, dtype=np.float64)
     try:
-        return np.linalg.cholesky(cov)
+        root = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         w, v = np.linalg.eigh((cov + cov.T) / 2)
         if w.min() < -1e-10:
             raise PoolmaxError(f"smallest eigenvalue {w.min():.3e}")
-        return v * np.sqrt(np.clip(w, 0.0, None))
-
-
-def _gaussian(n: int, root: np.ndarray, rng: RngSpec) -> np.ndarray:
-    z = rng.generator().standard_normal((n, root.shape[0]))
+        root = v * np.sqrt(np.clip(w, 0.0, None))
+    z = rng.generator().standard_normal((n, cov.shape[0]))
     return z @ root.T
 
 
@@ -168,20 +161,13 @@ class DgpSpec:
 
 def generate_panel(spec: DgpSpec, rng: RngSpec) -> np.ndarray:
     """One synthetic dataset from the given process, using `rng` only."""
-    return _panel_builder(spec)(rng)
-
-
-def _panel_builder(spec: DgpSpec) -> Callable[[RngSpec], np.ndarray]:
-    """`generate_panel(spec, .)`, with the covariance root and the parameter
-    profile computed once for all the panels it builds."""
     cov = sigma1(spec.p) if spec.model in ("A1", "B1") else sigma2(spec.p)
-    root = _root(cov)
+    z = sample_gaussian(spec.n, cov, rng)
     if spec.model.startswith("A"):
-        thetas = theta_profile(spec.p, spec.p0, spec.under_null)
-        return lambda rng: validate_matrix(model_a(_gaussian(spec.n, root, rng), thetas))
-    mus = mu_profile(spec.p, spec.p0, spec.under_null)
-    return lambda rng: validate_matrix(
-        model_b(_gaussian(spec.n, root, rng), mus, spec.alpha_n))
+        x = model_a(z, theta_profile(spec.p, spec.p0, spec.under_null))
+    else:
+        x = model_b(z, mu_profile(spec.p, spec.p0, spec.under_null), spec.alpha_n)
+    return validate_matrix(x)
 
 
 @dataclass
@@ -229,10 +215,9 @@ def run_sweep(
     if mc_reps == 0:
         return SweepResult()
     counts = {(q, d, m): 0 for (q, d) in grid for m in methods}
-    panel = _panel_builder(spec)
     for rep in range(mc_reps):
         rep_rng = substream(spec.rng, rep)
-        x = panel(substream(rep_rng, 0))
+        x = generate_panel(spec, substream(rep_rng, 0))
         if "naive" in methods:
             if naive_test(x, alpha).reject:
                 for q, d in grid:

@@ -1,3 +1,4 @@
+import io
 import json
 import warnings
 
@@ -490,6 +491,32 @@ def test_input_not_utf8_exits_3(tmp_path, capsys, argv):
     assert run([arg.format(dir=tmp_path) for arg in argv]) == EXIT_DATA
     bad, line = (tmp_path / "bad.json", 1) if argv[0] == "simulate" else (tmp_path / "bad.csv", 3)
     assert capsys.readouterr().err == f"poolmax: line {line}: {bad} is not UTF-8 (byte 0xff)\n"
+
+
+@pytest.mark.parametrize("codec", ["latin-1", "cp1252"])
+def test_inputs_decode_as_utf8_under_any_locale(tmp_path, capsys, monkeypatch, codec):
+    """Under a locale whose codec decodes every byte (latin-1), a bad byte is
+    still the UTF-8 error; under one that cannot decode valid UTF-8 (cp1252
+    has no 0x81, the second byte of "ā"), a good file still reads."""
+    def locale_open(file, mode="r", *args, encoding=None, **kwargs):
+        if "b" not in mode and encoding is None:
+            encoding = codec
+        return io.open(file, mode, *args, encoding=encoding, **kwargs)
+
+    monkeypatch.setattr(cli, "open", locale_open, raising=False)
+    (tmp_path / "bad.csv").write_bytes(b"a,b\n1,2\n\xff\xfe,3\n")
+    (tmp_path / "bad.json").write_bytes(b'{"model": "\xff"}')
+    (tmp_path / "good.csv").write_bytes("ā,b\n1,2\n3,5\n".encode("utf-8"))
+    for argv, bad, line in [
+        (["naive-test", "--in", "bad.csv"], "bad.csv", 3),
+        (["simulate", "--config", "bad.json", "--format", "json"], "bad.json", 1),
+    ]:
+        argv = [str(tmp_path / a) if a.startswith("bad") else a for a in argv]
+        assert run(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"poolmax: line {line}: {tmp_path / bad} is not UTF-8 (byte 0xff)\n")
+    headers, x = ingest_panel(tmp_path / "good.csv")
+    assert headers == ["ā", "b"] and x.tolist() == [[1.0, 2.0], [3.0, 5.0]]
 
 
 @pytest.mark.parametrize("forecasts, message", [

@@ -54,6 +54,16 @@ def test_generator_independent_of_construction_order():
     assert vals[1] == again[0] and vals[2] == again[1] and vals[0] == again[2]
 
 
+def test_rngspec_stores_numpy_integers_as_int():
+    r = RngSpec(np.int64(7), np.int64(2**62))
+    assert type(r.seed) is int and type(r.stream_id) is int
+    assert r == RngSpec(7, 2**62)
+    # the Cantor pairing of 2**62 passes 2**63: no int64 wrap-around
+    assert substream(r, 5).stream_id == substream(RngSpec(7, 2**62), 5).stream_id > 2**63
+    with pytest.raises(TypeError):
+        RngSpec(7.0)
+
+
 def _normals_loop(rng, replicates, n):
     xi = np.empty((replicates, n))
     for b in range(replicates):
@@ -70,6 +80,8 @@ def _normals_loop(rng, replicates, n):
         (RngSpec(5, 92_600), 200, 3),  # Cantor-paired ids pass 2**32
         (RngSpec(1, 6_074_000_950), 100, 3),  # ... and 2**64
         (RngSpec(2**70, 2**40), 10, 4),
+        (RngSpec(np.int64(7), np.int64(3)), 5, 3),  # e.g. a seed from np.arange
+        (RngSpec(np.uint64(2**40 + 3), np.int32(92_600)), 40, 2),
     ],
 )
 def test_substream_normals_matches_per_replicate_generators(rng, replicates, n):

@@ -1,9 +1,7 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from poolmax import RngSpec, run_sweep, simlab, substream
+from poolmax import RngSpec, run_sweep
 from poolmax.errors import NotCoprimeError, PoolmaxError
 from poolmax.simlab import (
     DgpSpec,
@@ -110,36 +108,6 @@ def test_generate_panel_shapes():
         spec = DgpSpec(model, 50, 12, 3, True, RngSpec(6))
         x = generate_panel(spec, RngSpec(7))
         assert x.shape == (50, 12)
-
-
-@pytest.mark.parametrize("model", ["A1", "A2", "B1", "B2"])
-def test_run_sweep_panels_equal_generate_panel(monkeypatch, model):
-    """run_sweep factors the covariance once, and repetition `rep` still sees
-    the bytes generate_panel builds from its stream, which are those of the
-    public steps composed."""
-    panels = []
-
-    def record(x, alpha):
-        panels.append(x.copy())
-        return SimpleNamespace(reject=False)
-
-    factored = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(simlab, "naive_test", record)
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
-    spec = DgpSpec(model, 40, 12, 3, False, RngSpec(9, 4))
-    run_sweep(spec, [5], [12], methods=("naive",), mc_reps=4)
-    assert len(panels) == 4 and len(factored) == 1
-    cov = sigma1(12) if model in ("A1", "B1") else sigma2(12)
-    for rep, x in enumerate(panels):
-        rng = substream(substream(spec.rng, rep), 0)
-        assert x.tobytes() == generate_panel(spec, rng).tobytes()
-        z = sample_gaussian(40, cov, rng)
-        if model.startswith("A"):
-            want = model_a(z, theta_profile(12, 3, False))
-        else:
-            want = model_b(z, mu_profile(12, 3, False), spec.alpha_n)
-        assert x.tobytes() == want.tobytes()
 
 
 def test_run_sweep_empty_and_small():
