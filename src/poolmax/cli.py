@@ -123,11 +123,20 @@ def _ingest_rows(path):
 
 
 def _write(path, text):
+    """Write text and a final newline to path, or to stdout when path is None.
+
+    The bytes are UTF-8, the encoding inputs are read in, whatever the
+    locale.  A name taken from the command line that the locale could not
+    decode is written back as the bytes it was given as.
+    """
+    text = text if text.endswith("\n") else text + "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+        sys.stdout.buffer.flush()
     else:
-        with open(path, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
+        with open(path, "w", encoding="utf-8", errors="surrogateescape") as f:
+            f.write(text)
 
 
 def _family(args, p):

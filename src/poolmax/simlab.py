@@ -178,7 +178,7 @@ class SweepResult:
 
     def to_csv(self, path) -> None:
         cols = ["model", "q", "d", "method", "alpha", "mc_reps", "reject_rate"]
-        with open(path, "w", newline="") as f:
+        with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.DictWriter(f, fieldnames=cols)
             w.writeheader()
             w.writerows(self.rows)

@@ -82,10 +82,15 @@ class SubsetFamily:
     def __hash__(self):
         return hash((self.p, self.q, self.members.tobytes()))
 
-    def indicator(self) -> np.ndarray:
-        """p x d 0/1 membership matrix; column ell indicates S_ell."""
-        s = np.zeros((self.p, self.d))
-        s[self.members - 1, np.arange(self.d)[:, None]] = 1.0
+    def indicator(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """p x (stop - start) 0/1 membership matrix of subsets start..stop-1.
+
+        Column j indicates S_{start+j}; the defaults give the whole p x d
+        matrix.  `pooled_panel` asks for one block of columns at a time.
+        """
+        m = self.members[start:stop]
+        s = np.zeros((self.p, len(m)))
+        s[m - 1, np.arange(len(m))[:, None]] = 1.0
         return s
 
     def to_dict(self) -> dict:

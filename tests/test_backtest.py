@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poolmax.backtest
+import poolmax.pooltest
 from poolmax import (
     BacktestReport,
     BootstrapConfig,
@@ -223,13 +224,24 @@ class TestFullBacktest:
             full_backtest(u, {"a": good}, 0.05, fam, 1.5, cfg)
 
     def test_matches_single_tests(self):
-        u, fam, cfg = self._inputs()
+        self._assert_matches_single_tests(*self._inputs())
+
+    def test_matches_single_tests_in_blocks(self, monkeypatch):
+        """64-wide pooling and bootstrap blocks, a remainder of 1 replicate
+        joining the last block."""
+        monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", 1)
+        u, _, _ = self._inputs(p=70)
+        fam = build_family(70, 3, 200, RngSpec(1))
+        self._assert_matches_single_tests(u, fam, BootstrapConfig(rng=RngSpec(2), replicates=129))
+
+    @staticmethod
+    def _assert_matches_single_tests(u, fam, cfg):
         fcs = {"emp": np.full_like(u, 1.2), "evt": np.full_like(u, 1.5),
                "dup": np.full_like(u, 1.2), "var": 1.3 + 0.2 * np.sin(u)}
         rep = full_backtest(u, fcs, 0.05, fam, 0.05, cfg)
         ref = BacktestReport(
             method_names=list(fcs),
-            config={"theta0": 0.05, "alpha": 0.05, "B": 60, "q": 3, "d": 8},
+            config={"theta0": 0.05, "alpha": 0.05, "B": cfg.replicates, "q": fam.q, "d": fam.d},
         )
         names = list(fcs)
         for m in names:

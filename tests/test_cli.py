@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,6 +521,39 @@ def test_inputs_decode_as_utf8_under_any_locale(tmp_path, capsys, monkeypatch, c
             f"poolmax: line {line}: {tmp_path / bad} is not UTF-8 (byte 0xff)\n")
     headers, x = ingest_panel(tmp_path / "good.csv")
     assert headers == ["ā", "b"] and x.tolist() == [[1.0, 2.0], [3.0, 5.0]]
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    """Under the C locale, with UTF-8 mode and locale coercion off, Python's
+    default text encoding is ASCII; names read from UTF-8 inputs are still
+    written, to a file or to stdout, as UTF-8."""
+    header = "aktie_ø,株,b"
+    body = np.random.default_rng(0).standard_normal((60, 3))
+    (tmp_path / "r.csv").write_bytes("\n".join(
+        [header] + [",".join(f"{v:.6f}" for v in row) for row in body]).encode("utf-8") + b"\n")
+    (tmp_path / "f.csv").write_bytes(f"{header}\n".encode("utf-8") + b"1,1,1\n" * 60)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "PYTHON"))}
+    env.update(PYTHONPATH=src, PYTHONCOERCECLOCALE="0", LC_ALL="C")
+
+    def poolmax(*argv):
+        return subprocess.run([sys.executable, "-X", "utf8=0", "-m", "poolmax", *argv],
+                              env=env, cwd=tmp_path, capture_output=True, timeout=120)
+
+    probe = subprocess.run([sys.executable, "-X", "utf8=0", "-c",
+                            "import locale; print(locale.getpreferredencoding(False))"],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert probe.stdout.strip().lower() in ("ascii", "ansi_x3.4-1968")
+    taildep = ["taildep", "--in", "r.csv", "--u", "0.1"]
+    for proc in [poolmax(*taildep, "--out", "td.csv"), poolmax(*taildep),
+                 poolmax("backtest", "--returns", "r.csv", "--forecast", "ø=f.csv",
+                         "--forecast", "株=f.csv", "--q", "2", "--B", "20",
+                         "--format", "csv", "--out", "bt.csv")]:
+        assert (proc.returncode, proc.stderr) == (0, b"")
+    first = f",{header}\naktie_ø,1,".encode("utf-8")
+    assert (tmp_path / "td.csv").read_bytes().startswith(first)
+    assert poolmax(*taildep).stdout == (tmp_path / "td.csv").read_bytes()
+    assert (tmp_path / "bt.csv").read_bytes().startswith(",ø,株\r\nø,".encode("utf-8"))
 
 
 @pytest.mark.parametrize("forecasts, message", [

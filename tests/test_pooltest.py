@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poolmax.pooltest
 from poolmax import (
     BootstrapConfig,
     RngSpec,
@@ -17,9 +19,9 @@ from poolmax import (
     pool_test,
     pooled_panel,
 )
-from poolmax.core import validate_matrix
+from poolmax.core import substream_normals, validate_matrix
 from poolmax.errors import DegenerateStatisticError, DegenerateVarianceError, PoolmaxError
-from poolmax.pooltest import PooledPanel, _bootstrap_result
+from poolmax.pooltest import PooledPanel, _blocks, _bootstrap_result, _weighted_max
 from poolmax.subsets import build_family
 
 
@@ -291,3 +293,97 @@ class TestVarianceOutOfRange:
         for scale in (1e-150, 1e150):
             res = self.TESTS[test](scale * self.X, self.CFG)
             assert math.isfinite(res.statistic) and res.statistic != 0
+
+
+@pytest.mark.parametrize("total", [1, 63, 64, 65, 128, 129, 1000, 1025, 4002])
+@pytest.mark.parametrize("unit_bytes", [8, 8 * 2000, 8 * 4000, 2**40])
+def test_blocks_are_aligned(total, unit_bytes):
+    """Consecutive blocks cover range(total); all but the last have one
+    width, a multiple of 64 within the budget or 64 itself; the last is at
+    least 64 wide unless it is the only one; a total within the budget is
+    one block."""
+    budget = poolmax.pooltest._BLOCK_BYTES
+    blocks = _blocks(total, unit_bytes)
+    assert blocks[0][0] == 0 and blocks[-1][1] == total
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    widths = [hi - lo for lo, hi in blocks]
+    if total * unit_bytes <= budget:
+        assert widths == [total]
+    if len(blocks) > 1:
+        width = widths[0]
+        assert set(widths[:-1]) == {width} and width % 64 == 0
+        assert width == 64 or width * unit_bytes <= budget
+        assert 64 <= widths[-1] < width + 64
+
+
+def _random_family(gen, p, q, d):
+    return SubsetFamily(p=p, q=q, members=np.argsort(gen.random((d, p)), axis=1)[:, :q] + 1)
+
+
+class TestBlockedProducts:
+    """Pooling and bootstrap in blocks agree with the one-shot products.
+
+    They are not required to agree bit for bit: that depends on the BLAS
+    kernel the CPU selects.  Each entry must lie within 1e-13 of the sum of
+    the magnitudes of its terms.
+    """
+
+    # (n, p, q, d, B): n = 2, B = 1, B = 1 (mod 64), d a multiple of 8 or not
+    SHAPES = [(2, 10, 3, 130, 1), (30, 40, 7, 1025, 129), (25, 50, 9, 4002, 65),
+              (40, 64, 5, 1024, 200), (17, 100, 11, 520, 193), (3, 7, 2, 300, 64)]
+
+    @pytest.fixture(params=[1, 7168], ids=["width-64", "budget-7k"])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", request.param)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_agrees_with_one_shot(self, budget, shape):
+        n, p, q, d, B = shape
+        gen = np.random.default_rng(shape)
+        x = gen.standard_normal((n, p))
+        fam = _random_family(gen, p, q, d)
+        assert len(_blocks(d, 8 * p)) > 1
+        s = fam.indicator()
+        panel = pooled_panel(x, fam)
+        assert np.all(np.abs(panel.y - x @ s) <= 1e-13 * (np.abs(x) @ s))
+        assert np.array_equal(pooled_panel(x, fam).y, panel.y)
+
+        xi = substream_normals(RngSpec(B, 7), B, n)
+        scale = np.sqrt(n * panel.sigma_hat)
+        t_b = xi @ panel.y / scale
+        bound = 1e-13 * (np.abs(xi) @ np.abs(panel.y) / scale).max(axis=1)
+        for one_sided, want in [(False, np.abs(t_b).max(axis=1)), (True, t_b.max(axis=1))]:
+            got = _weighted_max(panel, xi, one_sided)
+            assert np.all(np.abs(got - want) <= bound)
+            assert np.array_equal(_weighted_max(panel, xi, one_sided), got)
+
+    def test_pool_test_deterministic(self, budget):
+        gen = np.random.default_rng(8)
+        x = gen.standard_normal((30, 40))
+        fam = _random_family(gen, 40, 7, 1025)
+        cfg = BootstrapConfig(rng=RngSpec(8, 2), replicates=129)
+        assert _outcome(pool_test, x, fam, 0.05, cfg) == _outcome(pool_test, x, fam, 0.05, cfg)
+
+    def test_marginal_equals_singleton_pooling(self, budget):
+        gen = np.random.default_rng(9)
+        x = gen.standard_normal((30, 150))
+        x[gen.random(x.shape) < 0.2] = -0.0
+        cfg = BootstrapConfig(rng=RngSpec(9, 3), replicates=129)
+        want = _outcome(_marginal_by_pooling, x, 0.05, cfg)
+        assert _outcome(marginal_test, x, 0.05, cfg) == want
+
+
+def test_pool_test_memory_is_capped():
+    """At n=20, p=2000, d=4000 and B=1000 the dense indicator alone would
+    take 61 MiB and the B x d weighted sums 31 MiB."""
+    gen = np.random.default_rng(0)
+    x = gen.standard_normal((20, 2000))
+    fam = build_family(2000, 49, 4000, RngSpec(1))
+    cfg = BootstrapConfig(rng=RngSpec(2), replicates=1000)
+    tracemalloc.start()
+    try:
+        pool_test(x, fam, 0.05, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
