@@ -202,7 +202,7 @@ class BacktestReport:
         """Square matrix layout: validation on the diagonal, one-sided
         comparisons in the lower triangle, blanks elsewhere."""
         names = self.method_names
-        with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as f:
+        with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow([""] + names)
             for a in names:

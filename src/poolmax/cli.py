@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -125,17 +126,16 @@ def _ingest_rows(path):
 def _write(path, text):
     """Write text and a final newline to path, or to stdout when path is None.
 
-    The bytes are UTF-8, the encoding inputs are read in, whatever the
-    locale.  A name taken from the command line that the locale could not
-    decode is written back as the bytes it was given as.
+    The bytes are UTF-8, the encoding inputs and `--forecast` names are
+    read in, whatever the locale.
     """
     text = text if text.endswith("\n") else text + "\n"
     if path is None:
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+        sys.stdout.buffer.write(text.encode("utf-8"))
         sys.stdout.buffer.flush()
     else:
-        with open(path, "w", encoding="utf-8", errors="surrogateescape") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(text)
 
 
@@ -291,6 +291,15 @@ def _cmd_backtest(args, parser):
             parser.error(f"--forecast expects NAME=PATH, got {item!r}")
         if not name:
             parser.error(f"--forecast NAME is empty in {item!r}")
+        # argv arrives decoded with the locale codec: take a NAME as the UTF-8
+        # of its bytes.  Text that codec cannot encode was given to run() as
+        # text, not read from argv, and is kept as it is.
+        try:
+            name = os.fsencode(name).decode("utf-8")
+        except UnicodeEncodeError:
+            pass
+        except UnicodeDecodeError:
+            parser.error(f"--forecast NAME {os.fsencode(name)!r} is not UTF-8")
         if name in paths:
             parser.error(f"--forecast NAME {name!r} is given twice")
         paths[name] = path
@@ -323,11 +332,10 @@ def _cmd_subsets_check(args, parser):
         check_design(p, q)
     except NotCoprimeError as e:
         out["coprime"], out["suggested_q"] = False, e.suggested_q
-    if p <= 64:
-        ident = verify_identifiability(p, q)
-        out["identifiable"] = ident.identifiable
-        if ident.witness is not None:
-            out["kernel_witness"] = list(ident.witness)
+    ident = verify_identifiability(p, q)
+    out["identifiable"] = ident.identifiable
+    if ident.witness is not None:
+        out["kernel_witness"] = list(ident.witness)
     if out["coprime"] and args.d is not None:
         fam = build_family(p, q, args.d, RngSpec(args.seed, 1))
         out["family"] = fam.to_dict()

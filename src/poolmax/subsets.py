@@ -1,9 +1,9 @@
 """Pooling designs: circular window families and random extensions.
 
-The identifiability oracle (`verify_identifiability`) builds the 0/1
-circulant membership matrix for the circular windows and computes its
-rank exactly over the rationals; it is a small-instance test fixture, not
-a runtime path for large p.
+The p circular q-windows identify every individual mean iff
+gcd(p, q) = 1.  `check_design` enforces that rule, and
+`verify_identifiability` states it in closed form for any p, with an
+integer kernel witness when it fails.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,7 +141,8 @@ def circular_family(p: int, q: int) -> SubsetFamily:
     """The p circular windows {ell, ..., ell+q-1} with wrap-around.
 
     Requires gcd(p, q) = 1, which makes the window sums identify every
-    individual mean (see `verify_identifiability`).
+    individual mean; `verify_identifiability` gives the reason and, for a
+    non-coprime q, a mean profile that every window sums to zero.
     """
     check_design(p, q)
     windows = (np.arange(p)[:, None] + np.arange(q)) % p + 1
@@ -196,51 +196,19 @@ class IdentifiabilityResult:
     witness: Optional[Tuple[int, ...]] = None
 
 
-def _rref(rows):
-    """In-place rational row reduction; returns (rank, pivot column list)."""
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return r, pivots
+def verify_identifiability(p: int, q: int) -> IdentifiabilityResult:
+    """Whether the p circular q-window sums determine every mean.
 
-
-def verify_identifiability(p: int, q: int, max_p: int = 64) -> IdentifiabilityResult:
-    """Brute-force check that circular q-window sums determine all means.
-
-    Computes the exact rational rank of the p x p circulant membership
-    matrix. When rank-deficient, returns an integer kernel vector: a
-    nonzero mean profile whose every cyclic q-window sum is zero.
+    The window-sum matrix is circulant: its eigenvalue at the p-th root of
+    unity w^k is sum_{t<q} w^(kt), which vanishes for some w^k != 1 iff
+    g = gcd(p, q) > 1.  Then the integer kernel witness mu_j = 1 for
+    j = 0 (mod g), -1 for j = 1 (mod g) and 0 otherwise is a nonzero mean
+    profile whose every cyclic q-window, q/g full periods of the pattern,
+    sums to zero.
     """
     _check_pq(p, q)
-    if p > max_p:
-        raise SubsetDesignError(f"p={p} exceeds the small-instance bound {max_p}")
-    rows = [
-        [Fraction(1 if ((c - ell) % p) < q else 0) for c in range(p)]
-        for ell in range(p)
-    ]
-    rank, pivots = _rref(rows)
-    if rank == p:
+    g = math.gcd(p, q)
+    if g == 1:
         return IdentifiabilityResult(identifiable=True)
-    free = next(c for c in range(p) if c not in pivots)
-    v = [Fraction(0)] * p
-    v[free] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        v[pc] = -rows[i][free]
-    scale = math.lcm(*(x.denominator for x in v))
-    witness = tuple(int(x * scale) for x in v)
-    return IdentifiabilityResult(identifiable=False, witness=witness)
+    period = (1, -1) + (0,) * (g - 2)
+    return IdentifiabilityResult(identifiable=False, witness=period * (p // g))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,33 @@ def simulate_ar_garch(params: GarchParams, n: int, rng: np.random.Generator,
         sig2 = params.b0 + params.b1 * eps**2 + params.b2 * sig2
         prev = u[t]
     return u[burn:]
+
+
+def window_matrix(p: int, q: int) -> list:
+    """The p x p 0/1 matrix whose row ell indicates the circular window
+    {ell, ..., ell+q-1} mod p."""
+    return [[int((c - ell) % p < q) for c in range(p)] for ell in range(p)]
+
+
+def rational_rank(rows: list) -> int:
+    """Exact rank over the rationals, by Gaussian elimination in Fractions.
+
+    The identifiability oracle: independent of the closed form in
+    `verify_identifiability`, and too slow for anything but small p.
+    """
+    rows = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def use_scipy_stats_t(monkeypatch):

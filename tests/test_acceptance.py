@@ -33,7 +33,7 @@ from poolmax.riskmodels import GarchParams, VarMethod, evt_var, garch_filter, ga
 from poolmax.simlab import DgpSpec, generate_panel
 from poolmax.subsets import verify_identifiability
 
-from conftest import simulate_ar_garch
+from conftest import rational_rank, simulate_ar_garch, window_matrix
 
 MC_REPS = 500
 ALPHA = 0.05
@@ -75,22 +75,27 @@ def _a1_rates(under_null: bool, seed: int):
 
 
 def test_criterion_01_identifiability_oracle():
+    """The library's verdict against the exact rational rank of the window
+    matrix, which must also be full iff gcd(p, q) = 1; every witness is a
+    nonzero integer vector that each window row maps to 0."""
     ok = True
     for p in range(2, 13):
         for q in range(1, p):
+            rows = window_matrix(p, q)
+            full = rational_rank(rows) == p
             res = verify_identifiability(p, q)
-            if res.identifiable != (math.gcd(p, q) == 1):
+            if res.identifiable != full or full != (math.gcd(p, q) == 1):
                 ok = False
-            if not res.identifiable:
+            if res.identifiable:
+                ok = ok and res.witness is None
+            else:
                 mu = res.witness
-                if mu is None or not any(mu):
+                if mu is None or len(mu) != p or not any(mu):
                     ok = False
                 else:
-                    sums = [
-                        sum(mu[(ell + t) % p] for t in range(q)) for ell in range(p)
-                    ]
-                    ok = ok and all(s == 0 for s in sums)
-    report(1, ok, "window-sum oracle == coprimality, witnesses verified")
+                    ok = ok and all(isinstance(v, int) for v in mu) and all(
+                        sum(a * m for a, m in zip(row, mu)) == 0 for row in rows)
+    report(1, ok, "window-sum rational rank == library == coprimality, witnesses verified")
 
 
 @pytest.mark.slow

@@ -307,6 +307,16 @@ def test_subsets_check(tmp_path):
     res = json.loads(out.read_text())
     assert not res["identifiable"] and "kernel_witness" in res
     assert res["suggested_q"] == 3
+    # identifiability and its witness are reported for every p
+    assert run(["subsets-check", "--p", "100", "--q", "50",
+                "--out", str(out)]) == EXIT_USAGE
+    res = json.loads(out.read_text())
+    assert not res["identifiable"] and res["suggested_q"] == 49
+    mu = np.array(res["kernel_witness"])
+    assert mu.shape == (100,) and mu.any()
+    assert not np.convolve(np.tile(mu, 2), np.ones(50), "valid")[:100].any()
+    assert run(["subsets-check", "--p", "100", "--q", "49", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["identifiable"]
 
 
 def test_taildep_command(tmp_path):
@@ -545,15 +555,29 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
                            env=env, capture_output=True, text=True, timeout=120)
     assert probe.stdout.strip().lower() in ("ascii", "ansi_x3.4-1968")
     taildep = ["taildep", "--in", "r.csv", "--u", "0.1"]
+    backtest = ["backtest", "--returns", "r.csv", "--forecast", "ø=f.csv",
+                "--forecast", "株=f.csv", "--q", "2", "--B", "20", "--format"]
+    bt_json = poolmax(*backtest, "json")
     for proc in [poolmax(*taildep, "--out", "td.csv"), poolmax(*taildep),
-                 poolmax("backtest", "--returns", "r.csv", "--forecast", "ø=f.csv",
-                         "--forecast", "株=f.csv", "--q", "2", "--B", "20",
-                         "--format", "csv", "--out", "bt.csv")]:
+                 poolmax(*backtest, "csv", "--out", "bt.csv"), bt_json]:
         assert (proc.returncode, proc.stderr) == (0, b"")
     first = f",{header}\naktie_ø,1,".encode("utf-8")
     assert (tmp_path / "td.csv").read_bytes().startswith(first)
     assert poolmax(*taildep).stdout == (tmp_path / "td.csv").read_bytes()
     assert (tmp_path / "bt.csv").read_bytes().startswith(",ø,株\r\nø,".encode("utf-8"))
+    assert json.loads(bt_json.stdout)["methods"] == ["ø", "株"]
+    # names given to run() as text, which the ASCII codec cannot encode
+    proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", (
+        "from poolmax.cli import run; raise SystemExit(run(["
+        "'backtest', '--returns', 'r.csv', '--forecast', '\\u00f8=f.csv', "
+        "'--forecast', '\\u682a=f.csv', '--q', '2', '--B', '20', '--format', 'json']))")],
+        env=env, cwd=tmp_path, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", bt_json.stdout)
+    # a NAME whose argv bytes are not UTF-8 is a usage error, before any read
+    proc = poolmax("backtest", "--returns", "missing.csv", "--forecast",
+                   b"\xff=missing.csv", "--format", "json")
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b"")
+    assert proc.stderr.endswith(b"error: --forecast NAME b'\\xff' is not UTF-8\n")
 
 
 @pytest.mark.parametrize("forecasts, message", [

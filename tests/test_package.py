@@ -14,14 +14,15 @@ import poolmax
 SRC = str(Path(poolmax.__file__).resolve().parents[1])
 
 # Runs CLI commands in a fresh interpreter; prints their exit codes and the
-# scipy modules loaded afterwards.
+# scipy modules, and which of the rational-arithmetic modules, loaded afterwards.
 CHILD = """
 import json, sys
 import poolmax
 import poolmax.cli
 codes = [poolmax.cli.run(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "rational": [m for m in ("fractions", "decimal") if m in sys.modules]}))
 """
 
 
@@ -64,12 +65,12 @@ def test_pool_marginal_backtest_subsets_load_no_scipy(panels):
          "--B", "20", "--out", out],
         ["subsets-check", "--p", "10", "--q", "3", "--d", "12", "--out", out],
     )
-    assert res == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert res == {"codes": [0, 0, 0, 0], "scipy": [], "rational": []}
 
 
 def test_taildep_loads_no_scipy(panels):
     res = fresh_run(["taildep", "--in", panels["x"], "--u", "0.05", "--out", panels["out"]])
-    assert res == {"codes": [0], "scipy": []}
+    assert res == {"codes": [0], "scipy": [], "rational": []}
 
 
 def test_naive_test_loads_scipy(panels):

@@ -124,12 +124,27 @@ def test_identifiability_examples():
     assert not res4.identifiable and any(res4.witness)
 
 
-def test_identifiability_bound():
-    with pytest.raises(SubsetDesignError, match="^p=65 exceeds the small-instance bound 64$"):
-        verify_identifiability(65, 2)
+def _window_sums(mu, q):
+    """The p cyclic q-window sums of mu, window ell starting at index ell."""
+    c = np.concatenate([[0], np.cumsum(np.tile(mu, 2))])
+    return c[q:q + len(mu)] - c[:len(mu)]
 
 
-def test_identifiability_matches_coprimality_small():
-    for p in range(2, 13):
+def test_witness_window_sums_vanish():
+    for p in range(2, 201):
         for q in range(1, p):
-            assert verify_identifiability(p, q).identifiable == (math.gcd(p, q) == 1)
+            res = verify_identifiability(p, q)
+            if math.gcd(p, q) == 1:
+                assert res.identifiable and res.witness is None
+                continue
+            mu = np.asarray(res.witness)
+            assert not res.identifiable and mu.shape == (p,) and mu.any()
+            assert not _window_sums(mu, q).any()
+
+
+def test_witness_large_p():
+    res = verify_identifiability(6000, 48)
+    mu = np.asarray(res.witness)
+    assert not res.identifiable and mu.shape == (6000,) and mu.any()
+    assert not _window_sums(mu, 48).any()
+    assert verify_identifiability(6001, 48).identifiable
