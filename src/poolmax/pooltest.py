@@ -19,7 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngSpec, TestResult, substream_normals, validate_matrix
-from .errors import DegenerateStatisticError, DegenerateVarianceError, PoolmaxError
+from .errors import (
+    DegenerateStatisticError,
+    DegenerateVarianceError,
+    PoolmaxError,
+    SubsetDesignError,
+)
 from .subsets import SubsetFamily
 
 __all__ = [
@@ -66,25 +71,34 @@ class PooledPanel:
         return self.y.shape[1]
 
 
-# Bytes that one block of the p x d indicator or of the B x d bootstrap draws
-# may take (see `_blocks`).  Each pooling block re-packs x for BLAS, so a
-# smaller budget costs time: at 16 MiB a cold 250 x 2000 `pool-test` peaks
-# at 69 MB instead of 114 MB and takes about 1% longer.
-_BLOCK_BYTES = 16 << 20
+# Bytes that one column block of a d-wide temporary of the pooling path may
+# take: of the p x d indicator, of the B x d bootstrap draws and of the n x d
+# squared deviations behind the variance (see `_blocks`).  Each pooling block
+# re-packs x for BLAS, and each bootstrap block the B x n weights, so a
+# smaller budget costs time: a cold 250 x 2000 `pool-test` peaks at 60 MB,
+# against 69 MB with 16 MiB blocks and 114 MB unblocked.
+_BLOCK_BYTES = 4 << 20
+
+# No block but the last is narrower than this.  At p = 6000 the budget holds
+# 87 indicator columns; 64-wide blocks made pooling there 30% slower than
+# 256-wide ones, which overrun the budget instead.
+_MIN_WIDTH = 256
 
 
 def _blocks(total: int, unit_bytes: int):
     """Consecutive [lo, hi) ranges covering range(total), each as wide as
     the units of `unit_bytes` that fit in `_BLOCK_BYTES`.
 
-    Widths are rounded down to a multiple of 64 and never fall below 64.
-    On the OpenBLAS kernels measured, a product split at such edges kept
-    every bit of the one-shot product, while widths such as 500 and 1500
-    did not.  A remainder narrower than 64 joins the block before it, since
-    a one-wide product would go to gemv.  A total that fits the budget is
+    Widths are rounded down to a multiple of 64 and never fall below
+    `_MIN_WIDTH`.  On the OpenBLAS kernels measured, a product split at
+    such edges kept every bit of the one-shot product, while widths such
+    as 500 and 1500 did not; numpy's column sums and variances keep every
+    bit at any width above 1, where a one-wide block would sum pairwise.
+    A remainder narrower than 64 joins the block before it, since a
+    one-wide product would go to gemv.  A total that fits the budget is
     one block.
     """
-    width = max(64, _BLOCK_BYTES // unit_bytes // 64 * 64)
+    width = max(_MIN_WIDTH, _BLOCK_BYTES // unit_bytes // 64 * 64)
     starts = list(range(0, total, width))
     if len(starts) > 1 and total - starts[-1] < 64:
         starts.pop()
@@ -99,6 +113,8 @@ def pooled_panel(x, fam: SubsetFamily) -> PooledPanel:
     indicator exists at once.  A family that fits the budget runs as one
     block.
     """
+    if fam.d == 0:
+        raise SubsetDesignError("family has no subsets")
     x = validate_matrix(x)
     p = x.shape[1]
     if fam.p != p:
@@ -112,21 +128,38 @@ def pooled_panel(x, fam: SubsetFamily) -> PooledPanel:
 def _studentized(y: np.ndarray) -> PooledPanel:
     """The panel whose pooled sums are the columns of y.
 
+    The column sums are taken once, and serve as the mean of the variance
+    and as the numerator of the t-statistics; the variance runs over column
+    blocks (`_blocks`), so about `_BLOCK_BYTES` of squared deviations
+    exists at once.  Both equal `y.sum(axis=0)` and `y.var(axis=0)` bit for
+    bit, since numpy's axis-0 reduction adds the rows of a block of two or
+    more columns in the same order as those of the whole array.
+
     A constant column, or a variance that under- or overflows the float
     range, would make a t-statistic infinite, zero or inexact; each raises
-    instead.  A subnormal variance counts as underflow: it has lost bits.
+    instead, the first constant column before the first bad variance.  A
+    subnormal variance counts as underflow: it has lost bits.
     """
-    n = y.shape[0]
-    constant = np.flatnonzero((y == y[0]).all(axis=0))
-    if constant.size:
-        raise DegenerateVarianceError(f"zero variance estimate (subset/column {constant[0]})")
+    n, d = y.shape
+    blocks = _blocks(d, 8 * n)
+    constant = np.concatenate([(y[:, lo:hi] == y[0, lo:hi]).all(axis=0) for lo, hi in blocks])
+    if constant.any():
+        raise DegenerateVarianceError(
+            f"zero variance estimate (subset/column {constant.argmax()})")
+    total = y.sum(axis=0)
+    mean = total / n
+    sigma_hat = np.empty(d)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        sigma_hat = y.var(axis=0)
+        for lo, hi in blocks:
+            dev = y[:, lo:hi] - mean[lo:hi]
+            np.multiply(dev, dev, out=dev)
+            np.sum(dev, axis=0, out=sigma_hat[lo:hi])
+        sigma_hat /= n
         scale = n * sigma_hat
     bad = np.flatnonzero(~(np.isfinite(scale) & (sigma_hat >= _SMALLEST_NORMAL)))
     if bad.size:
         raise _out_of_range(sigma_hat[bad[0]], f" (subset/column {bad[0]})")
-    t_stats = y.sum(axis=0) / np.sqrt(scale)
+    t_stats = total / np.sqrt(scale)
     return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
 
 
@@ -181,9 +214,10 @@ def multiplier_bootstrap(
     (cfg.rng, B, n), never on the data: ``substream_normals`` derives the
     Philox keys of all B replicates in one batch, and ``full_backtest``
     draws the weight matrix once for all of its tests.  The pooled sums
-    enter uncentered.  The draws are taken over blocks of replicates
-    (`_blocks`), so about `_BLOCK_BYTES` of the B x d weighted sums exists
-    at once; a max over blocks is the max over all of them.
+    enter uncentered.  The weighted sums are taken over column blocks of
+    subsets (`_blocks`), so about `_BLOCK_BYTES` of the B x d weighted sums
+    exists at once and each block re-packs only the B x n weights, never
+    the n x d panel; a running max over blocks is the max over all of them.
     """
     return _weighted_max(panel, substream_normals(cfg.rng, cfg.replicates, panel.n),
                          one_sided)
@@ -192,15 +226,15 @@ def multiplier_bootstrap(
 def _weighted_max(panel: PooledPanel, xi: np.ndarray, one_sided: bool = False) -> np.ndarray:
     """The max statistic of each replicate, for a ready (B, n) weight matrix."""
     scale = np.sqrt(panel.n * panel.sigma_hat)
-    draws = np.empty(xi.shape[0])
-    blocks = _blocks(xi.shape[0], 8 * panel.d)
-    buf = np.empty((max(hi - lo for lo, hi in blocks), panel.d))
+    draws = np.full(xi.shape[0], -np.inf)
+    blocks = _blocks(panel.d, 8 * xi.shape[0])
+    buf = np.empty((xi.shape[0], max(hi - lo for lo, hi in blocks)))
     for lo, hi in blocks:
-        t_b = np.matmul(xi[lo:hi], panel.y, out=buf[:hi - lo])
-        t_b /= scale
+        t_b = np.matmul(xi, panel.y[:, lo:hi], out=buf[:, :hi - lo])
+        t_b /= scale[lo:hi]
         if not one_sided:
             np.abs(t_b, out=t_b)
-        t_b.max(axis=1, out=draws[lo:hi])
+        np.maximum(draws, t_b.max(axis=1), out=draws)
     return draws
 
 

@@ -9,6 +9,7 @@ from poolmax import (
     BacktestReport,
     BootstrapConfig,
     RngSpec,
+    SubsetFamily,
     build_family,
     comparative_test,
     exceedance_matrix,
@@ -20,7 +21,12 @@ from poolmax import (
     validation_test,
 )
 from poolmax.backtest import _average_ranks, logistic
-from poolmax.errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
+from poolmax.errors import (
+    DegenerateVarianceError,
+    NonFiniteError,
+    PoolmaxError,
+    SubsetDesignError,
+)
 
 
 class TestExceedance:
@@ -227,11 +233,12 @@ class TestFullBacktest:
         self._assert_matches_single_tests(*self._inputs())
 
     def test_matches_single_tests_in_blocks(self, monkeypatch):
-        """64-wide pooling and bootstrap blocks, a remainder of 1 replicate
-        joining the last block."""
+        """256-wide pooling, variance and bootstrap blocks, a remainder of
+        28 subsets joining the last block."""
         monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", 1)
         u, _, _ = self._inputs(p=70)
-        fam = build_family(70, 3, 200, RngSpec(1))
+        fam = build_family(70, 3, 540, RngSpec(1))
+        assert poolmax.pooltest._blocks(fam.d, 1) == [(0, 256), (256, 540)]
         self._assert_matches_single_tests(u, fam, BootstrapConfig(rng=RngSpec(2), replicates=129))
 
     @staticmethod
@@ -262,6 +269,20 @@ class TestFullBacktest:
             for key, res in want.items():
                 if res is not None:
                     assert got[key].to_json() == res.to_json()
+
+    def test_empty_family(self):
+        """A family with no subsets raises before any test runs."""
+        u, _, cfg = self._inputs()
+        fam = SubsetFamily.from_json('{"p": 4, "q": 3, "members": []}')
+        r = np.full_like(u, 1.2)
+        calls = [
+            lambda: full_backtest(u, {"a": r, "b": r + 0.1}, 0.05, fam, 0.05, cfg),
+            lambda: comparative_test(u, r, r + 0.1, 0.05, fam, 0.05, cfg),
+            lambda: comparative_test(u, r, r + 0.1, 0.05, fam, 0.05, cfg, one_sided=True),
+        ]
+        for call in calls:
+            with pytest.raises(SubsetDesignError, match="^family has no subsets$"):
+                call()
 
     def test_csv_layout(self, tmp_path):
         u, fam, cfg = self._inputs()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -20,7 +21,12 @@ from poolmax import (
     pooled_panel,
 )
 from poolmax.core import substream_normals, validate_matrix
-from poolmax.errors import DegenerateStatisticError, DegenerateVarianceError, PoolmaxError
+from poolmax.errors import (
+    DegenerateStatisticError,
+    DegenerateVarianceError,
+    PoolmaxError,
+    SubsetDesignError,
+)
 from poolmax.pooltest import PooledPanel, _blocks, _bootstrap_result, _weighted_max
 from poolmax.subsets import build_family
 
@@ -295,24 +301,25 @@ class TestVarianceOutOfRange:
             assert math.isfinite(res.statistic) and res.statistic != 0
 
 
-@pytest.mark.parametrize("total", [1, 63, 64, 65, 128, 129, 1000, 1025, 4002])
+@pytest.mark.parametrize("total", [1, 63, 64, 65, 128, 129, 255, 256, 257, 319, 320, 512,
+                                   1000, 1025, 4002])
 @pytest.mark.parametrize("unit_bytes", [8, 8 * 2000, 8 * 4000, 2**40])
 def test_blocks_are_aligned(total, unit_bytes):
     """Consecutive blocks cover range(total); all but the last have one
-    width, a multiple of 64 within the budget or 64 itself; the last is at
-    least 64 wide unless it is the only one; a total within the budget is
-    one block."""
+    width, a multiple of 64 within the budget or 256 itself; the last is at
+    least 64 wide unless it is the only one; a total within the budget, or
+    below 256 + 64, is one block."""
     budget = poolmax.pooltest._BLOCK_BYTES
     blocks = _blocks(total, unit_bytes)
     assert blocks[0][0] == 0 and blocks[-1][1] == total
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
     widths = [hi - lo for lo, hi in blocks]
-    if total * unit_bytes <= budget:
+    if total * unit_bytes <= budget or total < 256 + 64:
         assert widths == [total]
     if len(blocks) > 1:
         width = widths[0]
         assert set(widths[:-1]) == {width} and width % 64 == 0
-        assert width == 64 or width * unit_bytes <= budget
+        assert width == 256 or (width > 256 and width * unit_bytes <= budget)
         assert 64 <= widths[-1] < width + 64
 
 
@@ -320,70 +327,179 @@ def _random_family(gen, p, q, d):
     return SubsetFamily(p=p, q=q, members=np.argsort(gen.random((d, p)), axis=1)[:, :q] + 1)
 
 
+def _assert_agrees_with_one_shot(shape):
+    """Each pooled sum and each draw lies within 1e-13 of the sum of the
+    magnitudes of its terms in the one-shot product, and repeated calls
+    give the same bits."""
+    n, p, q, d, B = shape
+    gen = np.random.default_rng(shape)
+    x = gen.standard_normal((n, p))
+    fam = _random_family(gen, p, q, d)
+    assert len(_blocks(d, 8 * p)) > 1
+    s = fam.indicator()
+    panel = pooled_panel(x, fam)
+    assert np.all(np.abs(panel.y - x @ s) <= 1e-13 * (np.abs(x) @ s))
+    assert np.array_equal(pooled_panel(x, fam).y, panel.y)
+
+    xi = substream_normals(RngSpec(B, 7), B, n)
+    scale = np.sqrt(n * panel.sigma_hat)
+    t_b = xi @ panel.y / scale
+    bound = 1e-13 * (np.abs(xi) @ np.abs(panel.y) / scale).max(axis=1)
+    for one_sided, want in [(False, np.abs(t_b).max(axis=1)), (True, t_b.max(axis=1))]:
+        got = _weighted_max(panel, xi, one_sided)
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.array_equal(_weighted_max(panel, xi, one_sided), got)
+
+
 class TestBlockedProducts:
     """Pooling and bootstrap in blocks agree with the one-shot products.
 
     They are not required to agree bit for bit: that depends on the BLAS
-    kernel the CPU selects.  Each entry must lie within 1e-13 of the sum of
-    the magnitudes of its terms.
+    kernel the CPU selects (see `_assert_agrees_with_one_shot`).  Each
+    setting is a budget and a width floor: the library's floor of 256, and
+    a floor of 64, at which small shapes span many blocks.
     """
 
-    # (n, p, q, d, B): n = 2, B = 1, B = 1 (mod 64), d a multiple of 8 or not
+    SETTINGS = {"width-64": (1, 64), "budget-7k": (7168, 64), "width-256": (1, 256)}
+    # (n, p, q, d, B): n = 2, B = 1, d = 1 (mod 64), d a multiple of 8 or not
     SHAPES = [(2, 10, 3, 130, 1), (30, 40, 7, 1025, 129), (25, 50, 9, 4002, 65),
               (40, 64, 5, 1024, 200), (17, 100, 11, 520, 193), (3, 7, 2, 300, 64)]
+    # the same shapes, each d grown past 2 * 256 so that it spans 2 blocks
+    SHAPES_256 = [(2, 10, 3, 530, 1), (30, 40, 7, 1025, 129), (25, 50, 9, 4002, 65),
+                  (40, 64, 5, 1024, 200), (17, 100, 11, 776, 193), (3, 7, 2, 700, 64)]
+    CASES = (list(itertools.product(["width-64", "budget-7k"], SHAPES))
+             + [("width-256", shape) for shape in SHAPES_256])
 
-    @pytest.fixture(params=[1, 7168], ids=["width-64", "budget-7k"])
-    def budget(self, request, monkeypatch):
-        monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", request.param)
+    def _use(self, setting, monkeypatch):
+        budget, floor = self.SETTINGS[setting]
+        monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(poolmax.pooltest, "_MIN_WIDTH", floor)
 
-    @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_agrees_with_one_shot(self, budget, shape):
-        n, p, q, d, B = shape
-        gen = np.random.default_rng(shape)
-        x = gen.standard_normal((n, p))
-        fam = _random_family(gen, p, q, d)
-        assert len(_blocks(d, 8 * p)) > 1
-        s = fam.indicator()
-        panel = pooled_panel(x, fam)
-        assert np.all(np.abs(panel.y - x @ s) <= 1e-13 * (np.abs(x) @ s))
-        assert np.array_equal(pooled_panel(x, fam).y, panel.y)
+    @pytest.mark.parametrize("setting, shape", CASES, ids=[f"{a}-{b}" for a, b in CASES])
+    def test_agrees_with_one_shot(self, monkeypatch, setting, shape):
+        self._use(setting, monkeypatch)
+        _assert_agrees_with_one_shot(shape)
 
-        xi = substream_normals(RngSpec(B, 7), B, n)
-        scale = np.sqrt(n * panel.sigma_hat)
-        t_b = xi @ panel.y / scale
-        bound = 1e-13 * (np.abs(xi) @ np.abs(panel.y) / scale).max(axis=1)
-        for one_sided, want in [(False, np.abs(t_b).max(axis=1)), (True, t_b.max(axis=1))]:
-            got = _weighted_max(panel, xi, one_sided)
-            assert np.all(np.abs(got - want) <= bound)
-            assert np.array_equal(_weighted_max(panel, xi, one_sided), got)
-
-    def test_pool_test_deterministic(self, budget):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_pool_test_deterministic(self, monkeypatch, setting):
+        self._use(setting, monkeypatch)
         gen = np.random.default_rng(8)
         x = gen.standard_normal((30, 40))
         fam = _random_family(gen, 40, 7, 1025)
         cfg = BootstrapConfig(rng=RngSpec(8, 2), replicates=129)
         assert _outcome(pool_test, x, fam, 0.05, cfg) == _outcome(pool_test, x, fam, 0.05, cfg)
 
-    def test_marginal_equals_singleton_pooling(self, budget):
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_marginal_equals_singleton_pooling(self, monkeypatch, setting):
+        self._use(setting, monkeypatch)
         gen = np.random.default_rng(9)
-        x = gen.standard_normal((30, 150))
+        x = gen.standard_normal((30, 600))
         x[gen.random(x.shape) < 0.2] = -0.0
         cfg = BootstrapConfig(rng=RngSpec(9, 3), replicates=129)
         want = _outcome(_marginal_by_pooling, x, 0.05, cfg)
         assert _outcome(marginal_test, x, 0.05, cfg) == want
 
 
-def test_pool_test_memory_is_capped():
-    """At n=20, p=2000, d=4000 and B=1000 the dense indicator alone would
-    take 61 MiB and the B x d weighted sums 31 MiB."""
+class TestStudentizedInBlocks:
+    """`_studentized` equals numpy's whole-array sum and variance bit for
+    bit: budgets giving 1 block, 2 blocks and 3 with a joined remainder."""
+
+    # (budget, d, blocks of 8 * n-byte columns): the remainder of d = 800
+    # past 768 is 32 columns, narrower than 64, so it joins the third block
+    CASES = [(4 << 20, 1000, 1), (1, 512, 2), (1, 800, 3)]
+
+    @pytest.mark.parametrize("budget, d, count", CASES, ids=["1-block", "2-blocks", "joined"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 250])
+    def test_bytes_equal_whole_array(self, monkeypatch, budget, d, count, n):
+        monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", budget)
+        assert len(_blocks(d, 8 * n)) == count
+        gen = np.random.default_rng([n, d, count])
+        y = gen.standard_normal((n, d)) * 10.0 ** gen.uniform(-100, 100, size=d)
+        y[:, gen.random(d) < 0.3] += gen.integers(-3, 4, size=n)[:, None]
+        y[1:][gen.random((n - 1, d)) < 0.1] = -0.0  # row 0 keeps each column non-constant
+        sigma_hat = y.var(axis=0)
+        t_stats = y.sum(axis=0) / np.sqrt(n * sigma_hat)
+        panel = poolmax.pooltest._studentized(y)
+        assert panel.sigma_hat.tobytes() == sigma_hat.tobytes()
+        assert panel.t_stats.tobytes() == t_stats.tobytes()
+
+    @pytest.fixture
+    def blocked(self, monkeypatch):
+        monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", 1)
+        y = np.random.default_rng(3).standard_normal((20, 600))
+        assert _blocks(600, 8 * 20) == [(0, 256), (256, 512), (512, 600)]
+        return y
+
+    def test_first_constant_column_named(self, blocked):
+        y = blocked
+        y[:, 10] *= 1e-170  # out of range, but a constant column comes first
+        y[:, [300, 500]] = 1.5
+        with pytest.raises(DegenerateVarianceError,
+                           match=r"^zero variance estimate \(subset/column 300\)$"):
+            poolmax.pooltest._studentized(y)
+
+    def test_first_out_of_range_column_named(self, blocked):
+        y = blocked
+        y[:, 280] *= 1e-170
+        y[:, 400] *= 1e160
+        with pytest.raises(DegenerateVarianceError, match=r"^variance estimate 0\.0 is out of "
+                           r"floating-point range \(subset/column 280\)$"):
+            poolmax.pooltest._studentized(y)
+
+
+class TestEmptyFamily:
+    """A family with no subsets raises before any pooling work."""
+
+    FAM = SubsetFamily.from_json('{"p": 4, "q": 2, "members": []}')
+    X = np.random.default_rng(4).standard_normal((30, 4))
+    CFG = BootstrapConfig(rng=RngSpec(4), replicates=20)
+
+    def test_pooled_panel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("validate_matrix ran for an empty family")
+
+        monkeypatch.setattr(poolmax.pooltest, "validate_matrix", refuse)
+        with pytest.raises(SubsetDesignError, match="^family has no subsets$"):
+            pooled_panel(self.X, self.FAM)
+
+    def test_pool_test(self):
+        assert self.FAM.d == 0
+        with pytest.raises(SubsetDesignError, match="^family has no subsets$"):
+            pool_test(self.X, self.FAM, 0.05, self.CFG)
+
+
+def _pool_test_peak(n, p, d, B):
+    """The tracemalloc peak of one pool_test call, and the cap it must stay
+    under: the n x d pooled sums and the B x n weights, plus two blocks."""
     gen = np.random.default_rng(0)
-    x = gen.standard_normal((20, 2000))
-    fam = build_family(2000, 49, 4000, RngSpec(1))
-    cfg = BootstrapConfig(rng=RngSpec(2), replicates=1000)
+    x = gen.standard_normal((n, p))
+    fam = build_family(p, 49, d, RngSpec(1))
+    cfg = BootstrapConfig(rng=RngSpec(2), replicates=B)
     tracemalloc.start()
     try:
         pool_test(x, fam, 0.05, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    return peak, 8 * n * d + 8 * B * n + 2 * poolmax.pooltest._BLOCK_BYTES
+
+
+def test_pool_test_memory_is_capped():
+    """At n=20, p=2000, d=4000 and B=1000 the dense indicator alone would
+    take 61 MiB and the B x d weighted sums 31 MiB."""
+    peak, cap = _pool_test_peak(20, 2000, 4000, 1000)
+    assert peak < cap
+
+
+def test_pool_test_memory_is_capped_at_n_250():
+    peak, cap = _pool_test_peak(250, 2000, 4000, 1000)
+    assert peak < cap
+
+
+def test_pool_test_makes_no_second_panel(monkeypatch):
+    """With 1 MiB blocks, which every block of this shape fits, the cap
+    leaves no room for a second n x d array (7.6 MiB), as a whole-array
+    variance makes."""
+    monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", 1 << 20)
+    peak, cap = _pool_test_peak(250, 500, 4000, 500)
+    assert peak < cap

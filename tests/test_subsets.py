@@ -55,6 +55,37 @@ def test_random_extension_inclusion_frequency():
     assert np.all(np.abs(freq - 0.49) < 0.02)
 
 
+def _choice_rows(p, q, count, rng):
+    """The reference draw: one `Generator.choice` call per row, then a sort."""
+    gen = rng.generator()
+    out = np.empty((count, q), dtype=np.int64)
+    for i in range(count):
+        out[i] = gen.choice(p, size=q, replace=False)
+    out.sort(axis=1)
+    return out + 1
+
+
+@pytest.mark.parametrize("p, q, count", [
+    # numpy's Floyd branch, drawn for all rows at once (q <= 64)
+    (100, 49, 300), (2000, 49, 500), (10000, 64, 50), (65, 64, 200), (5, 1, 50),
+    (3, 3, 40), (1, 1, 3), (7, 6, 1000), (100, 49, 0),
+    # the last Floyd step of a row draws from 2**31 + 1 values, where numpy's
+    # bounded draw rejects about half of the 32-bit words and draws again
+    (2**31 + 1, 5, 300),
+    (2**40 + 3, 3, 20),  # bounds past 32 bits
+    # numpy's Floyd branch, one choice call per row (q > 64)
+    (70, 65, 30), (10000, 200, 5), (20000, 400, 5),
+    # numpy's partial shuffle of range(p) (p > 10000 and q > p // 50)
+    (20000, 401, 3), (10001, 201, 3), (10001, 10001, 2),
+])
+def test_random_extension_equals_choice_rows(p, q, count):
+    for seed in range(2):
+        got = random_extension(p, q, count, RngSpec(seed, 1))
+        want = _choice_rows(p, q, count, RngSpec(seed, 1))
+        assert got.dtype == want.dtype and got.shape == want.shape == (count, q)
+        assert np.array_equal(got, want)
+
+
 def test_build_family_sizes_and_determinism():
     fam = build_family(5, 2, 5, RngSpec(0))
     assert np.array_equal(fam.members, circular_family(5, 2).members)
