@@ -146,10 +146,10 @@ def _studentized(y: np.ndarray) -> PooledPanel:
     if constant.any():
         raise DegenerateVarianceError(
             f"zero variance estimate (subset/column {constant.argmax()})")
-    total = y.sum(axis=0)
-    mean = total / n
     sigma_hat = np.empty(d)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        total = y.sum(axis=0)
+        mean = total / n
         for lo, hi in blocks:
             dev = y[:, lo:hi] - mean[lo:hi]
             np.multiply(dev, dev, out=dev)

@@ -149,12 +149,6 @@ def circular_family(p: int, q: int) -> SubsetFamily:
     return SubsetFamily(p=p, q=q, members=windows)
 
 
-# Longest row that `random_extension` draws for all rows at once.  Drawing
-# 2000 rows, the batch and the per-row `choice` calls tied at q = 64, p = 65;
-# at q = 99, p = 200 the batch took 3% longer, and at q = 149 a third longer.
-_FLOYD_MAX_Q = 64
-
-
 def random_extension(p: int, q: int, count: int, rng: RngSpec) -> np.ndarray:
     """(count, q) array of subsets drawn uniformly without replacement.
 
@@ -163,20 +157,19 @@ def random_extension(p: int, q: int, count: int, rng: RngSpec) -> np.ndarray:
     ``gen.choice(p, q, replace=False)`` of the i-th of count such calls on
     one generator, so a family is fixed by (p, q, d, rng).
 
-    Where numpy draws with Floyd's algorithm (p <= 10000 or q <= p // 50)
-    and rows are short (q <= 64), every row is drawn at once (`_floyd`):
-    one ``integers`` call takes, row by row, the bounded draws that each
-    ``choice`` call takes, Floyd's q and then the q - 1 of the shuffle
-    that closes it.  A short row costs a ``choice`` call far more than its
-    draws; a longer one is drawn faster by numpy's own loop, and numpy's
-    other branch, a partial shuffle of range(p), by ``choice`` itself.
+    Where numpy draws with Floyd's algorithm (p <= 10000 or q <= p // 50),
+    every row is drawn at once (`_floyd`): one ``integers`` call takes, row
+    by row, the bounded draws that each ``choice`` call takes, Floyd's q
+    and then the q - 1 of the shuffle that closes it.  Numpy's other
+    branch, a partial shuffle of range(p), keeps one ``choice`` call per
+    row.
     """
     if q < 1 or q > p:
         raise SubsetDesignError(f"need 1 <= q <= p, got p={p}, q={q}")
     if count < 0:
         raise ValueError("count must be non-negative")
     gen = rng.generator()
-    if q <= _FLOYD_MAX_Q and (p <= 10000 or q <= p // 50):
+    if p <= 10000 or q <= p // 50:
         bounds = np.concatenate([np.arange(p - q, p), np.arange(q - 1, 0, -1)])
         out = _floyd(gen.integers(0, bounds, size=(count, bounds.size), endpoint=True)[:, :q], p)
     else:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,16 @@ class TestVarianceOutOfRange:
         message = rf"^variance estimate {shown} is out of floating-point range{where}$"
         with pytest.raises(DegenerateVarianceError, match=message):
             self.TESTS[test](scale * self.X, self.CFG)
+
+    @pytest.mark.parametrize("test", TESTS.keys())
+    def test_overflowing_sums_raise_without_warning(self, test):
+        """Finite values whose column sums overflow raise the range error
+        and nothing else: the sums are taken where the variance is."""
+        x = 1e306 * (1 + np.random.default_rng(1).random((250, 6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVarianceError, match="^variance estimate inf "):
+                self.TESTS[test](x, self.CFG)
 
     @pytest.mark.parametrize("test", TESTS.keys())
     def test_scales_in_range_pass(self, test):

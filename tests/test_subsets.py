@@ -66,15 +66,14 @@ def _choice_rows(p, q, count, rng):
 
 
 @pytest.mark.parametrize("p, q, count", [
-    # numpy's Floyd branch, drawn for all rows at once (q <= 64)
+    # numpy's Floyd branch (p <= 10000 or q <= p // 50)
     (100, 49, 300), (2000, 49, 500), (10000, 64, 50), (65, 64, 200), (5, 1, 50),
     (3, 3, 40), (1, 1, 3), (7, 6, 1000), (100, 49, 0),
+    (70, 65, 30), (10000, 200, 5), (20000, 400, 5), (10000, 10000, 2),
     # the last Floyd step of a row draws from 2**31 + 1 values, where numpy's
     # bounded draw rejects about half of the 32-bit words and draws again
     (2**31 + 1, 5, 300),
     (2**40 + 3, 3, 20),  # bounds past 32 bits
-    # numpy's Floyd branch, one choice call per row (q > 64)
-    (70, 65, 30), (10000, 200, 5), (20000, 400, 5),
     # numpy's partial shuffle of range(p) (p > 10000 and q > p // 50)
     (20000, 401, 3), (10001, 201, 3), (10001, 10001, 2),
 ])
