@@ -120,8 +120,9 @@ def pooled_panel(x, fam: SubsetFamily) -> PooledPanel:
     if fam.p != p:
         raise PoolmaxError(f"family has p={fam.p}, panel has p={p}")
     y = np.empty((x.shape[0], fam.d))
-    for lo, hi in _blocks(fam.d, 8 * p):
-        np.matmul(x, fam.indicator(lo, hi), out=y[:, lo:hi])
+    with np.errstate(over="ignore", invalid="ignore"):  # `_studentized` checks the sums
+        for lo, hi in _blocks(fam.d, 8 * p):
+            np.matmul(x, fam.indicator(lo, hi), out=y[:, lo:hi])
     return _studentized(y)
 
 
@@ -135,17 +136,22 @@ def _studentized(y: np.ndarray) -> PooledPanel:
     bit, since numpy's axis-0 reduction adds the rows of a block of two or
     more columns in the same order as those of the whole array.
 
-    A constant column, or a variance that under- or overflows the float
-    range, would make a t-statistic infinite, zero or inexact; each raises
-    instead, the first constant column before the first bad variance.  A
-    subnormal variance counts as underflow: it has lost bits.
+    This is the one place that tells a degenerate pooled sum from an
+    out-of-range one.  A constant column of finite sums, or a variance that
+    under- or overflows the float range, would make a t-statistic infinite,
+    zero or inexact; each raises instead, the first constant column before
+    the first bad variance.  A column with a non-finite sum (the pooling
+    overflowed) is out of range, not constant.  A subnormal variance counts
+    as underflow: it has lost bits.  Messages name the column only when y
+    has more than one.
     """
     n, d = y.shape
+    where = " (subset/column {})" if d > 1 else ""
     blocks = _blocks(d, 8 * n)
     constant = np.concatenate([(y[:, lo:hi] == y[0, lo:hi]).all(axis=0) for lo, hi in blocks])
+    constant &= np.isfinite(y[0])
     if constant.any():
-        raise DegenerateVarianceError(
-            f"zero variance estimate (subset/column {constant.argmax()})")
+        raise DegenerateVarianceError(f"zero variance estimate{where.format(constant.argmax())}")
     sigma_hat = np.empty(d)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         total = y.sum(axis=0)
@@ -156,19 +162,13 @@ def _studentized(y: np.ndarray) -> PooledPanel:
             np.sum(dev, axis=0, out=sigma_hat[lo:hi])
         sigma_hat /= n
         scale = n * sigma_hat
-    bad = np.flatnonzero(~(np.isfinite(scale) & (sigma_hat >= _SMALLEST_NORMAL)))
+    bad = np.flatnonzero(~(np.isfinite(scale) & (sigma_hat >= np.finfo(np.float64).tiny)))
     if bad.size:
-        raise _out_of_range(sigma_hat[bad[0]], f" (subset/column {bad[0]})")
+        j = bad[0]
+        raise DegenerateVarianceError(f"variance estimate {float(sigma_hat[j])!r} is out of "
+                                      f"floating-point range{where.format(j)}")
     t_stats = total / np.sqrt(scale)
     return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
-
-
-_SMALLEST_NORMAL = np.finfo(np.float64).tiny
-
-
-def _out_of_range(sigma_hat, where="") -> DegenerateVarianceError:
-    return DegenerateVarianceError(
-        f"variance estimate {float(sigma_hat)!r} is out of floating-point range{where}")
 
 
 def max_statistic(panel: PooledPanel) -> float:
@@ -176,22 +176,16 @@ def max_statistic(panel: PooledPanel) -> float:
 
 
 def naive_test(x, alpha: float) -> TestResult:
-    """Studentized full row sum against the two-sided normal quantile."""
+    """The pooled statistic of one subset holding all p dimensions, i.e. the
+    studentized full row sum, against the two-sided normal quantile."""
     from scipy.special import ndtr, ndtri  # here, not above: only this test needs scipy
 
     x = validate_matrix(x)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    n = x.shape[0]
-    y = x.sum(axis=1)
-    if (y == y[0]).all():
-        raise DegenerateVarianceError("zero variance estimate")
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        sigma_hat = y.var()
-        scale = n * sigma_hat
-    if not (np.isfinite(scale) and sigma_hat >= _SMALLEST_NORMAL):
-        raise _out_of_range(sigma_hat)
-    t = float(y.sum() / np.sqrt(scale))
+    with np.errstate(over="ignore", invalid="ignore"):  # `_studentized` checks the sums
+        y = x.sum(axis=1)
+    t = float(_studentized(y[:, None]).t_stats[0])
     z = float(ndtri(1 - alpha / 2))
     p_value = float(2 * ndtr(-abs(t)))
     return TestResult(

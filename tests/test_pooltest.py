@@ -70,6 +70,16 @@ class TestNaive:
             got = [res.critical_value, res.p_value]
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_statistic_is_studentized_row_sum(self, scale):
+        """The naive statistic is `_studentized` on the one-column panel of
+        row sums, bit for bit: one studentization for all three tests."""
+        gen = np.random.default_rng([7, int(np.log10(scale)) + 200])
+        for n, p in [(2, 1), (3, 7), (250, 50), (1000, 3)]:
+            x = scale * (gen.standard_normal((n, p)) + gen.uniform(-1, 1))
+            want = poolmax.pooltest._studentized(x.sum(axis=1)[:, None]).t_stats[0]
+            assert naive_test(x, 0.05).statistic.hex() == float(want).hex()
+
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 6))
@@ -254,6 +264,9 @@ class TestMarginalOnColumns:
             marginal_test(x, 0.05, cfg)
         with pytest.raises(DegenerateVarianceError, match=message):
             pooled_panel(x, singleton_family(4))
+        # one column: the message names none
+        with pytest.raises(DegenerateVarianceError, match=r"^zero variance estimate$"):
+            marginal_test(x[:, 2:3], 0.05, cfg)
 
     def test_no_indicator_product(self, monkeypatch):
         def refuse(self):
@@ -304,6 +317,34 @@ class TestVarianceOutOfRange:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateVarianceError, match="^variance estimate inf "):
                 self.TESTS[test](x, self.CFG)
+
+    @pytest.mark.parametrize("test, scale, shape, where", [
+        ("pool", 1e307, (50, 100), r" \(subset/column 0\)"),
+        ("naive", 1e306, (50, 1000), ""),
+    ], ids=["pool", "naive"])
+    def test_overflowing_pooled_sums_are_out_of_range(self, test, scale, shape, where):
+        """Pooled sums that overflow to inf are out of range, not constant,
+        and the overflow of the pooling product or row sum warns nothing."""
+        x = scale * (1 + np.random.default_rng(3).random(shape))
+        fam = build_family(100, 49, 200, RngSpec(1))
+        message = rf"^variance estimate nan is out of floating-point range{where}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVarianceError, match=message):
+                if test == "pool":
+                    pool_test(x, fam, 0.05, self.CFG)
+                else:
+                    naive_test(x, 0.05)
+
+    def test_row_sums_of_both_signs_are_out_of_range(self):
+        """Partial sums that overflow to +inf and -inf add up to nan, and
+        that warns nothing either."""
+        x = np.tile([1e308, 1e308, -1e308, -1e308], (3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVarianceError,
+                               match="^variance estimate nan is out of floating-point range$"):
+                naive_test(x, 0.05)
 
     @pytest.mark.parametrize("test", TESTS.keys())
     def test_scales_in_range_pass(self, test):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from poolmax import RngSpec, build_family, circular_family, random_extension
 from poolmax.errors import NotCoprimeError, SubsetDesignError
+import poolmax.subsets
 from poolmax.subsets import SubsetFamily, verify_identifiability
 
 
@@ -101,6 +104,55 @@ def test_build_family_user_subsets():
     user = [(1, 3), (2, 5)]
     fam = build_family(5, 2, 8, RngSpec(1), user_subsets=user)
     assert fam.members[5].tolist() == [1, 3] and fam.members[6].tolist() == [2, 5]
+
+
+# sha256 of the members of build_family(p, q, d, RngSpec(seed), user), as
+# built when every block was checked on its own and again in the whole.
+FAMILY_DIGESTS = [
+    (6, 5, 12, 1, None, "42c8e44a51c618be1d29c439b18150b618e35fca7df526200a63063428ba345e"),
+    (100, 49, 200, 0, None, "0065f440386dcad2ca34292214a632983920ec8f86cf1e31110b3525b32eef17"),
+    (250, 49, 500, 7, None, "d8f8687b7a7e8e9009c9478178c4ac48c40bd0685e6b852f18683c097d053e3a"),
+    (2000, 49, 4000, 3, None, "4e719df4bad6013f52a41f7f0db33c365f941c24dd6648110af32f4eed642e6c"),
+    (7, 3, 20, 5, [[7, 1, 2], [3, 2, 1]],
+     "9ee96b74569c4287b03cbea0c04df9e8b9d1fedd105fba64a02613ad5280f75b"),
+    (10, 3, 15, 2, np.array([[10, 9, 8]], dtype=np.uint8),
+     "10f202302830b39c5917fffef5376a7b0dfceef2ac35a076b7780327f04c30d3"),
+    (13, 5, 40, 9, [(5, 4, 3, 2, 1)] * 20,
+     "fd2339550e6f9593993b671227660becec341d2b959c12b195d3cd7b0551fff9"),
+]
+
+
+@pytest.mark.parametrize("p, q, d, seed, user, digest", FAMILY_DIGESTS,
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in FAMILY_DIGESTS])
+def test_build_family_digests(p, q, d, seed, user, digest):
+    fam = build_family(p, q, d, RngSpec(seed), user_subsets=user)
+    assert fam.members.dtype == np.int64 and fam.members.shape == (d, q)
+    assert hashlib.sha256(fam.members.tobytes()).hexdigest() == digest
+
+
+def test_build_family_checks_each_row_once(monkeypatch):
+    """One design check and one family: its constructor sorts and checks
+    the windows, the user rows and the random rows together."""
+    calls = []
+    check_design, post_init = poolmax.subsets.check_design, SubsetFamily.__post_init__
+    monkeypatch.setattr(poolmax.subsets, "check_design",
+                        lambda *a: calls.append("design") or check_design(*a))
+    monkeypatch.setattr(SubsetFamily, "__post_init__",
+                        lambda self: calls.append(len(self.members)) or post_init(self))
+    build_family(7, 3, 20, RngSpec(5), user_subsets=[[7, 1, 2], [3, 2, 1]])
+    assert calls == ["design", 20]
+
+
+def test_family_constructor_copies_once():
+    m = np.random.default_rng(0).random((4000, 200)).argsort(axis=1)[:, :49] + 1
+    tracemalloc.start()
+    try:
+        fam = SubsetFamily(p=200, q=49, members=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(fam.members, np.sort(m, axis=1))
+    assert peak < 1.5 * m.nbytes  # two int64 copies at once took 2.0
 
 
 def test_family_json_roundtrip():
