@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,8 +68,9 @@ def validation_test(
     return pool_test(exceedance_matrix(u, r, theta0), fam, alpha, cfg)
 
 
-def score(r, x, theta: float, g: Callable = logistic):
-    """Strictly consistent quantile score (theta - 1{x>r}) g(r) + 1{x>r} g(x).
+def score(r, x, theta: float):
+    """Strictly consistent quantile score (theta - 1{x>r}) g(r) + 1{x>r} g(x),
+    with g the logistic function.
 
     In expectation the score is minimized when r is the quantile with
     exceedance probability theta, i.e. the (1-theta) quantile of x, so
@@ -85,14 +86,14 @@ def score(r, x, theta: float, g: Callable = logistic):
         i, j = np.argwhere(bad.reshape(len(bad) if bad.ndim > 1 else bad.size, -1))[0]
         raise NonFiniteError(int(i), int(j))
     hit = (x > r).astype(np.float64)
-    out = (theta - hit) * g(r) + hit * g(x)
+    out = (theta - hit) * logistic(r) + hit * logistic(x)
     return out if out.shape else float(out)
 
 
-def score_diff_matrix(u, r, r_star, theta0: float, g: Callable = logistic) -> np.ndarray:
+def score_diff_matrix(u, r, r_star, theta0: float) -> np.ndarray:
     """Entrywise score(r) - score(r_star); positive entries favor r_star."""
     u, r, r_star = _same_shape(u, r, r_star)
-    return score(r, u, theta0, g) - score(r_star, u, theta0, g)
+    return score(r, u, theta0) - score(r_star, u, theta0)
 
 
 def comparative_test(
@@ -104,7 +105,6 @@ def comparative_test(
     alpha: float,
     cfg: BootstrapConfig,
     one_sided: bool = False,
-    g: Callable = logistic,
 ) -> TestResult:
     """Equal-predictive-accuracy test between two forecast panels.
 
@@ -113,7 +113,7 @@ def comparative_test(
     quantile; rejection is evidence that r_star (the column method)
     outperforms r (the row method).
     """
-    diff = score_diff_matrix(u, r, r_star, theta0, g)
+    diff = score_diff_matrix(u, r, r_star, theta0)
     if not one_sided:
         return pool_test(diff, fam, alpha, cfg)
     if not 0 < alpha < 1:

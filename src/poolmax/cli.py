@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -175,17 +176,28 @@ _POSITIVE = _checked(_whole, lambda v: v >= 1, "an integer >= 1")
 _NONNEGATIVE = _checked(_whole, lambda v: v >= 0, "an integer >= 0")
 
 
-def _add_common(sp, with_design=True):
-    sp.add_argument("--in", dest="infile", required=True, help="input CSV panel")
-    sp.add_argument("--out", default=None, help="output path (default: stdout)")
-    sp.add_argument("--alpha", type=_LEVEL, default=0.05)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    if with_design:
-        sp.add_argument("--q", type=int, default=49, help="subset cardinality (default 49)")
-        sp.add_argument("--d", type=int, default=None, help="number of subsets (default 2p)")
-    sp.add_argument("--B", type=_POSITIVE, default=1000,
-                    help="bootstrap replicates (default 1000)")
-    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
+# Every flag, defined once.  A command lists the flags it takes in _COMMANDS,
+# with the settings it changes, if any.
+_FLAGS = {
+    "--in": dict(dest="infile", required=True, help="input CSV panel"),
+    "--returns": dict(required=True, help="CSV panel of realized losses"),
+    "--forecast": dict(action="append", required=True, metavar="NAME=PATH",
+                       help="named VaR forecast panel; repeatable"),
+    "--config": dict(required=True, help="JSON sweep configuration"),
+    "--p": dict(type=int, required=True, help="dimension"),
+    "--q": dict(type=int, default=49, help="subset cardinality (default %(default)s)"),
+    "--d": dict(type=int, default=None, help="number of subsets (default 2p)"),
+    "--theta0": dict(type=_LEVEL, default=0.01,
+                     help="target exceedance probability (default %(default)s)"),
+    "--u": dict(type=_TAIL, default=0.01, help="tail probability (default %(default)s)"),
+    "--alpha": dict(type=_LEVEL, default=0.05, help="test level (default %(default)s)"),
+    "--B": dict(type=_POSITIVE, default=1000,
+                help="bootstrap replicates (default %(default)s)"),
+    "--seed": dict(type=_NONNEGATIVE, default=0, help="random seed (default %(default)s)"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+    "--format": dict(choices=("json", "csv"), default="json",
+                     help="output format (default %(default)s)"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,84 +207,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("pool-test", help="subsets-based pooling max test")
-    _add_common(sp)
-
-    sp = sub.add_parser("naive-test", help="full-pooling normal test")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--alpha", type=_LEVEL, default=0.05)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sp = sub.add_parser("marginal-test", help="per-dimension max test baseline")
-    _add_common(sp, with_design=False)
-
-    sp = sub.add_parser("backtest", help="validation + comparative VaR backtests")
-    sp.add_argument("--returns", required=True, help="CSV panel of realized losses")
-    sp.add_argument(
-        "--forecast",
-        action="append",
-        required=True,
-        metavar="NAME=PATH",
-        help="named VaR forecast panel; repeatable",
-    )
-    sp.add_argument("--theta0", type=_LEVEL, default=0.01)
-    sp.add_argument("--q", type=int, default=49)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--alpha", type=_LEVEL, default=0.05)
-    sp.add_argument("--B", type=_POSITIVE, default=1000)
-    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
-
-    sp = sub.add_parser("taildep", help="upper tail-dependence matrix of residuals")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--u", type=_TAIL, default=0.01)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("subsets-check", help="design diagnostics for (p, q)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo size/power sweep")
-    sp.add_argument("--config", required=True, help="JSON sweep configuration")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
+    for name, (help_, _, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag in flags:
+            flag, changes = (flag, {}) if isinstance(flag, str) else flag
+            sp.add_argument(flag, **{**_FLAGS[flag], **changes})
     return parser
 
 
-def _result_text(res, fmt):
-    if fmt == "json":
-        return res.to_json(indent=2)
-    d = res.to_dict()
-    d.pop("per_subset_t", None)
-    lines = [",".join(d.keys()), ",".join(str(v) for v in d.values())]
-    return "\n".join(lines)
+def _csv_text(rows) -> str:
+    """rows as CSV text, each line ending in a bare newline; `csv` quotes a
+    field only where it must, so plain fields keep their bytes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
-def _cmd_pool_test(args, parser):
-    headers, x = ingest_panel(args.infile)
-    fam = _family(args, x.shape[1])
-    cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
-    res = pool_test(x, fam, args.alpha, cfg)
-    _write(args.out, _result_text(res, args.format))
-
-
-def _cmd_naive_test(args, parser):
+def _cmd_test(args, parser):
+    """pool-test, naive-test and marginal-test."""
     _, x = ingest_panel(args.infile)
-    res = naive_test(x, args.alpha)
-    _write(args.out, _result_text(res, args.format))
+    if args.command == "naive-test":
+        res = naive_test(x, args.alpha)
+    else:
+        cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
+        if args.command == "marginal-test":
+            res = marginal_test(x, args.alpha, cfg)
+        else:
+            res = pool_test(x, _family(args, x.shape[1]), args.alpha, cfg)
+    if args.format == "json":
+        _write(args.out, res.to_json(indent=2))
+    else:
+        d = res.to_dict()
+        d.pop("per_subset_t", None)
+        _write(args.out, _csv_text([d.keys(), map(str, d.values())]))
 
 
-def _cmd_marginal_test(args, parser):
-    _, x = ingest_panel(args.infile)
-    cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
-    res = marginal_test(x, args.alpha, cfg)
-    _write(args.out, _result_text(res, args.format))
+def _write_report(args, report):
+    """A BacktestReport or SweepResult as JSON, or as CSV to --out (`run`
+    has checked that it is given)."""
+    if args.format == "json":
+        _write(args.out, report.to_json(indent=2))
+    else:
+        report.to_csv(args.out)
 
 
 # Each command imports only the layers it computes with: simlab loads
@@ -282,8 +258,6 @@ def _cmd_marginal_test(args, parser):
 def _cmd_backtest(args, parser):
     from .backtest import full_backtest
 
-    if args.format == "csv" and args.out is None:
-        parser.error("csv backtest output requires --out")
     paths = {}
     for item in args.forecast:
         name, eq, path = item.partition("=")
@@ -307,11 +281,7 @@ def _cmd_backtest(args, parser):
     forecasts = {name: ingest_panel(path)[1] for name, path in paths.items()}
     fam = _family(args, u.shape[1])
     cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
-    report = full_backtest(u, forecasts, args.theta0, fam, args.alpha, cfg)
-    if args.format == "json":
-        _write(args.out, report.to_json(indent=2))
-    else:
-        report.to_csv(args.out)
+    _write_report(args, full_backtest(u, forecasts, args.theta0, fam, args.alpha, cfg))
 
 
 def _cmd_taildep(args, parser):
@@ -319,10 +289,8 @@ def _cmd_taildep(args, parser):
 
     headers, z = ingest_panel(args.infile)
     lam = tail_dependence(z, args.u)
-    lines = [",".join([""] + headers)]
-    for name, row in zip(headers, lam):
-        lines.append(",".join([name] + [f"{v:.6g}" for v in row]))
-    _write(args.out, "\n".join(lines))
+    rows = [[name] + [f"{v:.6g}" for v in row] for name, row in zip(headers, lam)]
+    _write(args.out, _csv_text([[""] + headers, *rows]))
 
 
 def _cmd_subsets_check(args, parser):
@@ -357,8 +325,6 @@ def _list_of(convert):
 def _cmd_simulate(args, parser):
     from .simlab import METHODS, MODELS, DgpSpec, run_sweep
 
-    if args.format == "csv" and args.out is None:
-        parser.error("csv sweep output requires --out")
     try:
         with open(args.config, encoding="utf-8") as f:
             cfg = json.load(f)
@@ -395,7 +361,7 @@ def _cmd_simulate(args, parser):
                     setting("stream_id", _NONNEGATIVE, 0)),
         alpha_n=setting("alpha_n", number, 0.01),
     )
-    result = run_sweep(
+    _write_report(args, run_sweep(
         spec,
         q_grid=setting("q_grid", grid, [49]),
         d_grid=setting("d_grid", grid, [2 * spec.p]),
@@ -403,29 +369,43 @@ def _cmd_simulate(args, parser):
         B=setting("B", _POSITIVE, 1000),
         mc_reps=setting("mc_reps", _NONNEGATIVE, 1000),
         methods=tuple(setting("methods", methods, METHODS)),
-    )
-    if args.format == "json":
-        _write(args.out, result.to_json(indent=2))
-    else:
-        result.to_csv(args.out)
+    ))
 
 
+_TEST_FLAGS = ["--in", "--out", "--alpha", "--format"]
+_CSV_DEFAULT = ("--format", {"default": "csv"})
+# name: (help, handler, flags in the order of the usage line)
 _COMMANDS = {
-    "pool-test": _cmd_pool_test,
-    "naive-test": _cmd_naive_test,
-    "marginal-test": _cmd_marginal_test,
-    "backtest": _cmd_backtest,
-    "taildep": _cmd_taildep,
-    "subsets-check": _cmd_subsets_check,
-    "simulate": _cmd_simulate,
+    "pool-test": ("subsets-based pooling max test", _cmd_test,
+                  [*_TEST_FLAGS, "--q", "--d", "--B", "--seed"]),
+    "naive-test": ("full-pooling normal test", _cmd_test, _TEST_FLAGS),
+    "marginal-test": ("per-dimension max test baseline", _cmd_test,
+                      [*_TEST_FLAGS, "--B", "--seed"]),
+    "backtest": ("validation + comparative VaR backtests", _cmd_backtest,
+                 ["--returns", "--forecast", "--theta0", "--q", "--d", "--alpha", "--B",
+                  "--seed", "--out", _CSV_DEFAULT]),
+    "taildep": ("upper tail-dependence matrix of residuals", _cmd_taildep,
+                ["--in", "--u", "--out"]),
+    "subsets-check": ("design diagnostics for (p, q)", _cmd_subsets_check,
+                      ["--p", ("--q", {"required": True, "default": None,
+                                       "help": "subset cardinality"}),
+                       ("--d", {"help": "build and report a family of d subsets"}),
+                       "--seed", "--out"]),
+    "simulate": ("Monte Carlo size/power sweep", _cmd_simulate,
+                 ["--config", "--out", _CSV_DEFAULT]),
 }
+# The commands whose csv the library writes to a path, and what they write.
+_CSV_NEEDS_OUT = {"backtest": "backtest", "simulate": "sweep"}
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    what = _CSV_NEEDS_OUT.get(args.command)
+    if what and args.format == "csv" and args.out is None:
+        parser.error(f"csv {what} output requires --out")
     try:
-        code = _COMMANDS[args.command](args, parser)
+        code = _COMMANDS[args.command][1](args, parser)
         return EXIT_OK if code is None else code
     except SubsetDesignError as e:
         print(f"poolmax: {e}", file=sys.stderr)

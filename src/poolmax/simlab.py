@@ -207,8 +207,18 @@ def run_sweep(
 
     Each repetition generates one dataset (shared across grid points) and
     applies every requested method at every grid point.  Fully
-    deterministic in (spec.rng, grids).
+    deterministic in (spec.rng, grids).  A repeated q, d or method, or an
+    unknown method, is a PoolmaxError before any repetition runs.
     """
+    for name, values in (("q_grid", q_grid), ("d_grid", d_grid), ("methods", methods)):
+        seen = set()
+        for v in values:
+            if v in seen:
+                raise PoolmaxError(f"{name} lists {v!r} more than once")
+            seen.add(v)
+    for m in methods:
+        if m not in METHODS:
+            raise PoolmaxError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
     grid = [(q, d) for q in q_grid for d in d_grid]
     for q, d in grid:
         check_design(spec.p, q, d)

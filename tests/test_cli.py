@@ -1,3 +1,5 @@
+import argparse
+import csv
 import io
 import json
 import os
@@ -331,6 +333,35 @@ def test_taildep_command(tmp_path):
     assert len(lines) == 4
 
 
+def _taildep_panel(tmp_path, header):
+    gen = np.random.default_rng(5)
+    z = gen.standard_normal((300, 1)) + gen.standard_normal((300, 3))
+    p = tmp_path / "z.csv"
+    p.write_text(header + "\n" + "\n".join(",".join(map(repr, r)) for r in z.tolist()) + "\n")
+    return p
+
+
+def test_taildep_plain_names_keep_their_bytes(tmp_path, capsys):
+    assert run(["taildep", "--in", str(_taildep_panel(tmp_path, "x,y,w")), "--u", "0.1"]) == 0
+    assert capsys.readouterr().out == (",x,y,w\nx,1,0.433333,0.4\ny,0.433333,1,0.5\n"
+                                       "w,0.4,0.5,1\n")
+
+
+def test_taildep_quotes_names_as_csv(tmp_path):
+    """A name holding a comma or a quote reads back whole: a square matrix."""
+    out = tmp_path / "lam.csv"
+    panel = _taildep_panel(tmp_path, '"a,b","d""e",c')
+    assert run(["taildep", "--in", str(panel), "--u", "0.1", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    names = ["a,b", 'd"e', "c"]
+    assert rows[0] == ["", *names]
+    assert [r[0] for r in rows[1:]] == names
+    assert [len(r) for r in rows] == [4, 4, 4, 4]
+    assert [r[1:] for r in rows[1:]] == [["1", "0.433333", "0.4"], ["0.433333", "1", "0.5"],
+                                         ["0.4", "0.5", "1"]]
+
+
 SWEEP_CONFIG = {
     "model": "B1", "n": 60, "p": 9, "p0": 2, "under_null": True,
     "seed": 3, "q_grid": [2], "d_grid": [18], "alpha": 0.1,
@@ -478,6 +509,9 @@ EXIT_CODE_TABLE = {
     "p0-too-large": (["simulate", "--config", "{cfg}", "--format", "json"],
                      {"cfg": json.dumps({**SWEEP_CONFIG, "p0": 5})},
                      EXIT_DATA, "p0=5 too large for p=9"),
+    "q-grid-repeated": (["simulate", "--config", "{cfg}", "--format", "json"],
+                        {"cfg": json.dumps({**SWEEP_CONFIG, "q_grid": [7, 7]})},
+                        EXIT_DATA, "q_grid lists 7 more than once"),
 }
 
 
@@ -591,3 +625,75 @@ def test_forecast_name_repeated_or_empty_exits_2_before_reading(capsys, forecast
         argv += ["--forecast", item]
     assert _exit_code(argv) == EXIT_USAGE
     assert f"poolmax: error: {message}" in capsys.readouterr().err
+
+
+# Each subcommand's flags as the parser declared them before they were
+# defined in one table: (option strings, dest, default, required, choices,
+# action class), in the order of the usage line.
+PARSER_FLAGS = {
+    "pool-test": [
+        (("--in",), "infile", None, True, None, "_StoreAction"),
+        (("--out",), "out", None, False, None, "_StoreAction"),
+        (("--alpha",), "alpha", 0.05, False, None, "_StoreAction"),
+        (("--format",), "format", "json", False, ("json", "csv"), "_StoreAction"),
+        (("--q",), "q", 49, False, None, "_StoreAction"),
+        (("--d",), "d", None, False, None, "_StoreAction"),
+        (("--B",), "B", 1000, False, None, "_StoreAction"),
+        (("--seed",), "seed", 0, False, None, "_StoreAction"),
+    ],
+    "naive-test": [
+        (("--in",), "infile", None, True, None, "_StoreAction"),
+        (("--out",), "out", None, False, None, "_StoreAction"),
+        (("--alpha",), "alpha", 0.05, False, None, "_StoreAction"),
+        (("--format",), "format", "json", False, ("json", "csv"), "_StoreAction"),
+    ],
+    "marginal-test": [
+        (("--in",), "infile", None, True, None, "_StoreAction"),
+        (("--out",), "out", None, False, None, "_StoreAction"),
+        (("--alpha",), "alpha", 0.05, False, None, "_StoreAction"),
+        (("--format",), "format", "json", False, ("json", "csv"), "_StoreAction"),
+        (("--B",), "B", 1000, False, None, "_StoreAction"),
+        (("--seed",), "seed", 0, False, None, "_StoreAction"),
+    ],
+    "backtest": [
+        (("--returns",), "returns", None, True, None, "_StoreAction"),
+        (("--forecast",), "forecast", None, True, None, "_AppendAction"),
+        (("--theta0",), "theta0", 0.01, False, None, "_StoreAction"),
+        (("--q",), "q", 49, False, None, "_StoreAction"),
+        (("--d",), "d", None, False, None, "_StoreAction"),
+        (("--alpha",), "alpha", 0.05, False, None, "_StoreAction"),
+        (("--B",), "B", 1000, False, None, "_StoreAction"),
+        (("--seed",), "seed", 0, False, None, "_StoreAction"),
+        (("--out",), "out", None, False, None, "_StoreAction"),
+        (("--format",), "format", "csv", False, ("json", "csv"), "_StoreAction"),
+    ],
+    "taildep": [
+        (("--in",), "infile", None, True, None, "_StoreAction"),
+        (("--u",), "u", 0.01, False, None, "_StoreAction"),
+        (("--out",), "out", None, False, None, "_StoreAction"),
+    ],
+    "subsets-check": [
+        (("--p",), "p", None, True, None, "_StoreAction"),
+        (("--q",), "q", None, True, None, "_StoreAction"),
+        (("--d",), "d", None, False, None, "_StoreAction"),
+        (("--seed",), "seed", 0, False, None, "_StoreAction"),
+        (("--out",), "out", None, False, None, "_StoreAction"),
+    ],
+    "simulate": [
+        (("--config",), "config", None, True, None, "_StoreAction"),
+        (("--out",), "out", None, False, None, "_StoreAction"),
+        (("--format",), "format", "csv", False, ("json", "csv"), "_StoreAction"),
+    ],
+}
+
+
+def test_each_subcommand_keeps_its_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [(tuple(a.option_strings), a.dest, a.default, a.required, a.choices,
+                type(a).__name__)
+               for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sp in sub.choices.items()
+    }
+    assert got == PARSER_FLAGS

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from poolmax import RngSpec, run_sweep
+from poolmax import RngSpec, run_sweep, simlab
 from poolmax.errors import NotCoprimeError, PoolmaxError
 from poolmax.simlab import (
     DgpSpec,
@@ -126,6 +128,24 @@ def test_run_sweep_rejects_non_coprime_q():
     spec = DgpSpec("A1", 50, 10, 2, True, RngSpec(8))
     with pytest.raises(NotCoprimeError):
         run_sweep(spec, [5], [20], mc_reps=1)
+
+
+@pytest.mark.parametrize("q_grid, d_grid, methods, message", [
+    ([7, 7], [40], ("naive",), "q_grid lists 7 more than once"),
+    ([3, 7, 3], [40], ("naive",), "q_grid lists 3 more than once"),
+    ([7], [40, 20, 40], ("naive",), "d_grid lists 40 more than once"),
+    ([7], [40], ("naive", "marginal", "naive"), "methods lists 'naive' more than once"),
+    ([7], [40], ("nave",), "unknown method 'nave'; expected one of subsets-pool, naive, marginal"),
+], ids=["q", "q-apart", "d", "method", "unknown-method"])
+def test_run_sweep_rejects_repeated_or_unknown_before_any_rep(monkeypatch, q_grid, d_grid,
+                                                               methods, message):
+    def no_rep(*args):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(simlab, "generate_panel", no_rep)
+    spec = DgpSpec("B1", 40, 20, 2, True, RngSpec(8))
+    with pytest.raises(PoolmaxError, match=f"^{re.escape(message)}$"):
+        run_sweep(spec, q_grid, d_grid, B=10, mc_reps=2, methods=methods)
 
 
 def test_sweep_csv(tmp_path):
