@@ -150,7 +150,11 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
 
     Empirical CDF via ranks/n; a point is in the upper tail when its
     rank-CDF strictly exceeds 1 - u, so the top observation always
-    qualifies.  Entry (j1, j2) is the joint tail count over n*u.
+    qualifies.  Entry (j1, j2) is the joint tail count over the number of
+    ranks r in 1..n whose r/n passes the same test.  A column without ties
+    has exactly that many tail points, so its diagonal entry is 1 and its
+    entries with other such columns are at most 1; tied values that share
+    an average rank in the tail can put more points there.
     """
     z = validate_matrix(zhat)
     n = z.shape[0]
@@ -160,7 +164,8 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
         raise PoolmaxError("need n * u >= 1")
     cdf = _average_ranks(z) / n
     hits = (cdf > 1.0 - u).astype(np.float64)
-    return (hits.T @ hits) / (n * u)
+    tail = np.count_nonzero(np.arange(1, n + 1) / n > 1.0 - u)
+    return (hits.T @ hits) / tail
 
 
 @dataclass

@@ -217,10 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _csv_text(rows) -> str:
     """rows as CSV text, each line ending in a bare newline; `csv` quotes a
-    field only where it must, so plain fields keep their bytes."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    field only where it must, so plain fields keep their bytes.
+
+    Each row is written with a CRLF terminator and the CRLF is then cut to
+    a newline: before Python 3.12, `csv` quotes a field that holds a bare
+    CR only when CR is in the terminator."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def _cmd_test(args, parser):

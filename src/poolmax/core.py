@@ -121,24 +121,40 @@ def _philox_keys(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
 
 def substream_normals(rng: RngSpec, replicates: int, n: int) -> np.ndarray:
     """A (replicates, n) matrix whose row b is
-    ``substream(rng, b).generator().standard_normal(n)``, byte for byte.
+    ``substream(rng, b).generator().standard_normal(n)``, byte for byte."""
+    return _keyed_normals(_substream_keys(rng, replicates), n)
 
-    The Philox keys of all rows are derived in one vectorized pass over the
-    stream ids, grouped by how many 32-bit words an id takes.  One Philox
-    generator is then reset to each key with a zero counter and an empty
+
+def _substream_keys(rng: RngSpec, replicates: int) -> np.ndarray:
+    """Row b: the Philox key of ``substream(rng, b).generator()``.
+
+    The keys are derived in one vectorized pass per id width.  The stream
+    ids increase with b, so the ids that take w 32-bit words are one run of
+    rows, found by bisection.
+    """
+    ids = _cantor(rng.stream_id, np.arange(replicates, dtype=object))
+    keys = np.empty((replicates, 2), dtype=np.uint64)
+    widths = _n_words(ids[-1]) if replicates else 0
+    lo = 0
+    for w in range(1, widths + 1):
+        hi = int(np.searchsorted(ids, 1 << (32 * w)))  # the first id wider than w words
+        if hi > lo:
+            keys[lo:hi] = _philox_keys(rng.seed, ids[lo:hi], w)
+        lo = hi
+    return keys
+
+
+def _keyed_normals(keys: np.ndarray, n: int) -> np.ndarray:
+    """Row i: ``standard_normal(n)`` of a fresh Philox generator with key keys[i].
+
+    One generator is reset to each key with a zero counter and an empty
     buffer, the state of a freshly built one, and draws straight into its
     row.
     """
-    ids = _cantor(rng.stream_id, np.arange(replicates, dtype=object))
-    n_words = np.array([_n_words(i) for i in ids], dtype=np.int64)
-    keys = np.empty((replicates, 2), dtype=np.uint64)
-    for k in set(n_words.tolist()):
-        rows = n_words == k
-        keys[rows] = _philox_keys(rng.seed, ids[rows], k)
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
-    xi = np.empty((replicates, n))
+    xi = np.empty((len(keys), n))
     for key, row in zip(keys, xi):
         fresh["state"]["key"] = key
         bitgen.state = fresh

@@ -20,7 +20,13 @@ from scipy.special import ndtr, ndtri
 
 from .core import RngSpec, substream, validate_matrix
 from .errors import PoolmaxError
-from .pooltest import BootstrapConfig, marginal_test, naive_test, pool_test
+from .pooltest import (
+    BootstrapConfig,
+    _bootstrap_rejects,
+    _studentized,
+    naive_test,
+    pooled_panel,
+)
 from .subsets import build_family, check_design
 
 __all__ = [
@@ -207,8 +213,13 @@ def run_sweep(
 
     Each repetition generates one dataset (shared across grid points) and
     applies every requested method at every grid point.  Fully
-    deterministic in (spec.rng, grids).  A repeated q, d or method, or an
-    unknown method, is a PoolmaxError before any repetition runs.
+    deterministic in (spec.rng, grids).  A repeated q, d or method, an
+    unknown method, an alpha outside (0, 1) or, for a bootstrap method, a
+    B below 1 raises before any repetition runs.
+
+    The pool and marginal verdicts are those of `pool_test` and
+    `marginal_test`, but each bootstrap stops drawing replicates once its
+    verdict is fixed (`_bootstrap_rejects`).
     """
     for name, values in (("q_grid", q_grid), ("d_grid", d_grid), ("methods", methods)):
         seen = set()
@@ -219,6 +230,10 @@ def run_sweep(
     for m in methods:
         if m not in METHODS:
             raise PoolmaxError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+    if "marginal" in methods or "subsets-pool" in methods:
+        BootstrapConfig(rng=spec.rng, replicates=B)  # checks B
     grid = [(q, d) for q in q_grid for d in d_grid]
     for q, d in grid:
         check_design(spec.p, q, d)
@@ -234,7 +249,7 @@ def run_sweep(
                     counts[(q, d, "naive")] += 1
         if "marginal" in methods:
             cfg = BootstrapConfig(rng=substream(rep_rng, 1), replicates=B)
-            if marginal_test(x, alpha, cfg).reject:
+            if _bootstrap_rejects(_studentized(x), alpha, cfg):
                 for q, d in grid:
                     counts[(q, d, "marginal")] += 1
         if "subsets-pool" in methods:
@@ -243,7 +258,7 @@ def run_sweep(
                 cfg = BootstrapConfig(
                     rng=substream(rep_rng, 3 + 2 * g), replicates=B
                 )
-                if pool_test(x, fam, alpha, cfg).reject:
+                if _bootstrap_rejects(pooled_panel(x, fam), alpha, cfg):
                     counts[(q, d, "subsets-pool")] += 1
     result = SweepResult()
     for q, d in grid:

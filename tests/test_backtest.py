@@ -139,6 +139,14 @@ class TestTailDependence:
         assert np.allclose(lam, lam.T)
         assert lam.min() >= 0 and lam.max() <= 1 + 1e-12
 
+    def test_never_exceeds_one(self):
+        # n * u = 1.2: ranks 5 and 6 of 6 pass r/n > 0.8, and a divisor of
+        # n * u put 2 / 1.2 on the diagonal
+        z = np.random.default_rng(11).standard_normal((6, 3))
+        lam = tail_dependence(z, 0.2)
+        assert np.array_equal(np.diag(lam), np.ones(3))
+        assert lam.max() <= 1
+
     def test_independent_columns(self):
         z = np.random.default_rng(8).standard_normal((10**5, 2))
         lam = tail_dependence(z, 0.01)

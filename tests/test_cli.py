@@ -348,18 +348,20 @@ def test_taildep_plain_names_keep_their_bytes(tmp_path, capsys):
 
 
 def test_taildep_quotes_names_as_csv(tmp_path):
-    """A name holding a comma or a quote reads back whole: a square matrix."""
+    """A name holding a comma, a quote, a CR or a LF reads back whole: a
+    square matrix.  Before Python 3.12, `csv` wrote a bare CR unquoted."""
     out = tmp_path / "lam.csv"
-    panel = _taildep_panel(tmp_path, '"a,b","d""e",c')
-    assert run(["taildep", "--in", str(panel), "--u", "0.1", "--out", str(out)]) == 0
-    with open(out, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
-    names = ["a,b", 'd"e', "c"]
-    assert rows[0] == ["", *names]
-    assert [r[0] for r in rows[1:]] == names
-    assert [len(r) for r in rows] == [4, 4, 4, 4]
-    assert [r[1:] for r in rows[1:]] == [["1", "0.433333", "0.4"], ["0.433333", "1", "0.5"],
-                                         ["0.4", "0.5", "1"]]
+    for header, names in [('"a,b","d""e",c', ["a,b", 'd"e', "c"]),
+                          ('"a\rb","c\nd",e', ["a\rb", "c\nd", "e"])]:
+        panel = _taildep_panel(tmp_path, header)
+        assert run(["taildep", "--in", str(panel), "--u", "0.1", "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["", *names]
+        assert [r[0] for r in rows[1:]] == names
+        assert [len(r) for r in rows] == [4, 4, 4, 4]
+        assert [r[1:] for r in rows[1:]] == [["1", "0.433333", "0.4"],
+                                             ["0.433333", "1", "0.5"], ["0.4", "0.5", "1"]]
 
 
 SWEEP_CONFIG = {

@@ -21,14 +21,22 @@ from poolmax import (
     pool_test,
     pooled_panel,
 )
-from poolmax.core import substream_normals, validate_matrix
+from poolmax.core import _keyed_normals, substream_normals, validate_matrix
 from poolmax.errors import (
     DegenerateStatisticError,
     DegenerateVarianceError,
     PoolmaxError,
     SubsetDesignError,
 )
-from poolmax.pooltest import PooledPanel, _blocks, _bootstrap_result, _weighted_max
+from poolmax.pooltest import (
+    _FIRST_CHUNK,
+    PooledPanel,
+    _blocks,
+    _bootstrap_rejects,
+    _bootstrap_result,
+    _order_index,
+    _weighted_max,
+)
 from poolmax.subsets import build_family
 
 
@@ -222,6 +230,108 @@ class TestPoolTest:
         x2 = np.column_stack([x[:, 0] + [0.1, 0.2, 0.3, 0.4]] * 2)
         res = marginal_test(x2, 0.05, cfg)
         assert res.per_subset_t[0] == res.per_subset_t[1]
+
+
+class TestEarlyStoppingVerdict:
+    """`_bootstrap_rejects` gives the verdict of the full bootstrap."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(10, 80), p=st.sampled_from([5, 7]), seed=st.integers(0, 2**16),
+           shift=st.sampled_from([0.0, 0.2, 0.5]), B=st.sampled_from([1, 2, 10, 1000]),
+           alpha=st.sampled_from([0.01, 0.05, 0.5, 0.99]), one_sided=st.booleans(),
+           marginal=st.booleans())
+    def test_same_verdict_as_the_tests(self, n, p, seed, shift, B, alpha, one_sided, marginal):
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((n, p)) + shift * gen.choice([-1.0, 1.0], p)
+        fam = singleton_family(p) if marginal else build_family(p, 3, 2 * p, RngSpec(seed))
+        panel = pooled_panel(x, fam)
+        cfg = BootstrapConfig(rng=RngSpec(seed, 3), replicates=B)
+        if one_sided:
+            draws = multiplier_bootstrap(panel, cfg, one_sided=True)
+            want = _bootstrap_result(panel, alpha, draws, "", one_sided=True).reject
+        elif marginal:
+            want = marginal_test(x, alpha, cfg).reject
+        else:
+            want = pool_test(x, fam, alpha, cfg).reject
+        assert _bootstrap_rejects(panel, alpha, cfg, one_sided) == want
+
+    @pytest.mark.parametrize("one_sided", [False, True])
+    def test_statistic_next_to_the_critical_draw(self, one_sided):
+        """B is one more than the first chunk, k is the rank of the last
+        draw, and the statistic lies just above or just below that draw:
+        the first chunk leaves the verdict open and the last draw decides."""
+        B = _FIRST_CHUNK + 1
+        x = np.random.default_rng(13).standard_normal((100, 9))
+        panel = pooled_panel(x, build_family(9, 4, 18, RngSpec(1)))
+        cfg = BootstrapConfig(rng=RngSpec(6), replicates=B)
+        draws = multiplier_bootstrap(panel, cfg, one_sided)
+        d = np.sort(draws)
+        k = int(np.count_nonzero(d <= draws[-1]))
+        assert 2 <= k < B
+        alpha = 1 - (k - 0.5) / (B + 1)
+        assert _order_index(alpha, B) == k
+        for stat, want in [((d[k - 1] + d[k]) / 2, True), ((d[k - 2] + d[k - 1]) / 2, False)]:
+            at = PooledPanel(y=panel.y, sigma_hat=panel.sigma_hat, t_stats=np.full(panel.d, stat))
+            assert _bootstrap_result(at, alpha, draws, "", one_sided).reject == want
+            assert _bootstrap_rejects(at, alpha, cfg, one_sided) == want
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_falls_back_to_the_full_bootstrap(self, monkeypatch, shift):
+        x = np.random.default_rng(11).standard_normal((200, 10)) + shift
+        fam = build_family(10, 3, 20, RngSpec(1))
+        panel = pooled_panel(x, fam)
+        cfg = BootstrapConfig(rng=RngSpec(2), replicates=500)
+        want = pool_test(x, fam, 0.05, cfg).reject
+        assert want == bool(shift)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return multiplier_bootstrap(*args)
+
+        monkeypatch.setattr(poolmax.pooltest, "multiplier_bootstrap", counted)
+        assert _bootstrap_rejects(panel, 0.05, cfg) == want and calls == []
+        monkeypatch.setattr(poolmax.pooltest, "_MARGIN_SLACK", np.inf)
+        assert _bootstrap_rejects(panel, 0.05, cfg) == want and len(calls) == 1
+
+    def test_stops_drawing_once_the_verdict_is_fixed(self, monkeypatch):
+        drawn = []
+
+        def counted(keys, n):
+            drawn.append(len(keys))
+            return _keyed_normals(keys, n)
+
+        monkeypatch.setattr(poolmax.pooltest, "_keyed_normals", counted)
+        gen = np.random.default_rng(12)
+        fam = build_family(20, 7, 40, RngSpec(1))
+        cfg = BootstrapConfig(rng=RngSpec(4), replicates=1000)
+        panel = pooled_panel(gen.standard_normal((300, 20)), fam)
+        assert not _bootstrap_rejects(panel, 0.05, cfg)
+        assert sum(drawn) < 300
+        drawn.clear()
+        # every draw lies below this statistic, so the k-th one decides
+        panel = pooled_panel(gen.standard_normal((300, 20)) + 1.0, fam)
+        assert _bootstrap_rejects(panel, 0.05, cfg)
+        k = _order_index(0.05, 1000)
+        assert drawn == [_FIRST_CHUNK, k - _FIRST_CHUNK]
+
+
+@pytest.mark.parametrize("n, p, d", [(500, 100, 200), (500, 100, 201), (37, 60, 333), (120, 9, 64)])
+def test_chunked_draws_lie_within_the_certified_bound(n, p, d):
+    """A chunk's draws differ from the full product's by at most
+    2 gamma_n |xi_b| max_l |y_l| / scale_l plus a few roundoffs, the bound
+    `_bootstrap_rejects` relies on, whether or not BLAS keeps every bit."""
+    gen = np.random.default_rng(n * d)
+    panel = pooled_panel(gen.standard_normal((n, p)), _random_family(gen, p, (p - 1) // 2, d))
+    xi = substream_normals(RngSpec(d), 300, n)
+    u = np.finfo(np.float64).eps / 2
+    c = (np.linalg.norm(panel.y, axis=0) / np.sqrt(n * panel.sigma_hat)).max()
+    for one_sided in (False, True):
+        full = _weighted_max(panel, xi, one_sided)
+        chunked = np.concatenate([_weighted_max(panel, xi[lo:hi], one_sided)
+                                  for lo, hi in [(0, 64), (64, 65), (65, 190), (190, 300)]])
+        bound = 2 * n * u / (1 - n * u) * c * np.linalg.norm(xi, axis=1) + 4 * u * np.abs(full)
+        assert np.all(np.abs(full - chunked) <= bound)
 
 
 def _marginal_by_pooling(x, alpha, cfg):

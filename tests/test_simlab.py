@@ -3,8 +3,17 @@ import re
 import numpy as np
 import pytest
 
-from poolmax import RngSpec, run_sweep, simlab
-from poolmax.errors import NotCoprimeError, PoolmaxError
+from poolmax import (
+    BootstrapConfig,
+    RngSpec,
+    build_family,
+    marginal_test,
+    pool_test,
+    run_sweep,
+    simlab,
+    substream,
+)
+from poolmax.errors import DegenerateVarianceError, NotCoprimeError, PoolmaxError
 from poolmax.simlab import (
     DgpSpec,
     g_transform,
@@ -130,6 +139,15 @@ def test_run_sweep_rejects_non_coprime_q():
         run_sweep(spec, [5], [20], mc_reps=1)
 
 
+@pytest.fixture
+def no_reps(monkeypatch):
+    """Make any repetition of run_sweep fail."""
+    def no_rep(*args):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(simlab, "generate_panel", no_rep)
+
+
 @pytest.mark.parametrize("q_grid, d_grid, methods, message", [
     ([7, 7], [40], ("naive",), "q_grid lists 7 more than once"),
     ([3, 7, 3], [40], ("naive",), "q_grid lists 3 more than once"),
@@ -137,15 +155,67 @@ def test_run_sweep_rejects_non_coprime_q():
     ([7], [40], ("naive", "marginal", "naive"), "methods lists 'naive' more than once"),
     ([7], [40], ("nave",), "unknown method 'nave'; expected one of subsets-pool, naive, marginal"),
 ], ids=["q", "q-apart", "d", "method", "unknown-method"])
-def test_run_sweep_rejects_repeated_or_unknown_before_any_rep(monkeypatch, q_grid, d_grid,
+def test_run_sweep_rejects_repeated_or_unknown_before_any_rep(no_reps, q_grid, d_grid,
                                                                methods, message):
-    def no_rep(*args):
-        raise AssertionError("a repetition ran")
-
-    monkeypatch.setattr(simlab, "generate_panel", no_rep)
     spec = DgpSpec("B1", 40, 20, 2, True, RngSpec(8))
     with pytest.raises(PoolmaxError, match=f"^{re.escape(message)}$"):
         run_sweep(spec, q_grid, d_grid, B=10, mc_reps=2, methods=methods)
+
+
+@pytest.mark.parametrize("alpha, B, methods, message", [
+    (0.0, 10, ("naive",), "alpha must lie in (0, 1)"),
+    (1.0, 10, ("subsets-pool", "naive", "marginal"), "alpha must lie in (0, 1)"),
+    (0.05, 0, ("marginal",), "need at least one bootstrap replicate"),
+    (0.05, 0, ("naive", "subsets-pool"), "need at least one bootstrap replicate"),
+], ids=["alpha-0", "alpha-1", "B-marginal", "B-pool"])
+@pytest.mark.parametrize("mc_reps", [0, 2])
+def test_run_sweep_checks_alpha_and_B_before_any_rep(no_reps, alpha, B, methods, message,
+                                                     mc_reps):
+    spec = DgpSpec("B1", 40, 20, 2, True, RngSpec(8))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(spec, [7], [40], alpha=alpha, B=B, mc_reps=mc_reps, methods=methods)
+
+
+def test_run_sweep_needs_no_B_without_a_bootstrap():
+    spec = DgpSpec("B1", 40, 20, 2, True, RngSpec(8))
+    assert len(run_sweep(spec, [7], [40], B=0, mc_reps=2, methods=("naive",)).rows) == 1
+
+
+def _verdicts_by_the_tests(spec, q, d, alpha, B):
+    """Repetition 0 of run_sweep, through pool_test and marginal_test:
+    method -> '1' or '0', or 'E' where the test raised DegenerateVarianceError."""
+    rep_rng = substream(spec.rng, 0)
+    x = generate_panel(spec, substream(rep_rng, 0))
+    fam = build_family(spec.p, q, d, substream(rep_rng, 2))
+    tests = {"marginal": lambda: marginal_test(x, alpha, BootstrapConfig(substream(rep_rng, 1), B)),
+             "subsets-pool": lambda: pool_test(x, fam, alpha,
+                                               BootstrapConfig(substream(rep_rng, 3), B))}
+    out = {}
+    for m, test in tests.items():
+        try:
+            out[m] = str(int(test().reject))
+        except DegenerateVarianceError:
+            out[m] = "E"
+    return out
+
+
+@pytest.mark.parametrize("model", ["A1", "A2", "B1", "B2"])
+@pytest.mark.parametrize("under_null", [True, False], ids=["null", "alternative"])
+def test_run_sweep_verdicts_equal_the_tests(model, under_null):
+    """run_sweep stops each bootstrap early, with the verdicts of the tests."""
+    seen = set()
+    for seed in range(6):
+        spec = DgpSpec(model, 400, 20, 4, under_null, RngSpec(seed))
+        want = _verdicts_by_the_tests(spec, 7, 40, 0.05, 400)
+        for m, verdict in want.items():
+            try:
+                rate = run_sweep(spec, [7], [40], B=400, mc_reps=1, methods=(m,)).rate(7, 40, m)
+                got = str(int(rate))
+            except DegenerateVarianceError:
+                got = "E"
+            assert got == verdict, (seed, m)
+            seen.add(verdict)
+    assert ("0" if under_null else "1") in seen
 
 
 def test_sweep_csv(tmp_path):
