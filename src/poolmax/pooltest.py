@@ -250,11 +250,9 @@ _FIRST_CHUNK = 64
 _MARGIN_SLACK = 2.0
 
 
-def _bootstrap_rejects(panel: PooledPanel, alpha: float, cfg: BootstrapConfig,
-                       one_sided: bool = False) -> bool:
+def _bootstrap_rejects(panel: PooledPanel, alpha: float, cfg: BootstrapConfig) -> bool:
     """The verdict of ``_bootstrap_result(panel, alpha, multiplier_bootstrap(
-    panel, cfg, one_sided), ..., one_sided)``, drawing replicates only until
-    it is fixed.
+    panel, cfg), ...)``, drawing replicates only until it is fixed.
 
     The statistic rejects iff at least k of the B draws lie below it
     (`_order_index`).  Replicates are drawn in order, in chunks, from the
@@ -274,7 +272,7 @@ def _bootstrap_rejects(panel: PooledPanel, alpha: float, cfg: BootstrapConfig,
     """
     B = cfg.replicates
     k = _order_index(alpha, B)
-    stat = float(panel.t_stats.max()) if one_sided else max_statistic(panel)
+    stat = max_statistic(panel)
     n = panel.n
     u = np.finfo(np.float64).eps / 2
     gamma = n * u / (1 - n * u)
@@ -285,12 +283,12 @@ def _bootstrap_rejects(panel: PooledPanel, alpha: float, cfg: BootstrapConfig,
     hi = min(B, _FIRST_CHUNK)
     while True:
         xi = _keyed_normals(keys[lo:hi], n)
-        draws = _weighted_max(panel, xi, one_sided)
+        draws = _weighted_max(panel, xi)
         bound = 2 * gamma * c * np.sqrt(np.einsum("ij,ij->i", xi, xi)) \
             + 4 * u * (abs(stat) + np.abs(draws))
         if not (np.abs(draws - stat) > _MARGIN_SLACK * bound).all():
-            draws = multiplier_bootstrap(panel, cfg, one_sided)
-            return _bootstrap_result(panel, alpha, draws, "", one_sided).reject
+            draws = multiplier_bootstrap(panel, cfg)
+            return _bootstrap_result(panel, alpha, draws, "").reject
         n_below = int(np.count_nonzero(draws < stat))
         below += n_below
         above += hi - lo - n_below

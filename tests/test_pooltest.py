@@ -238,25 +238,20 @@ class TestEarlyStoppingVerdict:
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(10, 80), p=st.sampled_from([5, 7]), seed=st.integers(0, 2**16),
            shift=st.sampled_from([0.0, 0.2, 0.5]), B=st.sampled_from([1, 2, 10, 1000]),
-           alpha=st.sampled_from([0.01, 0.05, 0.5, 0.99]), one_sided=st.booleans(),
-           marginal=st.booleans())
-    def test_same_verdict_as_the_tests(self, n, p, seed, shift, B, alpha, one_sided, marginal):
+           alpha=st.sampled_from([0.01, 0.05, 0.5, 0.99]), marginal=st.booleans())
+    def test_same_verdict_as_the_tests(self, n, p, seed, shift, B, alpha, marginal):
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((n, p)) + shift * gen.choice([-1.0, 1.0], p)
         fam = singleton_family(p) if marginal else build_family(p, 3, 2 * p, RngSpec(seed))
         panel = pooled_panel(x, fam)
         cfg = BootstrapConfig(rng=RngSpec(seed, 3), replicates=B)
-        if one_sided:
-            draws = multiplier_bootstrap(panel, cfg, one_sided=True)
-            want = _bootstrap_result(panel, alpha, draws, "", one_sided=True).reject
-        elif marginal:
+        if marginal:
             want = marginal_test(x, alpha, cfg).reject
         else:
             want = pool_test(x, fam, alpha, cfg).reject
-        assert _bootstrap_rejects(panel, alpha, cfg, one_sided) == want
+        assert _bootstrap_rejects(panel, alpha, cfg) == want
 
-    @pytest.mark.parametrize("one_sided", [False, True])
-    def test_statistic_next_to_the_critical_draw(self, one_sided):
+    def test_statistic_next_to_the_critical_draw(self):
         """B is one more than the first chunk, k is the rank of the last
         draw, and the statistic lies just above or just below that draw:
         the first chunk leaves the verdict open and the last draw decides."""
@@ -264,7 +259,7 @@ class TestEarlyStoppingVerdict:
         x = np.random.default_rng(13).standard_normal((100, 9))
         panel = pooled_panel(x, build_family(9, 4, 18, RngSpec(1)))
         cfg = BootstrapConfig(rng=RngSpec(6), replicates=B)
-        draws = multiplier_bootstrap(panel, cfg, one_sided)
+        draws = multiplier_bootstrap(panel, cfg)
         d = np.sort(draws)
         k = int(np.count_nonzero(d <= draws[-1]))
         assert 2 <= k < B
@@ -272,8 +267,8 @@ class TestEarlyStoppingVerdict:
         assert _order_index(alpha, B) == k
         for stat, want in [((d[k - 1] + d[k]) / 2, True), ((d[k - 2] + d[k - 1]) / 2, False)]:
             at = PooledPanel(y=panel.y, sigma_hat=panel.sigma_hat, t_stats=np.full(panel.d, stat))
-            assert _bootstrap_result(at, alpha, draws, "", one_sided).reject == want
-            assert _bootstrap_rejects(at, alpha, cfg, one_sided) == want
+            assert _bootstrap_result(at, alpha, draws, "").reject == want
+            assert _bootstrap_rejects(at, alpha, cfg) == want
 
     @pytest.mark.parametrize("shift", [0.0, 1.0])
     def test_falls_back_to_the_full_bootstrap(self, monkeypatch, shift):
@@ -326,12 +321,11 @@ def test_chunked_draws_lie_within_the_certified_bound(n, p, d):
     xi = substream_normals(RngSpec(d), 300, n)
     u = np.finfo(np.float64).eps / 2
     c = (np.linalg.norm(panel.y, axis=0) / np.sqrt(n * panel.sigma_hat)).max()
-    for one_sided in (False, True):
-        full = _weighted_max(panel, xi, one_sided)
-        chunked = np.concatenate([_weighted_max(panel, xi[lo:hi], one_sided)
-                                  for lo, hi in [(0, 64), (64, 65), (65, 190), (190, 300)]])
-        bound = 2 * n * u / (1 - n * u) * c * np.linalg.norm(xi, axis=1) + 4 * u * np.abs(full)
-        assert np.all(np.abs(full - chunked) <= bound)
+    full = _weighted_max(panel, xi)
+    chunked = np.concatenate([_weighted_max(panel, xi[lo:hi])
+                              for lo, hi in [(0, 64), (64, 65), (65, 190), (190, 300)]])
+    bound = 2 * n * u / (1 - n * u) * c * np.linalg.norm(xi, axis=1) + 4 * u * np.abs(full)
+    assert np.all(np.abs(full - chunked) <= bound)
 
 
 def _marginal_by_pooling(x, alpha, cfg):
