@@ -53,11 +53,15 @@ def _same_shape(*mats):
     return arrs
 
 
+def _check_theta0(theta0: float) -> None:
+    if not 0 < theta0 < 1:
+        raise PoolmaxError("theta0 must lie in (0, 1)")
+
+
 def exceedance_matrix(u, r, theta0: float) -> np.ndarray:
     """Centered violation indicators 1{U > R} - theta0 (ties are misses)."""
     u, r = _same_shape(u, r)
-    if not 0 < theta0 < 1:
-        raise PoolmaxError("theta0 must lie in (0, 1)")
+    _check_theta0(theta0)
     return (u > r).astype(np.float64) - theta0
 
 
@@ -114,13 +118,11 @@ def comparative_test(
     outperforms r (the row method).
     """
     diff = score_diff_matrix(u, r, r_star, theta0)
-    if not one_sided:
-        return pool_test(diff, fam, alpha, cfg)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     panel = pooled_panel(diff, fam)
-    draws = multiplier_bootstrap(panel, cfg, one_sided=True)
-    return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided=True)
+    draws = multiplier_bootstrap(panel, cfg, one_sided)
+    return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
 
 
 def _average_ranks(z: np.ndarray) -> np.ndarray:
@@ -150,11 +152,11 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
 
     Empirical CDF via ranks/n; a point is in the upper tail when its
     rank-CDF strictly exceeds 1 - u, so the top observation always
-    qualifies.  Entry (j1, j2) is the joint tail count over the number of
-    ranks r in 1..n whose r/n passes the same test.  A column without ties
-    has exactly that many tail points, so its diagonal entry is 1 and its
-    entries with other such columns are at most 1; tied values that share
-    an average rank in the tail can put more points there.
+    qualifies.  Entry (j1, j2) is the joint tail count over max(t, c_j1,
+    c_j2), with t the number of ranks r in 1..n whose r/n passes the same
+    test and c_j the tail count of column j.  A column without ties has
+    c_j = t, so its diagonal entry is 1; tied values that share an average
+    rank in the tail can make c_j exceed t.  No entry exceeds 1.
     """
     z = validate_matrix(zhat)
     n = z.shape[0]
@@ -165,7 +167,8 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
     cdf = _average_ranks(z) / n
     hits = (cdf > 1.0 - u).astype(np.float64)
     tail = np.count_nonzero(np.arange(1, n + 1) / n > 1.0 - u)
-    return (hits.T @ hits) / tail
+    counts = np.maximum(hits.sum(axis=0), tail)
+    return (hits.T @ hits) / np.maximum.outer(counts, counts)
 
 
 @dataclass
@@ -252,6 +255,7 @@ def full_backtest(
         raise ValueError("alpha must lie in (0, 1)")
     u = validate_matrix(u)
     fcs = {m: _forecast(m, r, u.shape) for m, r in forecasts.items()}
+    _check_theta0(theta0)
     names = list(fcs)
     report = BacktestReport(
         method_names=names,

@@ -64,6 +64,9 @@ __all__ = [
 MIN_FIT_LENGTH = 300
 _BIG = 1e12
 _PARAM_NAMES = ("a0", "a1", "b0", "b1", "b2", "nu", "gamma")
+# `garch_fit`'s random restarts after an unconverged first start, and their stream
+_RESTARTS = 5
+_RESTART_RNG = RngSpec(0)
 # scipy's forward-difference steps for L-BFGS-B: its default absolute step and
 # the relative fallback sqrt(machine epsilon) of `approx_derivative`
 _ABS_STEP = 1e-8
@@ -229,23 +232,17 @@ def _nll_and_grad(theta, u, sig2_init, lb, ub):
     return f[0], (f[1:] - f[0]) / (stepped - theta)
 
 
-def garch_fit(
-    series,
-    init: Optional[GarchParams] = None,
-    rng: Optional[RngSpec] = None,
-    restarts: int = 5,
-    max_iter: int = 500,
-) -> GarchFit:
+def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -> GarchFit:
     """Joint quasi-MLE of the seven model parameters.
 
     Box-constrained L-BFGS-B, given the forward-difference gradient it
     would estimate itself, computed in one batched likelihood per step
     (`_nll_and_grad`; see the module docstring for why every bit of it is
     kept).  The volatility recursion starts at the sample variance during
-    estimation.  Unless the first start converges,
-    `restarts` deterministic random starts follow and the best finite one
-    is returned, converged or not (see `GarchFit.converged`); if none is
-    finite, PoolmaxError is raised.
+    estimation.  Unless the first start converges, `_RESTARTS` random
+    starts follow, drawn in turn from the `_RESTART_RNG` stream as the loop
+    reaches them, and the best finite one is returned, converged or not
+    (see `GarchFit.converged`); if none is finite, PoolmaxError is raised.
     """
     u = np.asarray(series, dtype=np.float64)
     if u.size < MIN_FIT_LENGTH:
@@ -269,27 +266,23 @@ def garch_fit(
         init = GarchParams(
             a0=float(u.mean()), a1=0.0, b0=0.1 * var, b1=0.05, b2=0.85
         )
-    starts = [
-        np.array([init.a0, init.a1, init.b0, init.b1, init.b2, init.nu, init.gamma])
-    ]
-    gen = (rng or RngSpec(0)).generator()
-    for _ in range(restarts):
-        starts.append(
-            np.array(
-                [
-                    u.mean() + scale * 0.1 * gen.standard_normal(),
-                    gen.uniform(-0.3, 0.3),
-                    var * gen.uniform(0.01, 0.5),
-                    gen.uniform(0.0, 0.3),
-                    gen.uniform(0.4, 0.95),
-                    gen.uniform(3.0, 30.0),
-                    gen.uniform(0.6, 1.6),
-                ]
-            )
-        )
+
+    def starts():
+        yield np.array([init.a0, init.a1, init.b0, init.b1, init.b2, init.nu, init.gamma])
+        gen = _RESTART_RNG.generator()
+        for _ in range(_RESTARTS):
+            yield np.array([
+                u.mean() + scale * 0.1 * gen.standard_normal(),
+                gen.uniform(-0.3, 0.3),
+                var * gen.uniform(0.01, 0.5),
+                gen.uniform(0.0, 0.3),
+                gen.uniform(0.4, 0.95),
+                gen.uniform(3.0, 30.0),
+                gen.uniform(0.6, 1.6),
+            ])
     lb, ub = np.array(bounds, dtype=np.float64).T
     best = None
-    for k, x0 in enumerate(starts):
+    for k, x0 in enumerate(starts()):
         res = minimize(
             _nll_and_grad,
             x0,

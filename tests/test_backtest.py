@@ -146,6 +146,11 @@ class TestTailDependence:
         lam = tail_dependence(z, 0.2)
         assert np.array_equal(np.diag(lam), np.ones(3))
         assert lam.max() <= 1
+        # the three tied 4s share rank 5, so 3 points of the first column sit
+        # in the tail where 2 ranks do; a constant column has none there
+        z = np.column_stack([[1.0, 2.0, 3.0, 4.0, 4.0, 4.0], np.arange(6.0), np.full(6, 7.0)])
+        lam = tail_dependence(z, 0.2)
+        assert np.array_equal(lam, [[1.0, 2 / 3, 0.0], [2 / 3, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
     def test_independent_columns(self):
         z = np.random.default_rng(8).standard_normal((10**5, 2))
@@ -236,6 +241,8 @@ class TestFullBacktest:
             full_backtest(u, {"a": good, "c": good[:, :3]}, 0.05, fam, 0.05, cfg)
         with pytest.raises(ValueError, match="alpha"):
             full_backtest(u, {"a": good}, 0.05, fam, 1.5, cfg)
+        with pytest.raises(PoolmaxError, match=r"^theta0 must lie in \(0, 1\)$"):
+            full_backtest(u, {"a": good, "b": good + 0.1}, 1.5, fam, 0.05, cfg)
 
     def test_matches_single_tests(self):
         self._assert_matches_single_tests(*self._inputs())

@@ -73,6 +73,35 @@ class TestFit:
         assert fit.nit == 1
         assert np.isfinite(fit.loglik)
 
+    def test_converged_fit_draws_no_restart_start(self, garch_path, monkeypatch):
+        def no_generator(self):
+            raise AssertionError("a restart stream was built for a converged fit")
+
+        monkeypatch.setattr(RngSpec, "generator", no_generator)
+        fit = garch_fit(garch_path[1][:1000])
+        assert fit.converged is True
+        assert fit.n_starts == 1
+
+    def test_restart_starts_follow_one_stream(self, garch_path, monkeypatch):
+        """The 5 restarts of an unconverged fit start from consecutive draws
+        of RngSpec(0), seven per start, in parameter order."""
+        u = garch_path[1][:1000]
+        starts = []
+        minimize = riskmodels.minimize
+
+        def recording_minimize(fun, x0, **kwargs):
+            starts.append(x0.copy())
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(riskmodels, "minimize", recording_minimize)
+        garch_fit(u, max_iter=1)
+        gen = RngSpec(0).generator()
+        var, scale = u.var(), np.sqrt(u.var())
+        want = [[u.mean() + scale * 0.1 * gen.standard_normal(), gen.uniform(-0.3, 0.3),
+                 var * gen.uniform(0.01, 0.5), gen.uniform(0.0, 0.3), gen.uniform(0.4, 0.95),
+                 gen.uniform(3.0, 30.0), gen.uniform(0.6, 1.6)] for _ in range(5)]
+        assert np.array(starts[1:]).tobytes() == np.array(want).tobytes()
+
     def test_reports_parameters_at_bound(self):
         # no volatility clustering: the ARCH coefficient b1 ends at its bound 0
         fit = garch_fit(np.random.default_rng(3).standard_normal(1000))
