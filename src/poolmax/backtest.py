@@ -21,6 +21,7 @@ from .errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from .pooltest import (
     BootstrapConfig,
     _bootstrap_result,
+    _check_alpha,
     _weighted_max,
     multiplier_bootstrap,
     pool_test,
@@ -82,8 +83,7 @@ def score(r, x, theta: float):
     """
     r = np.asarray(r, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if not 0 < theta < 1:
-        raise ValueError("theta must lie in (0, 1)")
+    _check_theta0(theta)
     bad = ~(np.isfinite(r) & np.isfinite(x))
     if bad.any():
         # positioned as validate_matrix does it: a 1-d input is one column
@@ -118,8 +118,7 @@ def comparative_test(
     outperforms r (the row method).
     """
     diff = score_diff_matrix(u, r, r_star, theta0)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     panel = pooled_panel(diff, fam)
     draws = multiplier_bootstrap(panel, cfg, one_sided)
     return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
@@ -251,8 +250,7 @@ def full_backtest(
     byte.  Degenerate cells (no variation in indicators or score
     differences) are recorded in the report instead of aborting it.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     u = validate_matrix(u)
     fcs = {m: _forecast(m, r, u.shape) for m, r in forecasts.items()}
     _check_theta0(theta0)

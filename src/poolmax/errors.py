@@ -18,6 +18,14 @@ ParseError                 the tests, which read ``line``
 =========================  ==============================================
 
 A new class needs a caller that catches it or reads its attributes.
+
+An argument out of its range raises before any work.  ``ValueError``: an
+alpha or VaR theta outside (0, 1), a count below its minimum (B, ``mc_reps``,
+``refit_every``, seeds, ``p``) and the fields of ``GarchParams`` and
+``VarMethod``; ``TypeError``: a B, seed or stream id that is not an integer.
+``PoolmaxError`` (CLI exit 3): theta0 (``score``'s theta too), ``alpha_n``,
+``p0``, ``u``, the skewed-t parameters and a sample too small for its
+estimator.
 """
 
 

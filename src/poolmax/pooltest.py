@@ -14,6 +14,7 @@ verbatim (see tests for the conditional-covariance identity this implies).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ class BootstrapConfig:
     replicates: int = 1000
 
     def __post_init__(self):
+        object.__setattr__(self, "replicates", operator.index(self.replicates))
         if self.replicates < 1:
             raise ValueError("need at least one bootstrap replicate")
 
@@ -178,6 +180,11 @@ def _studentized(y: np.ndarray) -> PooledPanel:
     return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def max_statistic(panel: PooledPanel) -> float:
     return float(np.abs(panel.t_stats).max())
 
@@ -188,8 +195,7 @@ def naive_test(x, alpha: float) -> TestResult:
     from scipy.special import ndtr, ndtri  # here, not above: only this test needs scipy
 
     x = validate_matrix(x)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # `_studentized` checks the sums
         y = x.sum(axis=1)
     t = float(_studentized(y[:, None]).t_stats[0])
@@ -305,8 +311,7 @@ def _order_index(alpha: float, B: int) -> int:
     """k = min(ceil((1-alpha)(B+1)), B): the critical value of B draws is
     their k-th smallest, so a statistic exceeds it iff at least k draws lie
     below the statistic."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     return min(int(np.ceil((1 - alpha) * (B + 1))), B)
 
 
@@ -342,8 +347,7 @@ def _bootstrap_result(
 
 def pool_test(x, fam: SubsetFamily, alpha: float, cfg: BootstrapConfig) -> TestResult:
     """Subsets-based pooling max-test with multiplier-bootstrap calibration."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     panel = pooled_panel(x, fam)
     return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "subsets-pool")
 
@@ -352,7 +356,6 @@ def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
     """Max-type test on individual dimensions: the subsets-pool test with
     singleton subsets, whose pooled sums are the columns of x themselves."""
     x = validate_matrix(x)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     panel = _studentized(x)
     return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "marginal")

@@ -164,14 +164,11 @@ def garch_filter(
     return mu, vol, eps / vol
 
 
-def _admissible(a0, a1, b0, b1, b2, nu, gamma) -> bool:
-    """GarchParams' checks, b1 + b2 <= 0.999, nu > 2.05 and gamma > 0."""
-    return (b0 > 0 and b1 >= 0 and b2 >= 0 and b1 + b2 <= 0.999 and abs(a1) < 1
-            and nu > 2.05 and gamma > 0)
-
-
 def _nll_points(points, u, sig2_init) -> np.ndarray:
-    """Negative log-likelihoods of the 8 rows of `points`, _BIG where inadmissible.
+    """Negative log-likelihoods of the 8 rows of `points`, _BIG where b1 + b2 >
+    0.999 or the value is not finite.  Every other bound of `GarchParams` and
+    `sstd_logpdf` is `garch_fit`'s box, into which scipy clips the start and
+    `_nll_and_grad` keeps each step.
 
     Row 0 is the base point and row i (1..7) moves parameter i-1 only, so the
     rows share most of the work: rows 3-7 reuse row 0's means, rows 0-4
@@ -181,7 +178,6 @@ def _nll_points(points, u, sig2_init) -> np.ndarray:
     row: the ops are elementwise, and a row of a 2-D `lfilter` or of a
     last-axis sum is computed as the 1-D call computes it.
     """
-    ok = [_admissible(*row) for row in points.tolist()]
     a0, a1, b0, b1, b2, nu, gamma = points.T
     n = u.size
     mu = np.empty((3, n))  # rows 0-2; rows 3-7 have row 0's means
@@ -196,14 +192,9 @@ def _nll_points(points, u, sig2_init) -> np.ndarray:
     vol = np.sqrt(sig2)
     z = eps[[0, 1, 2, 0, 0, 0]] / vol
     log_vol = np.log(vol)
-    total = np.full(8, np.nan)
-    # sstd_logpdf rejects nu <= 2 and gamma <= 0: call it for admissible rows only
-    if any(ok[:6]):
-        total[:6] = (sstd_logpdf(z, nu[0], gamma[0]) - log_vol).sum(axis=1)
-    for r in (6, 7):
-        if ok[r]:
-            total[r] = (sstd_logpdf(z[0], nu[r], gamma[r]) - log_vol[0]).sum()
-    return np.where(np.array(ok) & np.isfinite(total), -total, _BIG)
+    total = np.append((sstd_logpdf(z, nu[0], gamma[0]) - log_vol).sum(axis=1),
+                      [(sstd_logpdf(z[0], nu[r], gamma[r]) - log_vol[0]).sum() for r in (6, 7)])
+    return np.where((b1 + b2 <= 0.999) & np.isfinite(total), -total, _BIG)
 
 
 def _nll_and_grad(theta, u, sig2_init, lb, ub):
@@ -302,7 +293,6 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
     if best is None:
         raise PoolmaxError("all optimizer starts failed")
     a0, a1, b0, b1, b2, nu, gamma = best.x
-    b1, b2 = max(b1, 0.0), max(b2, 0.0)
     params = GarchParams(a0, a1, b0, b1, b2, nu, gamma)
     mu, vol, z = garch_filter(u, params, sig2_init=var)
     at_bound = tuple(
@@ -317,16 +307,23 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
     )
 
 
-def empirical_var(residuals, theta: float) -> float:
-    """The ceil((1-theta) * m)-th order statistic of the residuals."""
-    r = np.sort(np.asarray(residuals, dtype=np.float64))
-    m = r.size
+def _check_theta(theta: float, kind: str = "", m: int = 0, k: int = 0) -> None:
+    """The one check of a VaR level theta, and of the m residuals that a quantile
+    of `kind` takes at it: at least ceil(1/theta) for "empirical", 10 <= k < m for "evt"."""
     if not 0 < theta < 1:
         raise ValueError("theta must lie in (0, 1)")
-    if m < 1.0 / theta:
+    if kind == "empirical" and m < 1.0 / theta:
         raise PoolmaxError(f"need at least {int(np.ceil(1/theta))} points")
-    k = int(np.ceil((1 - theta) * m))
-    return float(r[k - 1])
+    if kind == "evt" and (k < 10 or k >= m):
+        raise PoolmaxError(f"need 10 <= k < m, got k={k}, m={m}")
+
+
+def empirical_var(residuals, theta: float) -> float:
+    """The ceil((1-theta) * m)-th order statistic of the residuals."""
+    r = np.asarray(residuals, dtype=np.float64)
+    _check_theta(theta, "empirical", r.size)
+    k = int(np.ceil((1 - theta) * r.size))
+    return float(np.sort(r)[k - 1])
 
 
 def _profile_nll(theta, y):
@@ -412,10 +409,7 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
     """
     r = np.asarray(residuals, dtype=np.float64)
     m = r.size
-    if not 0 < theta < 1:
-        raise ValueError("theta must lie in (0, 1)")
-    if k < 10 or k >= m:
-        raise PoolmaxError(f"need 10 <= k < m, got k={k}, m={m}")
+    _check_theta(theta, "evt", m, k)
     desc = np.sort(r)[::-1]
     u = desc[k]
     exc = desc[:k] - u
@@ -432,6 +426,7 @@ def residual_var(residuals, theta: float, method: VarMethod,
         return empirical_var(residuals, theta)
     if method.kind == "evt":
         return evt_var(residuals, theta, method.k)
+    _check_theta(theta)
     return float(sstd_quantile(1 - theta, nu, gamma))
 
 
@@ -444,8 +439,10 @@ def _next_step(u, fit: GarchFit) -> Tuple[float, float]:
 
 def forecast_var(window, method: VarMethod, theta: float,
                  fit: Optional[GarchFit] = None) -> float:
-    """One-step-ahead VaR: mu_next + sigma_next * residual quantile."""
+    """One-step-ahead VaR: mu_next + sigma_next * residual quantile; theta
+    and the residual count are checked (`_check_theta`) before any fit."""
     u = np.asarray(window, dtype=np.float64)
+    _check_theta(theta, method.kind, u.size if fit is None else fit.residuals.size, method.k)
     if fit is None:
         fit = garch_fit(u)
     mu_next, sig_next = _next_step(u, fit)
@@ -463,9 +460,10 @@ def rolling_forecasts(
 ) -> np.ndarray:
     """Daily one-step-ahead VaR forecasts over the last `horizon` days.
 
-    Day h is forecast from the `window` observations immediately before
-    it.  The model is re-estimated every `refit_every` days; between
-    refits the held parameters are re-filtered on the current window.
+    Day h is forecast from the `window` observations immediately before it.
+    The model is re-estimated every `refit_every` days; between refits the
+    held parameters are re-filtered on the current window.  theta and the
+    window are checked (`_check_theta`) before the first fit.
     """
     u = np.asarray(series, dtype=np.float64)
     if u.size < window + horizon:
@@ -474,6 +472,7 @@ def rolling_forecasts(
         )
     if refit_every < 1:
         raise ValueError("refit_every must be >= 1")
+    _check_theta(theta, method.kind, window, method.k)
     out = np.empty(horizon)
     fit = None
     for h in range(horizon):

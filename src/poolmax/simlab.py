@@ -23,6 +23,7 @@ from .errors import PoolmaxError
 from .pooltest import (
     BootstrapConfig,
     _bootstrap_rejects,
+    _check_alpha,
     _studentized,
     naive_test,
     pooled_panel,
@@ -214,8 +215,8 @@ def run_sweep(
     Each repetition generates one dataset (shared across grid points) and
     applies every requested method at every grid point.  Fully
     deterministic in (spec.rng, grids).  A repeated q, d or method, an
-    unknown method, an alpha outside (0, 1) or, for a bootstrap method, a
-    B below 1 raises before any repetition runs.
+    unknown method, an alpha outside (0, 1), a negative mc_reps or, for a
+    bootstrap method, a B below 1 raises before any repetition runs.
 
     The pool and marginal verdicts are those of `pool_test` and
     `marginal_test`, but each bootstrap stops drawing replicates once its
@@ -230,8 +231,9 @@ def run_sweep(
     for m in methods:
         if m not in METHODS:
             raise PoolmaxError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
+    if mc_reps < 0:
+        raise ValueError("mc_reps must be >= 0")
     if "marginal" in methods or "subsets-pool" in methods:
         BootstrapConfig(rng=spec.rng, replicates=B)  # checks B
     grid = [(q, d) for q in q_grid for d in d_grid]

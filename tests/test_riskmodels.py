@@ -401,13 +401,23 @@ def random_box_points(gen, count):
         yield np.clip(theta, lb, ub), u, lb, ub
 
 
-def test_gradient_bitwise_equal_to_scipy_finite_differences():
+def test_gradient_bitwise_equal_to_scipy_finite_differences(monkeypatch):
     """`_nll_and_grad` returns the bytes of scipy's own forward differences.
 
     The reference is what L-BFGS-B computes when given no gradient:
     `approx_derivative` of the one-point likelihood, method "2-point",
-    abs_step 1e-8, bounded by the box.
+    abs_step 1e-8, bounded by the box.  The points include admissible base
+    points whose b1 or b2 step crosses b1 + b2 = 0.999, and inadmissible base
+    points, whose every row `_nll_points` still evaluates.
     """
+    admissible = []
+    nll_points = riskmodels._nll_points
+
+    def recording_points(points, *args):
+        admissible.append(points[:, 3] + points[:, 4] <= 0.999)
+        return nll_points(points, *args)
+
+    monkeypatch.setattr(riskmodels, "_nll_points", recording_points)
     gen = np.random.default_rng(2024)
     mismatches = inadmissible = relative_steps = 0
     for theta, u, lb, ub in random_box_points(gen, 1200):
@@ -421,6 +431,8 @@ def test_gradient_bitwise_equal_to_scipy_finite_differences():
         relative_steps += bool(((theta + 1e-8) - theta == 0).any())
     assert mismatches == 0
     assert inadmissible > 100 and relative_steps > 100  # the edge cases were reached
+    assert sum(bool(ok[0] and not ok[4:6].all()) for ok in admissible) > 50
+    assert sum(not ok[0] for ok in admissible) > 100
 
 
 @pytest.mark.parametrize("kind", ["empirical", "skew-t", "evt"])
@@ -446,6 +458,41 @@ def test_edge_fits_bitwise_equal_to_scipy_finite_differences(garch_path, monkeyp
     assert got[2].at_bound == ("b1",)
     use_scipy_finite_differences(monkeypatch)
     assert [fit_bytes(f) for f in got] == [fit_bytes(f) for f in fits()]
+
+
+def test_every_likelihood_point_lies_in_the_box(garch_path, monkeypatch):
+    """`_nll_points` is only asked for points inside `garch_fit`'s L-BFGS-B box.
+
+    So the box is the likelihood's only bound on each parameter.  Covered:
+    fits that converge at the first start, fits that go through all 5
+    restarts, a fit with b1 on its bound, and a start outside the box, which
+    scipy clips into it.
+    """
+    u = garch_path[1]
+    boxes, rows, outside = [], [], []
+    minimize, nll_points = riskmodels.minimize, riskmodels._nll_points
+
+    def recording_minimize(fun, x0, **kwargs):
+        boxes.append(kwargs["args"][2:])
+        return minimize(fun, x0, **kwargs)
+
+    def checked_points(points, *args):
+        lb, ub = boxes[-1]
+        rows.append(len(points))
+        outside.append(int(((points < lb) | (points > ub)).any(axis=1).sum()))
+        return nll_points(points, *args)
+
+    monkeypatch.setattr(riskmodels, "minimize", recording_minimize)
+    monkeypatch.setattr(riskmodels, "_nll_points", checked_points)
+    wide = GarchParams(a0=20 * u[:1000].std(), a1=0.0, b0=0.1, b1=0.05, b2=0.85,
+                       nu=150.0, gamma=20.0)
+    fits = [garch_fit(u[:1000]), garch_fit(np.random.default_rng(3).standard_normal(1000)),
+            garch_fit(u[:1000], max_iter=1), garch_fit(u[:400] * 1e9, max_iter=1),
+            garch_fit(u[:1000], init=wide)]
+    assert [(f.converged, f.n_starts) for f in fits] == [
+        (True, 1), (True, 1), (False, 6), (False, 6), (True, 1)]
+    assert len(boxes) == 15 and sum(rows) > 1000
+    assert sum(outside) == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
