@@ -9,14 +9,13 @@ diagnostic for blockwise cross-sectional dependence.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import TestResult, substream_normals, validate_matrix
+from .core import TestResult, _csv_text, substream_normals, validate_matrix
 from .errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from .pooltest import (
     BootstrapConfig,
@@ -205,22 +204,21 @@ class BacktestReport:
         kwargs.setdefault("sort_keys", True)
         return json.dumps(self.to_dict(), **kwargs)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self) -> str:
         """Square matrix layout: validation on the diagonal, one-sided
         comparisons in the lower triangle, blanks elsewhere."""
         names = self.method_names
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow([""] + names)
-            for a in names:
-                row = [a]
-                for b in names:
-                    if a == b:
-                        p = self._cell(self.validation.get(a))
-                    else:
-                        p = self._cell(self.comparative.get((a, b)))
-                    row.append("" if p is None else f"{p:.6g}")
-                w.writerow(row)
+        rows = [[""] + names]
+        for a in names:
+            row = [a]
+            for b in names:
+                if a == b:
+                    p = self._cell(self.validation.get(a))
+                else:
+                    p = self._cell(self.comparative.get((a, b)))
+                row.append("" if p is None else f"{p:.6g}")
+            rows.append(row)
+        return _csv_text(rows)
 
 
 def _forecast(name: str, r, shape) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -22,7 +21,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .core import RngSpec, validate_matrix
+from .core import RngSpec, _csv_text, validate_matrix
 from .errors import (
     DegenerateStatisticError,
     NotCoprimeError,
@@ -215,21 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_text(rows) -> str:
-    """rows as CSV text, each line ending in a bare newline; `csv` quotes a
-    field only where it must, so plain fields keep their bytes.
-
-    Each row is written with a CRLF terminator and the CRLF is then cut to
-    a newline: before Python 3.12, `csv` quotes a field that holds a bare
-    CR only when CR is in the terminator."""
-    lines = []
-    for row in rows:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow(row)
-        lines.append(buf.getvalue()[:-2] + "\n")
-    return "".join(lines)
-
-
 def _cmd_test(args, parser):
     """pool-test, naive-test and marginal-test."""
     _, x = ingest_panel(args.infile)
@@ -241,21 +225,12 @@ def _cmd_test(args, parser):
             res = marginal_test(x, args.alpha, cfg)
         else:
             res = pool_test(x, _family(args, x.shape[1]), args.alpha, cfg)
-    if args.format == "json":
-        _write(args.out, res.to_json(indent=2))
-    else:
-        d = res.to_dict()
-        d.pop("per_subset_t", None)
-        _write(args.out, _csv_text([d.keys(), map(str, d.values())]))
+    _write(args.out, _formatted(args, res))
 
 
-def _write_report(args, report):
-    """A BacktestReport or SweepResult as JSON, or as CSV to --out (`run`
-    has checked that it is given)."""
-    if args.format == "json":
-        _write(args.out, report.to_json(indent=2))
-    else:
-        report.to_csv(args.out)
+def _formatted(args, result) -> str:
+    """A result as --format asks: indented JSON or CSV text."""
+    return result.to_json(indent=2) if args.format == "json" else result.to_csv()
 
 
 # Each command imports only the layers it computes with: simlab loads
@@ -288,7 +263,8 @@ def _cmd_backtest(args, parser):
     forecasts = {name: ingest_panel(path)[1] for name, path in paths.items()}
     fam = _family(args, u.shape[1])
     cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
-    _write_report(args, full_backtest(u, forecasts, args.theta0, fam, args.alpha, cfg))
+    _write(args.out, _formatted(args, full_backtest(u, forecasts, args.theta0, fam,
+                                                    args.alpha, cfg)))
 
 
 def _cmd_taildep(args, parser):
@@ -358,6 +334,13 @@ def _cmd_simulate(args, parser):
     grid = _checked(_list_of(_whole), bool, "a non-empty list of integers")
     methods = _checked(_list_of(str), lambda ms: ms and set(ms) <= set(METHODS),
                        f"a non-empty list of {', '.join(METHODS)}")
+
+    def given(**converters):
+        """The keys of `converters` that cfg sets, each through its converter;
+        the library's own defaults stand for the others."""
+        return {key: setting(key, convert) for key, convert in converters.items()
+                if key in cfg}
+
     spec = DgpSpec(
         model=setting("model", model),
         n=setting("n", _POSITIVE),
@@ -366,17 +349,14 @@ def _cmd_simulate(args, parser):
         under_null=setting("under_null", flag),
         rng=RngSpec(setting("seed", _NONNEGATIVE, 0),
                     setting("stream_id", _NONNEGATIVE, 0)),
-        alpha_n=setting("alpha_n", number, 0.01),
+        **given(alpha_n=number),
     )
-    _write_report(args, run_sweep(
+    _write(args.out, _formatted(args, run_sweep(
         spec,
         q_grid=setting("q_grid", grid, [49]),
         d_grid=setting("d_grid", grid, [2 * spec.p]),
-        alpha=setting("alpha", _LEVEL, 0.05),
-        B=setting("B", _POSITIVE, 1000),
-        mc_reps=setting("mc_reps", _NONNEGATIVE, 1000),
-        methods=tuple(setting("methods", methods, METHODS)),
-    ))
+        **given(alpha=_LEVEL, B=_POSITIVE, mc_reps=_NONNEGATIVE, methods=methods),
+    )))
 
 
 _TEST_FLAGS = ["--in", "--out", "--alpha", "--format"]
@@ -401,16 +381,11 @@ _COMMANDS = {
     "simulate": ("Monte Carlo size/power sweep", _cmd_simulate,
                  ["--config", "--out", _CSV_DEFAULT]),
 }
-# The commands whose csv the library writes to a path, and what they write.
-_CSV_NEEDS_OUT = {"backtest": "backtest", "simulate": "sweep"}
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    what = _CSV_NEEDS_OUT.get(args.command)
-    if what and args.format == "csv" and args.out is None:
-        parser.error(f"csv {what} output requires --out")
     try:
         code = _COMMANDS[args.command][1](args, parser)
         return EXIT_OK if code is None else code

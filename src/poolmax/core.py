@@ -1,4 +1,5 @@
-"""Shared data model: validated panels, reproducible RNG streams, test results.
+"""Shared data model: validated panels, reproducible RNG streams, test
+results, and the package's one CSV writer.
 
 The RNG contract is the backbone of every stochastic routine in the
 package: an :class:`RngSpec` is a cheap immutable token (seed, stream_id)
@@ -9,6 +10,8 @@ parallelism degree.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import operator
 from dataclasses import dataclass, field
@@ -222,3 +225,25 @@ class TestResult:
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)
         return json.dumps(self.to_dict(), **kwargs)
+
+    def to_csv(self) -> str:
+        """A header row and a value row of the `to_dict` fields, without
+        `per_subset_t`."""
+        d = self.to_dict()
+        d.pop("per_subset_t", None)
+        return _csv_text([d.keys(), map(str, d.values())])
+
+
+def _csv_text(rows) -> str:
+    """rows as CSV text, each line ending in a bare newline; `csv` quotes a
+    field only where it must, so plain fields keep their bytes.
+
+    Each row is written with a CRLF terminator and the CRLF is then cut to
+    a newline: before Python 3.12, `csv` quotes a field that holds a bare
+    CR only when CR is in the terminator."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)

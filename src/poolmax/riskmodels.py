@@ -56,7 +56,6 @@ __all__ = [
     "empirical_var",
     "evt_var",
     "gpd_tail_fit",
-    "residual_var",
     "forecast_var",
     "rolling_forecasts",
 ]
@@ -136,8 +135,6 @@ class VarMethod:
     def __post_init__(self):
         if self.kind not in ("empirical", "skew-t", "evt"):
             raise ValueError(f"unknown VaR method {self.kind!r}")
-        if self.kind == "evt" and self.k < 10:
-            raise ValueError("EVT needs at least 10 tail observations")
 
 
 def garch_filter(
@@ -420,16 +417,6 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
     return float(u + beta / xi * (ratio**xi - 1.0))
 
 
-def residual_var(residuals, theta: float, method: VarMethod,
-                 nu: Optional[float] = None, gamma: Optional[float] = None) -> float:
-    if method.kind == "empirical":
-        return empirical_var(residuals, theta)
-    if method.kind == "evt":
-        return evt_var(residuals, theta, method.k)
-    _check_theta(theta)
-    return float(sstd_quantile(1 - theta, nu, gamma))
-
-
 def _next_step(u, fit: GarchFit) -> Tuple[float, float]:
     mu_next = fit.a0 + fit.a1 * u[-1]
     eps_last = u[-1] - fit.cond_mean[-1]
@@ -446,7 +433,12 @@ def forecast_var(window, method: VarMethod, theta: float,
     if fit is None:
         fit = garch_fit(u)
     mu_next, sig_next = _next_step(u, fit)
-    q = residual_var(fit.residuals, theta, method, nu=fit.nu, gamma=fit.gamma)
+    if method.kind == "empirical":
+        q = empirical_var(fit.residuals, theta)
+    elif method.kind == "evt":
+        q = evt_var(fit.residuals, theta, method.k)
+    else:
+        q = float(sstd_quantile(1 - theta, fit.nu, fit.gamma))
     return mu_next + sig_next * q
 
 

@@ -10,7 +10,6 @@ construction.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -18,7 +17,7 @@ from typing import List, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import RngSpec, substream, validate_matrix
+from .core import RngSpec, _csv_text, substream, validate_matrix
 from .errors import PoolmaxError
 from .pooltest import (
     BootstrapConfig,
@@ -81,14 +80,27 @@ def sample_gaussian(n: int, cov: np.ndarray, rng: RngSpec) -> np.ndarray:
     return z @ root.T
 
 
+def _check_p0(p: int, p0: int, m: int) -> None:
+    """The one check of p0, the number of raised dimensions of a profile
+    whose deviations take m*p0 of its p dimensions."""
+    if p0 < 0:
+        raise PoolmaxError(f"need p0 >= 0, got p0={p0}")
+    if m * p0 > p:
+        raise PoolmaxError(f"need {m}*p0 <= p, got p0={p0}, p={p}")
+
+
+def _check_alpha_n(alpha_n: float) -> None:
+    if not 0 < alpha_n < 0.5:
+        raise PoolmaxError("alpha_n must lie in (0, 0.5)")
+
+
 def theta_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
     """Exceedance probabilities for the indicator models.
 
     Null: all 0.01.  Alternative: p0 raised to 0.025 and 3*p0 lowered to
     0.005 at the leading indices, so the average stays exactly 0.01.
     """
-    if 4 * p0 > p:
-        raise PoolmaxError(f"need 4*p0 <= p, got p0={p0}, p={p}")
+    _check_p0(p, p0, 4)
     theta = np.full(p, 0.01)
     if not under_null:
         theta[:p0] = 0.025
@@ -98,8 +110,7 @@ def theta_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
 
 def mu_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
     """Mean shifts for the mixture models; the profile always sums to 0."""
-    if 2 * p0 > p:
-        raise PoolmaxError(f"need 2*p0 <= p, got p0={p0}, p={p}")
+    _check_p0(p, p0, 2)
     mu = np.zeros(p)
     if not under_null:
         mu[:p0] = -0.0075
@@ -127,8 +138,7 @@ def g_transform(x, alpha_n: float):
     The left branch is closed at x = 1 - alpha_n.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not 0 < alpha_n < 0.5:
-        raise PoolmaxError("alpha_n must lie in (0, 0.5)")
+    _check_alpha_n(alpha_n)
     if np.any((x < 0) | (x > 1)):
         raise PoolmaxError("x must lie in [0, 1]")
     body = (2 * alpha_n / (1 - alpha_n)) * x - alpha_n
@@ -159,11 +169,8 @@ class DgpSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
-        if not 0 < self.alpha_n < 0.5:
-            raise PoolmaxError("alpha_n must lie in (0, 0.5)")
-        needed = 4 * self.p0 if self.model.startswith("A") else 2 * self.p0
-        if needed > self.p:
-            raise PoolmaxError(f"p0={self.p0} too large for p={self.p}")
+        _check_alpha_n(self.alpha_n)
+        _check_p0(self.p, self.p0, 4 if self.model.startswith("A") else 2)
 
 
 def generate_panel(spec: DgpSpec, rng: RngSpec) -> np.ndarray:
@@ -183,12 +190,9 @@ class SweepResult:
 
     rows: List[dict] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
+    def to_csv(self) -> str:
         cols = ["model", "q", "d", "method", "alpha", "mc_reps", "reject_rate"]
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.DictWriter(f, fieldnames=cols)
-            w.writeheader()
-            w.writerows(self.rows)
+        return _csv_text([cols, *([row[c] for c in cols] for row in self.rows)])
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)

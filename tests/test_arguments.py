@@ -26,7 +26,7 @@ from poolmax.pooltest import (
     pool_test,
 )
 from poolmax.riskmodels import VarMethod, forecast_var, rolling_forecasts
-from poolmax.simlab import DgpSpec, run_sweep
+from poolmax.simlab import DgpSpec, mu_profile, run_sweep, theta_profile
 from poolmax.subsets import build_family
 
 U = np.random.default_rng(0).standard_normal((40, 7))
@@ -42,6 +42,8 @@ ALPHA = (ValueError, "alpha must lie in (0, 1)")
 THETA0 = (PoolmaxError, "theta0 must lie in (0, 1)")
 THETA = (ValueError, "theta must lie in (0, 1)")
 EVT_K = (PoolmaxError, "need 10 <= k < m, got k=500, m=500")
+EVT_K_SMALL = (PoolmaxError, "need 10 <= k < m, got k=5, m=500")
+P0 = (PoolmaxError, "need p0 >= 0, got p0=-1")
 KINDS = ("empirical", "skew-t", "evt")
 
 CASES = {
@@ -72,9 +74,17 @@ CASES = {
     "forecast_var-evt-k": (lambda: forecast_var(WINDOW, VarMethod("evt", k=500), 0.01), EVT_K),
     "rolling_forecasts-evt-k": (
         lambda: rolling_forecasts(SERIES, 500, 200, VarMethod("evt", k=500), 0.01), EVT_K),
+    "forecast_var-evt-k-below-10": (
+        lambda: forecast_var(WINDOW, VarMethod("evt", k=5), 0.01), EVT_K_SMALL),
+    "rolling_forecasts-evt-k-below-10": (
+        lambda: rolling_forecasts(SERIES, 500, 200, VarMethod("evt", k=5), 0.01), EVT_K_SMALL),
     "rolling_forecasts-empirical-window": (
         lambda: rolling_forecasts(SERIES, 500, 200, VarMethod("empirical"), 0.001),
         (PoolmaxError, "need at least 1000 points")),
+    "DgpSpec-p0": (lambda: DgpSpec("A1", n=50, p=10, p0=-1, under_null=False,
+                                    rng=RngSpec(0)), P0),
+    "theta_profile-p0": (lambda: theta_profile(10, -1, False), P0),
+    "mu_profile-p0": (lambda: mu_profile(10, -1, False), P0),
     "run_sweep-mc_reps": (lambda: run_sweep(SPEC, [3], [14], B=20, mc_reps=-1),
                           (ValueError, "mc_reps must be >= 0")),
     "BootstrapConfig-replicates": (lambda: BootstrapConfig(rng=RngSpec(0), replicates=2.5),

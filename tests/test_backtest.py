@@ -299,13 +299,11 @@ class TestFullBacktest:
             with pytest.raises(SubsetDesignError, match="^family has no subsets$"):
                 call()
 
-    def test_csv_layout(self, tmp_path):
+    def test_csv_layout(self):
         u, fam, cfg = self._inputs()
         fcs = {"emp": np.full_like(u, 1.2), "evt": np.full_like(u, 1.5)}
         rep = full_backtest(u, fcs, 0.05, fam, 0.05, cfg)
-        out = tmp_path / "report.csv"
-        rep.to_csv(out)
-        lines = out.read_text().strip().splitlines()
+        lines = rep.to_csv().strip().splitlines()
         assert lines[0] == ",emp,evt"
         assert len(lines) == 3
         # upper triangle stays blank

@@ -260,11 +260,9 @@ def test_bad_flag_value_exits_2_before_reading(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["backtest", "--returns", "missing.csv", "--forecast", "f=missing.csv"],
     ["backtest", "--returns", "missing.csv", "--forecast", "missing.csv",
      "--format", "json"],
-    ["simulate", "--config", "missing.json"],
-], ids=["backtest-csv-without-out", "backtest-forecast-syntax", "simulate-csv-without-out"])
+], ids=["backtest-forecast-syntax"])
 def test_usage_error_before_any_input_is_read(argv):
     assert _exit_code(argv) == EXIT_USAGE
 
@@ -382,6 +380,27 @@ def test_simulate_command(tmp_path):
     assert len(lines) == 4
 
 
+def test_simulate_leaves_library_defaults_to_the_library(tmp_path, monkeypatch):
+    """A key the config leaves out is not passed, so `DgpSpec` and
+    `run_sweep` hold the only definition of its default."""
+    from poolmax import simlab
+
+    calls = []
+
+    def run_sweep(spec, **kwargs):
+        calls.append((spec, kwargs))
+        return simlab.SweepResult()
+
+    monkeypatch.setattr(simlab, "run_sweep", run_sweep)
+    cfg = {k: v for k, v in SWEEP_CONFIG.items() if k not in ("alpha", "B", "mc_reps")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 0
+    [(spec, kwargs)] = calls
+    assert spec.alpha_n == simlab.DgpSpec.alpha_n
+    assert kwargs == {"q_grid": [2], "d_grid": [18]}
+
+
 @pytest.mark.parametrize("edit, message", [
     ({"under_null": None}, "'under_null': missing"),
     ({"n": "abc"}, "'n': expected an integer >= 1, got 'abc'"),
@@ -453,6 +472,64 @@ def test_backtest_command(tmp_path):
     assert lines[0] == ",emp,evt"
 
 
+def _crlf_csv_as_lf(rows):
+    """rows through `csv`'s default writer, which ends lines in CRLF, with
+    each CRLF then cut to a newline."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().replace("\r\n", "\n")
+
+
+def test_csv_to_stdout_equals_csv_to_out(panel_csv, tmp_path, capsysbinary):
+    """Every CSV output has the same bytes on stdout, where it goes without
+    --out, as in --out, with each line ending in a bare newline.  The
+    backtest and sweep tables hold the cells of their JSON in the layout
+    they had when the library wrote them with CRLF line ends."""
+    x = str(panel_csv)
+    forecasts = []
+    for name, level in [("lo", 1.3), ("hi", 1.6)]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(",".join(f"a{j}" for j in range(10)) + "\n"
+                        + (",".join([str(level)] * 10) + "\n") * 60)
+        forecasts += ["--forecast", f"{name}={path}"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SWEEP_CONFIG))
+    commands = {
+        "pool-test": ["pool-test", "--in", x, "--q", "3", "--d", "20", "--B", "40",
+                      "--format", "csv"],
+        "naive-test": ["naive-test", "--in", x, "--format", "csv"],
+        "marginal-test": ["marginal-test", "--in", x, "--B", "40", "--format", "csv"],
+        "backtest": ["backtest", "--returns", x, *forecasts, "--theta0", "0.05", "--q", "3",
+                     "--d", "20", "--B", "40"],
+        "simulate": ["simulate", "--config", str(cfg)],
+        "taildep": ["taildep", "--in", x, "--u", "0.1"],
+    }
+    text = {}
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.out"
+        assert run(argv) == 0
+        stdout = capsysbinary.readouterr().out
+        assert run([*argv, "--out", str(out)]) == 0
+        assert stdout == out.read_bytes(), name
+        assert b"\r\n" not in stdout, name
+        text[name] = stdout.decode("utf-8")
+
+    assert run([*commands["backtest"], "--format", "json"]) == 0
+    report = json.loads(capsysbinary.readouterr().out)
+    names = report["methods"]
+    cells = {(m, m): p for m, p in report["validation_pvalues"].items()}
+    cells.update({(c["row"], c["col"]): c["p_value"] for c in report["comparative_pvalues"]})
+    assert text["backtest"] == _crlf_csv_as_lf(
+        [["", *names]] + [[a] + ["" if cells.get((a, b)) is None else f"{cells[a, b]:.6g}"
+                                 for b in names] for a in names])
+
+    assert run([*commands["simulate"], "--format", "json"]) == 0
+    rows = json.loads(capsysbinary.readouterr().out)
+    cols = ["model", "q", "d", "method", "alpha", "mc_reps", "reject_rate"]
+    assert len(rows) == 3
+    assert text["simulate"] == _crlf_csv_as_lf([cols] + [[r[c] for c in cols] for r in rows])
+
+
 def _write_input(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -510,7 +587,7 @@ EXIT_CODE_TABLE = {
                              EXIT_DATA, "alpha_n must lie in (0, 0.5)"),
     "p0-too-large": (["simulate", "--config", "{cfg}", "--format", "json"],
                      {"cfg": json.dumps({**SWEEP_CONFIG, "p0": 5})},
-                     EXIT_DATA, "p0=5 too large for p=9"),
+                     EXIT_DATA, "need 2*p0 <= p, got p0=5, p=9"),
     "q-grid-repeated": (["simulate", "--config", "{cfg}", "--format", "json"],
                         {"cfg": json.dumps({**SWEEP_CONFIG, "q_grid": [7, 7]})},
                         EXIT_DATA, "q_grid lists 7 more than once"),
@@ -600,7 +677,7 @@ def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
     first = f",{header}\naktie_ø,1,".encode("utf-8")
     assert (tmp_path / "td.csv").read_bytes().startswith(first)
     assert poolmax(*taildep).stdout == (tmp_path / "td.csv").read_bytes()
-    assert (tmp_path / "bt.csv").read_bytes().startswith(",ø,株\r\nø,".encode("utf-8"))
+    assert (tmp_path / "bt.csv").read_bytes().startswith(",ø,株\nø,".encode("utf-8"))
     assert json.loads(bt_json.stdout)["methods"] == ["ø", "株"]
     # names given to run() as text, which the ASCII codec cannot encode
     proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", (

@@ -218,12 +218,10 @@ def test_run_sweep_verdicts_equal_the_tests(model, under_null):
     assert ("0" if under_null else "1") in seen
 
 
-def test_sweep_csv(tmp_path):
+def test_sweep_csv():
     spec = DgpSpec("B1", 40, 5, 1, True, RngSpec(9))
     res = run_sweep(spec, [2], [5], B=10, mc_reps=2, methods=("naive",))
-    out = tmp_path / "sweep.csv"
-    res.to_csv(out)
-    lines = out.read_text().strip().splitlines()
+    lines = res.to_csv().strip().splitlines()
     assert lines[0] == "model,q,d,method,alpha,mc_reps,reject_rate"
     assert len(lines) == 2
 
