@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import TestResult, _csv_text, substream_normals, validate_matrix
+from .core import TestResult, csv_text, substream_normals, validate_matrix
 from .errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from .pooltest import (
     BootstrapConfig,
@@ -218,7 +218,7 @@ class BacktestReport:
                     p = self._cell(self.comparative.get((a, b)))
                 row.append("" if p is None else f"{p:.6g}")
             rows.append(row)
-        return _csv_text(rows)
+        return csv_text(rows)
 
 
 def _forecast(name: str, r, shape) -> np.ndarray:
@@ -258,7 +258,7 @@ def full_backtest(
         config={"theta0": theta0, "alpha": alpha, "B": cfg.replicates,
                 "q": fam.q, "d": fam.d},
     )
-    xi = substream_normals(cfg.rng, cfg.replicates, u.shape[0])
+    xi = substream_normals(cfg.rng, range(cfg.replicates), u.shape[0])
 
     def cell(key: str, x, one_sided: bool) -> Optional[TestResult]:
         try:

@@ -5,7 +5,10 @@ The RNG contract is the backbone of every stochastic routine in the
 package: an :class:`RngSpec` is a cheap immutable token (seed, stream_id)
 and every bootstrap replicate / Monte Carlo repetition derives its own
 substream, so results are bit-identical regardless of evaluation order or
-parallelism degree.
+parallelism degree.  `substream_normals` draws any increasing range of
+replicates at once; it derives the Philox keys of just those rows, starting
+each from NumPy's SeedSequence pool of the seed, and no other module handles
+a key.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 
 from .errors import NonFiniteError, PoolmaxError
 
-__all__ = ["RngSpec", "substream", "substream_normals", "TestResult", "validate_matrix"]
+__all__ = ["RngSpec", "substream", "substream_normals", "TestResult", "validate_matrix",
+           "csv_text"]
 
 
 @dataclass(frozen=True)
@@ -83,15 +87,16 @@ def _philox_keys(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
     """Row i: SeedSequence(seed, spawn_key=(ids[i],)).generate_state(2, uint64).
 
     The same hash as NumPy's SeedSequence, run on uint32 columns, one lane
-    per id.  Every id in `ids` takes `n_words` 32-bit words, so that every
-    lane mixes the same number of words.  The tests compare the result with
-    NumPy's own SeedSequence, so a change there cannot pass unnoticed.
+    per id.  Every lane mixes the seed's words first, so every lane starts
+    from the pool of ``SeedSequence(seed)``, after the 4 * max(words, 4)
+    hashmix calls that mixing took, and mixes in only its spawn words, of
+    which every id in `ids` takes `n_words`.  The tests compare the result
+    with NumPy's own SeedSequence, so a change there cannot pass unnoticed.
     """
-    run = [(seed >> (32 * j)) & _MASK32 for j in range(_n_words(seed))]
-    run += [0] * (_POOL_SIZE - len(run))  # a spawned sequence pads to the pool
-    spawn = [((ids >> (32 * j)) & _MASK32).astype(np.uint32) for j in range(n_words)]
-    entropy = [np.full(ids.size, w, dtype=np.uint32) for w in run] + spawn
-    hash_const = _INIT_A
+    # uint32 arrays, not scalars: NumPy warns when a uint32 scalar overflows.
+    pool = [np.full(ids.size, w, dtype=np.uint32) for w in np.random.SeedSequence(seed).pool]
+    calls = 4 * max(_n_words(seed), _POOL_SIZE)
+    hash_const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
 
     def hashmix(v):
         nonlocal hash_const
@@ -104,12 +109,8 @@ def _philox_keys(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
         r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
         return r ^ (r >> np.uint32(16))
 
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for w in entropy[_POOL_SIZE:]:
+    for j in range(n_words):
+        w = ((ids >> (32 * j)) & _MASK32).astype(np.uint32)
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = mix(pool[i_dst], hashmix(w))
     hash_const = _INIT_B
@@ -122,42 +123,29 @@ def _philox_keys(seed: int, ids: np.ndarray, n_words: int) -> np.ndarray:
     return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-def substream_normals(rng: RngSpec, replicates: int, n: int) -> np.ndarray:
-    """A (replicates, n) matrix whose row b is
-    ``substream(rng, b).generator().standard_normal(n)``, byte for byte."""
-    return _keyed_normals(_substream_keys(rng, replicates), n)
+def substream_normals(rng: RngSpec, rows: range, n: int) -> np.ndarray:
+    """A (len(rows), n) matrix whose row i is
+    ``substream(rng, rows[i]).generator().standard_normal(n)``, byte for byte.
 
-
-def _substream_keys(rng: RngSpec, replicates: int) -> np.ndarray:
-    """Row b: the Philox key of ``substream(rng, b).generator()``.
-
-    The keys are derived in one vectorized pass per id width.  The stream
-    ids increase with b, so the ids that take w 32-bit words are one run of
-    rows, found by bisection.
+    `rows` is an increasing range of replicate indices, so the stream ids
+    increase too and the ids that take w 32-bit words are one run of rows,
+    found by bisection; the Philox keys of each run are derived in one
+    vectorized pass.  One generator is then reset to each key with a zero
+    counter and an empty buffer, the state of a freshly built one, and
+    draws straight into its row.
     """
-    ids = _cantor(rng.stream_id, np.arange(replicates, dtype=object))
-    keys = np.empty((replicates, 2), dtype=np.uint64)
-    widths = _n_words(ids[-1]) if replicates else 0
+    ids = _cantor(rng.stream_id, np.array(rows, dtype=object))
+    keys = np.empty((len(rows), 2), dtype=np.uint64)
     lo = 0
-    for w in range(1, widths + 1):
+    while lo < len(ids):
+        w = _n_words(ids[lo])
         hi = int(np.searchsorted(ids, 1 << (32 * w)))  # the first id wider than w words
-        if hi > lo:
-            keys[lo:hi] = _philox_keys(rng.seed, ids[lo:hi], w)
+        keys[lo:hi] = _philox_keys(rng.seed, ids[lo:hi], w)
         lo = hi
-    return keys
-
-
-def _keyed_normals(keys: np.ndarray, n: int) -> np.ndarray:
-    """Row i: ``standard_normal(n)`` of a fresh Philox generator with key keys[i].
-
-    One generator is reset to each key with a zero counter and an empty
-    buffer, the state of a freshly built one, and draws straight into its
-    row.
-    """
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
-    xi = np.empty((len(keys), n))
+    xi = np.empty((len(rows), n))
     for key, row in zip(keys, xi):
         fresh["state"]["key"] = key
         bitgen.state = fresh
@@ -231,10 +219,10 @@ class TestResult:
         `per_subset_t`."""
         d = self.to_dict()
         d.pop("per_subset_t", None)
-        return _csv_text([d.keys(), map(str, d.values())])
+        return csv_text([d.keys(), map(str, d.values())])
 
 
-def _csv_text(rows) -> str:
+def csv_text(rows) -> str:
     """rows as CSV text, each line ending in a bare newline; `csv` quotes a
     field only where it must, so plain fields keep their bytes.
 

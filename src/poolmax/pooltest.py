@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    RngSpec,
-    TestResult,
-    _keyed_normals,
-    _substream_keys,
-    substream_normals,
-    validate_matrix,
-)
+from .core import RngSpec, TestResult, substream_normals, validate_matrix
 from .errors import (
     DegenerateStatisticError,
     DegenerateVarianceError,
@@ -218,15 +211,16 @@ def multiplier_bootstrap(
 
     Replicate b draws its weights from substream(cfg.rng, b), so the
     output is independent of evaluation order.  The weights depend only on
-    (cfg.rng, B, n), never on the data: ``substream_normals`` derives the
-    Philox keys of all B replicates in one batch, and ``full_backtest``
-    draws the weight matrix once for all of its tests.  The pooled sums
-    enter uncentered.  The weighted sums are taken over column blocks of
-    subsets (`_blocks`), so about `_BLOCK_BYTES` of the B x d weighted sums
-    exists at once and each block re-packs only the B x n weights, never
-    the n x d panel; a running max over blocks is the max over all of them.
+    (cfg.rng, B, n), never on the data: ``substream_normals`` draws the
+    rows ``range(B)``, deriving their Philox keys from NumPy's SeedSequence
+    pool of the seed, and ``full_backtest`` draws the weight matrix once
+    for all of its tests.  The pooled sums enter uncentered.  The weighted
+    sums are taken over column blocks of subsets (`_blocks`), so about
+    `_BLOCK_BYTES` of the B x d weighted sums exists at once and each block
+    re-packs only the B x n weights, never the n x d panel; a running max
+    over blocks is the max over all of them.
     """
-    return _weighted_max(panel, substream_normals(cfg.rng, cfg.replicates, panel.n),
+    return _weighted_max(panel, substream_normals(cfg.rng, range(cfg.replicates), panel.n),
                          one_sided)
 
 
@@ -284,11 +278,10 @@ def _bootstrap_rejects(panel: PooledPanel, alpha: float, cfg: BootstrapConfig) -
     gamma = n * u / (1 - n * u)
     c = float((np.sqrt(np.einsum("ij,ij->j", panel.y, panel.y))
                / np.sqrt(n * panel.sigma_hat)).max())
-    keys = _substream_keys(cfg.rng, B)
     below = above = lo = 0
     hi = min(B, _FIRST_CHUNK)
     while True:
-        xi = _keyed_normals(keys[lo:hi], n)
+        xi = substream_normals(cfg.rng, range(lo, hi), n)
         draws = _weighted_max(panel, xi)
         bound = 2 * gamma * c * np.sqrt(np.einsum("ij,ij->i", xi, xi)) \
             + 4 * u * (abs(stat) + np.abs(draws))

@@ -17,7 +17,7 @@ from typing import List, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import RngSpec, _csv_text, substream, validate_matrix
+from .core import RngSpec, csv_text, substream, validate_matrix
 from .errors import PoolmaxError
 from .pooltest import (
     BootstrapConfig,
@@ -192,7 +192,7 @@ class SweepResult:
 
     def to_csv(self) -> str:
         cols = ["model", "q", "d", "method", "alpha", "mc_reps", "reject_rate"]
-        return _csv_text([cols, *([row[c] for c in cols] for row in self.rows)])
+        return csv_text([cols, *([row[c] for c in cols] for row in self.rows)])
 
     def to_json(self, **kwargs) -> str:
         kwargs.setdefault("sort_keys", True)

@@ -99,7 +99,7 @@ def no_work(monkeypatch):
         raise AssertionError("work ran before the arguments were checked")
 
     for module, names in [
-        (pooltest, ["pooled_panel", "_studentized", "substream_normals", "_keyed_normals"]),
+        (pooltest, ["pooled_panel", "_studentized", "substream_normals"]),
         (backtest, ["pooled_panel", "substream_normals"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),
         (riskmodels, ["garch_fit"]),

@@ -407,7 +407,8 @@ def test_simulate_leaves_library_defaults_to_the_library(tmp_path, monkeypatch):
     ({"model": "C3"}, "'model': expected one of A1, A2, B1, B2, got 'C3'"),
     ({"q_grid": "x"}, "'q_grid': expected a non-empty list of integers, got 'x'"),
     ({"under_null": "false"}, "'under_null': expected true or false, got 'false'"),
-    ({"methods": ["naive", "pool"]}, "'methods': expected a non-empty list of"),
+    ({"methods": ["naive", 3]}, "'methods': expected a non-empty list of strings, "
+                                "got ['naive', 3]"),
     ({"n": 60.7}, "'n': expected an integer >= 1, got 60.7"),
     ({"p": True}, "'p': expected an integer >= 1, got True"),
     ({"p0": 1.5}, "'p0': expected an integer >= 0, got 1.5"),
@@ -418,7 +419,7 @@ def test_simulate_leaves_library_defaults_to_the_library(tmp_path, monkeypatch):
     ({"q_grid": [2.9]}, "'q_grid': expected a non-empty list of integers, got [2.9]"),
     ({"d_grid": [18, True]}, "'d_grid': expected a non-empty list of integers, got [18, True]"),
 ], ids=["missing-key", "bad-int", "unknown-model", "grid-not-list", "flag-string",
-        "unknown-method", "n-fraction", "p-bool", "p0-fraction", "B-fraction",
+        "method-not-string", "n-fraction", "p-bool", "p0-fraction", "B-fraction",
         "mc_reps-bool", "seed-fraction", "stream_id-bool", "q_grid-fraction",
         "d_grid-bool"])
 def test_simulate_bad_config_exits_3(tmp_path, capsys, edit, message):
@@ -591,6 +592,10 @@ EXIT_CODE_TABLE = {
     "q-grid-repeated": (["simulate", "--config", "{cfg}", "--format", "json"],
                         {"cfg": json.dumps({**SWEEP_CONFIG, "q_grid": [7, 7]})},
                         EXIT_DATA, "q_grid lists 7 more than once"),
+    "unknown-method": (["simulate", "--config", "{cfg}", "--format", "json"],
+                       {"cfg": json.dumps({**SWEEP_CONFIG, "methods": ["naive", "pool"]})},
+                       EXIT_DATA, "unknown method 'pool'; expected one of subsets-pool, "
+                                  "naive, marginal"),
 }
 
 

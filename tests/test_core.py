@@ -64,28 +64,39 @@ def test_rngspec_stores_numpy_integers_as_int():
         RngSpec(7.0)
 
 
-def _normals_loop(rng, replicates, n):
-    xi = np.empty((replicates, n))
-    for b in range(replicates):
-        xi[b] = substream(rng, b).generator().standard_normal(n)
+def _normals_loop(rng, rows, n):
+    xi = np.empty((len(rows), n))
+    for i, b in enumerate(rows):
+        xi[i] = substream(rng, b).generator().standard_normal(n)
     return xi
 
 
-@pytest.mark.parametrize(
-    "rng, replicates, n",
-    [
-        (RngSpec(0), 1, 2),
-        (RngSpec(3, 2), 300, 50),
-        (RngSpec(2**40 + 3, 7), 20, 5),  # seed takes two 32-bit words
-        (RngSpec(5, 92_600), 200, 3),  # Cantor-paired ids pass 2**32
-        (RngSpec(1, 6_074_000_950), 100, 3),  # ... and 2**64
-        (RngSpec(2**70, 2**40), 10, 4),
-        (RngSpec(np.int64(7), np.int64(3)), 5, 3),  # e.g. a seed from np.arange
-        (RngSpec(np.uint64(2**40 + 3), np.int32(92_600)), 40, 2),
-    ],
-)
-def test_substream_normals_matches_per_replicate_generators(rng, replicates, n):
-    xi = substream_normals(rng, replicates, n)
-    assert xi.shape == (replicates, n)
-    assert xi.tobytes() == _normals_loop(rng, replicates, n).tobytes()
+def _rows_id(rows):
+    # range(k) shows as k, any other range as <start>to<stop>
+    if isinstance(rows, range):
+        return str(rows.stop) if rows.start == 0 else f"{rows.start}to{rows.stop}"
+    return None
 
+
+@pytest.mark.parametrize(
+    "rng, rows, n",
+    [
+        (RngSpec(0), range(1), 2),
+        (RngSpec(3, 2), range(300), 50),
+        (RngSpec(2**40 + 3, 7), range(20), 5),  # seed takes two 32-bit words
+        (RngSpec(5, 92_600), range(200), 3),  # Cantor-paired ids pass 2**32
+        (RngSpec(1, 6_074_000_950), range(100), 3),  # ... and 2**64
+        (RngSpec(2**70, 2**40), range(10), 4),
+        (RngSpec(np.int64(7), np.int64(3)), range(5), 3),  # e.g. a seed from np.arange
+        (RngSpec(np.uint64(2**40 + 3), np.int32(92_600)), range(40), 2),
+        # five seed words: mixing the seed takes more than 4 * 4 hashmix calls
+        (RngSpec(2**140, 9), range(30), 3),
+        (RngSpec(3), range(92_660, 92_700), 3),  # a chunk whose ids cross 2**32
+        (RngSpec(3), range(0), 3),
+    ],
+    ids=_rows_id,
+)
+def test_substream_normals_matches_per_replicate_generators(rng, rows, n):
+    xi = substream_normals(rng, rows, n)
+    assert xi.shape == (len(rows), n)
+    assert xi.tobytes() == _normals_loop(rng, rows, n).tobytes()

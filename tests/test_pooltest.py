@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poolmax.core
 import poolmax.pooltest
 from poolmax import (
     BootstrapConfig,
@@ -21,7 +22,7 @@ from poolmax import (
     pool_test,
     pooled_panel,
 )
-from poolmax.core import _keyed_normals, substream_normals, validate_matrix
+from poolmax.core import substream_normals, validate_matrix
 from poolmax.errors import (
     DegenerateStatisticError,
     DegenerateVarianceError,
@@ -289,26 +290,52 @@ class TestEarlyStoppingVerdict:
         monkeypatch.setattr(poolmax.pooltest, "_MARGIN_SLACK", np.inf)
         assert _bootstrap_rejects(panel, 0.05, cfg) == want and len(calls) == 1
 
-    def test_stops_drawing_once_the_verdict_is_fixed(self, monkeypatch):
-        drawn = []
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The row count of each `substream_normals` call in pooltest."""
+        counts = []
 
-        def counted(keys, n):
-            drawn.append(len(keys))
-            return _keyed_normals(keys, n)
+        def counted(rng, rows, n):
+            counts.append(len(rows))
+            return substream_normals(rng, rows, n)
 
-        monkeypatch.setattr(poolmax.pooltest, "_keyed_normals", counted)
+        monkeypatch.setattr(poolmax.pooltest, "substream_normals", counted)
+        return counts
+
+    @staticmethod
+    def _null_and_far_panels():
+        """A config, a null panel and a panel whose statistic every draw lies below."""
         gen = np.random.default_rng(12)
         fam = build_family(20, 7, 40, RngSpec(1))
         cfg = BootstrapConfig(rng=RngSpec(4), replicates=1000)
-        panel = pooled_panel(gen.standard_normal((300, 20)), fam)
-        assert not _bootstrap_rejects(panel, 0.05, cfg)
+        null = pooled_panel(gen.standard_normal((300, 20)), fam)
+        return cfg, null, pooled_panel(gen.standard_normal((300, 20)) + 1.0, fam)
+
+    def test_stops_drawing_once_the_verdict_is_fixed(self, drawn):
+        cfg, null, far = self._null_and_far_panels()
+        assert not _bootstrap_rejects(null, 0.05, cfg)
         assert sum(drawn) < 300
         drawn.clear()
-        # every draw lies below this statistic, so the k-th one decides
-        panel = pooled_panel(gen.standard_normal((300, 20)) + 1.0, fam)
-        assert _bootstrap_rejects(panel, 0.05, cfg)
+        # every draw lies below the far statistic, so the k-th one decides
+        assert _bootstrap_rejects(far, 0.05, cfg)
         k = _order_index(0.05, 1000)
         assert drawn == [_FIRST_CHUNK, k - _FIRST_CHUNK]
+
+    def test_derives_keys_only_for_drawn_rows(self, monkeypatch, drawn):
+        lanes = []
+        philox_keys = poolmax.core._philox_keys
+
+        def hashed(seed, ids, n_words):
+            lanes.append(ids.size)
+            return philox_keys(seed, ids, n_words)
+
+        monkeypatch.setattr(poolmax.core, "_philox_keys", hashed)
+        cfg, null, far = self._null_and_far_panels()
+        assert not _bootstrap_rejects(null, 0.05, cfg)
+        assert sum(lanes) == sum(drawn) < 300
+        lanes.clear()
+        assert _bootstrap_rejects(far, 0.05, cfg)
+        assert sum(lanes) == _order_index(0.05, 1000)
 
 
 @pytest.mark.parametrize("n, p, d", [(500, 100, 200), (500, 100, 201), (37, 60, 333), (120, 9, 64)])
@@ -318,7 +345,7 @@ def test_chunked_draws_lie_within_the_certified_bound(n, p, d):
     `_bootstrap_rejects` relies on, whether or not BLAS keeps every bit."""
     gen = np.random.default_rng(n * d)
     panel = pooled_panel(gen.standard_normal((n, p)), _random_family(gen, p, (p - 1) // 2, d))
-    xi = substream_normals(RngSpec(d), 300, n)
+    xi = substream_normals(RngSpec(d), range(300), n)
     u = np.finfo(np.float64).eps / 2
     c = (np.linalg.norm(panel.y, axis=0) / np.sqrt(n * panel.sigma_hat)).max()
     full = _weighted_max(panel, xi)
@@ -497,7 +524,7 @@ def _assert_agrees_with_one_shot(shape):
     assert np.all(np.abs(panel.y - x @ s) <= 1e-13 * (np.abs(x) @ s))
     assert np.array_equal(pooled_panel(x, fam).y, panel.y)
 
-    xi = substream_normals(RngSpec(B, 7), B, n)
+    xi = substream_normals(RngSpec(B, 7), range(B), n)
     scale = np.sqrt(n * panel.sigma_hat)
     t_b = xi @ panel.y / scale
     bound = 1e-13 * (np.abs(xi) @ np.abs(panel.y) / scale).max(axis=1)
