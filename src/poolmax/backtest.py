@@ -53,9 +53,11 @@ def _same_shape(*mats):
     return arrs
 
 
-def _check_theta0(theta0: float) -> None:
+def _check_theta0(theta0: float) -> float:
+    """theta0 as a Python float, which a report records; it must lie in (0, 1)."""
     if not 0 < theta0 < 1:
         raise PoolmaxError("theta0 must lie in (0, 1)")
+    return float(theta0)
 
 
 def exceedance_matrix(u, r, theta0: float) -> np.ndarray:
@@ -117,7 +119,7 @@ def comparative_test(
     outperforms r (the row method).
     """
     diff = score_diff_matrix(u, r, r_star, theta0)
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     panel = pooled_panel(diff, fam)
     draws = multiplier_bootstrap(panel, cfg, one_sided)
     return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
@@ -248,10 +250,10 @@ def full_backtest(
     byte.  Degenerate cells (no variation in indicators or score
     differences) are recorded in the report instead of aborting it.
     """
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     u = validate_matrix(u)
     fcs = {m: _forecast(m, r, u.shape) for m, r in forecasts.items()}
-    _check_theta0(theta0)
+    theta0 = _check_theta0(theta0)
     names = list(fcs)
     report = BacktestReport(
         method_names=names,

@@ -173,9 +173,11 @@ def _studentized(y: np.ndarray) -> PooledPanel:
     return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
 
 
-def _check_alpha(alpha: float) -> None:
+def _check_alpha(alpha: float) -> float:
+    """alpha as a Python float, which a result records; it must lie in (0, 1)."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
+    return float(alpha)
 
 
 def max_statistic(panel: PooledPanel) -> float:
@@ -188,7 +190,7 @@ def naive_test(x, alpha: float) -> TestResult:
     from scipy.special import ndtr, ndtri  # here, not above: only this test needs scipy
 
     x = validate_matrix(x)
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # `_studentized` checks the sums
         y = x.sum(axis=1)
     t = float(_studentized(y[:, None]).t_stats[0])
@@ -304,7 +306,7 @@ def _order_index(alpha: float, B: int) -> int:
     """k = min(ceil((1-alpha)(B+1)), B): the critical value of B draws is
     their k-th smallest, so a statistic exceeds it iff at least k draws lie
     below the statistic."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     return min(int(np.ceil((1 - alpha) * (B + 1))), B)
 
 
@@ -340,7 +342,7 @@ def _bootstrap_result(
 
 def pool_test(x, fam: SubsetFamily, alpha: float, cfg: BootstrapConfig) -> TestResult:
     """Subsets-based pooling max-test with multiplier-bootstrap calibration."""
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     panel = pooled_panel(x, fam)
     return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "subsets-pool")
 
@@ -349,6 +351,6 @@ def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
     """Max-type test on individual dimensions: the subsets-pool test with
     singleton subsets, whose pooled sums are the columns of x themselves."""
     x = validate_matrix(x)
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     panel = _studentized(x)
     return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "marginal")

@@ -11,8 +11,9 @@ construction.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -217,15 +218,19 @@ def run_sweep(
     """Empirical rejection rates over the (q, d) product grid.
 
     Each repetition generates one dataset (shared across grid points) and
-    applies every requested method at every grid point.  Fully
-    deterministic in (spec.rng, grids).  A repeated q, d or method, an
-    unknown method, an alpha outside (0, 1), a negative mc_reps or, for a
-    bootstrap method, a B below 1 raises before any repetition runs.
+    applies every requested method at every grid point (`_rep_outcomes`).
+    Fully deterministic in (spec.rng, grids).  A fractional grid value or
+    mc_reps, a repeated q, d or method, an unknown method, an alpha outside
+    (0, 1), a negative mc_reps or, for a bootstrap method, a B below 1
+    raises before any repetition runs.
 
     The pool and marginal verdicts are those of `pool_test` and
     `marginal_test`, but each bootstrap stops drawing replicates once its
     verdict is fixed (`_bootstrap_rejects`).
     """
+    q_grid = [operator.index(q) for q in q_grid]
+    d_grid = [operator.index(d) for d in d_grid]
+    mc_reps = operator.index(mc_reps)
     for name, values in (("q_grid", q_grid), ("d_grid", d_grid), ("methods", methods)):
         seen = set()
         for v in values:
@@ -235,7 +240,7 @@ def run_sweep(
     for m in methods:
         if m not in METHODS:
             raise PoolmaxError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
-    _check_alpha(alpha)
+    alpha = _check_alpha(alpha)
     if mc_reps < 0:
         raise ValueError("mc_reps must be >= 0")
     if "marginal" in methods or "subsets-pool" in methods:
@@ -247,38 +252,38 @@ def run_sweep(
         return SweepResult()
     counts = {(q, d, m): 0 for (q, d) in grid for m in methods}
     for rep in range(mc_reps):
-        rep_rng = substream(spec.rng, rep)
-        x = generate_panel(spec, substream(rep_rng, 0))
-        if "naive" in methods:
-            if naive_test(x, alpha).reject:
-                for q, d in grid:
-                    counts[(q, d, "naive")] += 1
-        if "marginal" in methods:
-            cfg = BootstrapConfig(rng=substream(rep_rng, 1), replicates=B)
-            if _bootstrap_rejects(_studentized(x), alpha, cfg):
-                for q, d in grid:
-                    counts[(q, d, "marginal")] += 1
-        if "subsets-pool" in methods:
-            for g, (q, d) in enumerate(grid):
-                fam = build_family(spec.p, q, d, substream(rep_rng, 2 + 2 * g))
-                cfg = BootstrapConfig(
-                    rng=substream(rep_rng, 3 + 2 * g), replicates=B
-                )
-                if _bootstrap_rejects(pooled_panel(x, fam), alpha, cfg):
-                    counts[(q, d, "subsets-pool")] += 1
-    result = SweepResult()
-    for q, d in grid:
-        for m in methods:
-            rate = counts[(q, d, m)] / mc_reps
-            result.rows.append(
-                {
-                    "model": spec.model,
-                    "q": q,
-                    "d": d,
-                    "method": m,
-                    "alpha": alpha,
-                    "mc_reps": mc_reps,
-                    "reject_rate": rate,
-                }
-            )
-    return result
+        for key, reject in _rep_outcomes(spec, rep, grid, methods, alpha, B).items():
+            counts[key] += reject
+    return SweepResult(rows=[
+        {"model": spec.model, "q": q, "d": d, "method": m, "alpha": alpha,
+         "mc_reps": mc_reps, "reject_rate": counts[(q, d, m)] / mc_reps}
+        for q, d in grid for m in methods
+    ])
+
+
+def _rep_outcomes(spec: DgpSpec, rep: int, grid, methods, alpha: float,
+                  B: int) -> Dict[Tuple[int, int, str], bool]:
+    """Each (q, d, method)'s verdict in repetition `rep` of `run_sweep`.
+
+    The repetition draws only from rep_rng = substream(spec.rng, rep): its
+    panel from substream(rep_rng, 0), the marginal test's weights from 1,
+    and grid point g's family from 2 + 2g and its weights from 3 + 2g.  So
+    a verdict depends on nothing but (spec, rep, grid point, method).  The
+    tests run naive, then marginal, then each grid point's pool test; the
+    first degenerate one raises its `DegenerateVarianceError`.
+    """
+    rep_rng = substream(spec.rng, rep)
+    x = generate_panel(spec, substream(rep_rng, 0))
+    shared = {}
+    if "naive" in methods:
+        shared["naive"] = naive_test(x, alpha).reject
+    if "marginal" in methods:
+        cfg = BootstrapConfig(rng=substream(rep_rng, 1), replicates=B)
+        shared["marginal"] = _bootstrap_rejects(_studentized(x), alpha, cfg)
+    out = {(q, d, m): reject for q, d in grid for m, reject in shared.items()}
+    if "subsets-pool" in methods:
+        for g, (q, d) in enumerate(grid):
+            fam = build_family(spec.p, q, d, substream(rep_rng, 2 + 2 * g))
+            cfg = BootstrapConfig(rng=substream(rep_rng, 3 + 2 * g), replicates=B)
+            out[(q, d, "subsets-pool")] = _bootstrap_rejects(pooled_panel(x, fam), alpha, cfg)
+    return out

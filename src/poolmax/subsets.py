@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -36,7 +37,9 @@ class SubsetFamily:
     `members` is a read-only (d, q) int64 array: row ell holds the sorted,
     1-based indices of subset S_ell.  The constructor also accepts any
     sequence of equal-length integer rows, sorts each row and rejects rows
-    of the wrong width, repeated indices and indices outside 1..p.
+    of the wrong width, repeated indices and indices outside 1..p.  p and q
+    are stored as Python ints (through `operator.index`), as `RngSpec`
+    stores its fields.
     """
 
     p: int
@@ -44,6 +47,8 @@ class SubsetFamily:
     members: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "p", operator.index(self.p))
+        object.__setattr__(self, "q", operator.index(self.q))
         m = _index_rows(self.members, self.q).astype(np.int64)  # the one copy
         m.sort(axis=1)
         bad = (m[:, 1:] == m[:, :-1]).any(axis=1) | (m[:, 0] < 1) | (m[:, -1] > self.p)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,3 +317,24 @@ def test_logistic_bounds():
     g = logistic(x)
     assert np.all((g > 0) & (g < 1))
     assert np.all(np.diff(g) > 0)
+
+
+def test_numpy_scalars_give_python_numbers():
+    """A report built from numpy scalars serializes: np.float64 and np.int64
+    keep the bytes of Python numbers, and np.float32 levels record their
+    float64 values."""
+    gen = np.random.default_rng(6)
+    u = gen.standard_normal((80, 10))
+    fcs = {"low": np.full_like(u, 1.2), "high": np.full_like(u, 1.9)}
+    cfg = BootstrapConfig(RngSpec(2), replicates=50)
+    fam = build_family(10, 3, 20, RngSpec(1))
+    np_fam = build_family(np.int64(10), np.int64(3), np.int64(20), RngSpec(1))
+    want = full_backtest(u, fcs, 0.05, fam, 0.1, cfg).to_json()
+    assert full_backtest(u, fcs, np.float64(0.05), np_fam, np.float64(0.1), cfg).to_json() == want
+    report = full_backtest(u, fcs, np.float32(0.05), np_fam, np.float32(0.1), cfg)
+    config = json.loads(report.to_json())["config"]
+    assert config == {"theta0": float(np.float32(0.05)), "alpha": float(np.float32(0.1)),
+                      "B": 50, "q": 3, "d": 20}
+    assert [type(v) for v in report.config.values()] == [float, float, int, int, int]
+    res = comparative_test(u, fcs["low"], fcs["high"], 0.05, np_fam, np.float32(0.1), cfg)
+    assert json.loads(res.to_json())["alpha"] == float(np.float32(0.1))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ from poolmax import (
     RngSpec,
     SubsetFamily,
     bootstrap_quantile,
+    build_family,
     marginal_test,
     max_statistic,
     multiplier_bootstrap,
@@ -686,3 +688,19 @@ def test_pool_test_makes_no_second_panel(monkeypatch):
     monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", 1 << 20)
     peak, cap = _pool_test_peak(250, 500, 4000, 500)
     assert peak < cap
+
+
+def test_numpy_alpha_gives_a_python_float():
+    """A result records alpha as a Python float: np.float64 keeps the bytes
+    of a Python float, and np.float32 serializes as its float64 value."""
+    x = np.random.default_rng(3).standard_normal((60, 7)) + 0.1
+    fam = build_family(7, 3, 14, RngSpec(1))
+    cfg = BootstrapConfig(RngSpec(2), replicates=50)
+    tests = {"naive": lambda a: naive_test(x, a),
+             "pool": lambda a: pool_test(x, fam, a, cfg),
+             "marginal": lambda a: marginal_test(x, a, cfg)}
+    for name, test in tests.items():
+        assert test(np.float64(0.05)).to_json() == test(0.05).to_json(), name
+        res = test(np.float32(0.05))
+        assert type(res.alpha) is float and res.alpha == float(np.float32(0.05)), name
+        assert json.loads(res.to_json())["alpha"] == float(np.float32(0.05)), name

@@ -176,6 +176,28 @@ def test_run_sweep_checks_alpha_and_B_before_any_rep(no_reps, alpha, B, methods,
         run_sweep(spec, [7], [40], alpha=alpha, B=B, mc_reps=mc_reps, methods=methods)
 
 
+@pytest.mark.parametrize("d_grid, mc_reps", [([20.0], 2), ([20.5], 2), ([20], 0.0)],
+                         ids=["d-integral-float", "d-fraction", "mc_reps-float"])
+def test_run_sweep_rejects_fractional_counts_before_any_rep(no_reps, d_grid, mc_reps):
+    spec = DgpSpec("B1", 40, 20, 2, True, RngSpec(8))
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        run_sweep(spec, [3], d_grid, B=50, mc_reps=mc_reps, methods=("naive",))
+
+
+def test_run_sweep_rows_hold_python_numbers():
+    """numpy grid values, mc_reps and alpha give the rows, and the bytes, of
+    Python ones."""
+    spec = DgpSpec("B1", 40, 20, 2, True, RngSpec(8))
+    want = run_sweep(spec, [3], [20], B=50, mc_reps=2)
+    got = run_sweep(spec, np.array([3]), np.array([20]), alpha=np.float64(0.05), B=np.int64(50),
+                    mc_reps=np.int64(2))
+    assert got.to_json() == want.to_json() and got.to_csv() == want.to_csv()
+    assert all(type(row[k]) is int for row in got.rows for k in ("q", "d", "mc_reps"))
+    single = run_sweep(spec, [3], [20], alpha=np.float32(0.05), B=50, mc_reps=2)
+    assert [type(row["alpha"]) for row in single.rows] == [float] * 3
+    single.to_json()
+
+
 def test_run_sweep_needs_no_B_without_a_bootstrap():
     spec = DgpSpec("B1", 40, 20, 2, True, RngSpec(8))
     assert len(run_sweep(spec, [7], [40], B=0, mc_reps=2, methods=("naive",)).rows) == 1
@@ -216,6 +238,106 @@ def test_run_sweep_verdicts_equal_the_tests(model, under_null):
             assert got == verdict, (seed, m)
             seen.add(verdict)
     assert ("0" if under_null else "1") in seen
+
+
+# Verdicts of repetitions 0-5 (n=400, p=20, p0=4, seed 11, alpha=0.2),
+# recorded before `_rep_outcomes` existed by differencing run_sweep's counts
+# at mc_reps r and r + 1, one method at a time: '1' reject, '0' accept, 'E' a
+# DegenerateVarianceError, after which that method's sweeps raise.  Per
+# (model, under_null, B): the naive and the marginal verdicts (the same at
+# every grid point), the pool verdicts per grid point of PIN_GRID, and the
+# marginal test's error message.  At B = 50 no marginal verdict here hangs on
+# its weights, so the two B = 2 designs, whose critical values are the
+# weights' own, pin the marginal test's stream.
+PIN_GRID = [(3, 20), (3, 40), (7, 20), (7, 40)]
+PINNED = {
+    ("A1", True, 50): ("000000", "1111E",
+                       ("001010", "001010", "000000", "000010"),
+                       "zero variance estimate (subset/column 13)"),
+    ("A1", False, 50): ("100000", "E",
+                        ("111111", "111111", "111111", "111111"),
+                        "zero variance estimate (subset/column 14)"),
+    ("A2", True, 50): ("000000", "10E",
+                       ("001001", "001001", "000001", "001001"),
+                       "zero variance estimate (subset/column 3)"),
+    ("A2", False, 50): ("010000", "E",
+                        ("111111", "111111", "111111", "111111"),
+                        "zero variance estimate (subset/column 8)"),
+    ("B1", True, 50): ("000000", "000000",
+                       ("000000", "000100", "000000", "000100"),
+                       None),
+    ("B1", False, 50): ("000000", "111111",
+                        ("111111", "111111", "111111", "111111"),
+                        None),
+    ("B2", True, 50): ("100001", "000000",
+                       ("001000", "001000", "101000", "100001"),
+                       None),
+    ("B2", False, 50): ("100001", "111111",
+                        ("111111", "111111", "111111", "101111"),
+                        None),
+    ("B1", True, 2): ("000000", "100000",
+                      ("101011", "000100", "110001", "010100"),
+                      None),
+    ("B2", True, 2): ("100001", "000000",
+                      ("110000", "001000", "111001", "101011"),
+                      None),
+}
+
+
+@pytest.mark.parametrize("model, under_null, B", list(PINNED))
+def test_rep_outcomes_pinned(model, under_null, B):
+    """Each repetition keeps its verdicts, so its stream layout: the panel,
+    the marginal weights and each grid point's family and weights."""
+    spec = DgpSpec(model, 400, 20, 4, under_null, RngSpec(11))
+    naive, marginal, pool, error = PINNED[(model, under_null, B)]
+    pinned = {"naive": dict.fromkeys(PIN_GRID, naive),
+              "marginal": dict.fromkeys(PIN_GRID, marginal),
+              "subsets-pool": dict(zip(PIN_GRID, pool))}
+
+    def verdicts(rep, methods):
+        outcomes = simlab._rep_outcomes(spec, rep, PIN_GRID, methods, 0.2, B)
+        return {key: str(int(reject)) for key, reject in outcomes.items()}
+
+    def raises_error(rep, methods):
+        with pytest.raises(DegenerateVarianceError, match=f"^{re.escape(error)}$"):
+            verdicts(rep, methods)
+
+    for rep in range(6):
+        want = {(q, d, m): s[rep:rep + 1] for m, strings in pinned.items()
+                for (q, d), s in strings.items()}
+        for m in pinned:
+            mine = {key: v for key, v in want.items() if key[2] == m}
+            if set(mine.values()) == {"E"}:
+                raises_error(rep, (m,))
+            elif set(mine.values()) != {""}:
+                assert verdicts(rep, (m,)) == mine, (rep, m)
+        # all three methods at once: the marginal's error comes before any pool test
+        if marginal[rep:rep + 1] == "E":
+            raises_error(rep, simlab.METHODS)
+        elif marginal[rep:rep + 1]:
+            assert verdicts(rep, simlab.METHODS) == want, rep
+
+
+def test_rep_outcomes_depend_on_the_rep_alone(monkeypatch):
+    """Rep 7 of an 8-rep sweep gets the verdicts of `_rep_outcomes` for rep 7
+    alone, and the sweep's rates are the means of its reps' verdicts."""
+    spec = DgpSpec("B2", 200, 20, 4, True, RngSpec(5))
+    kernel = simlab._rep_outcomes
+    seen = []
+
+    def spy(spec_, rep, *args):
+        out = kernel(spec_, rep, *args)
+        seen.append((rep, out))
+        return out
+
+    monkeypatch.setattr(simlab, "_rep_outcomes", spy)
+    res = run_sweep(spec, [3, 7], [20, 40], alpha=0.2, B=50, mc_reps=8)
+    assert [rep for rep, _ in seen] == list(range(8))
+    assert seen[7][1] == kernel(spec, 7, [(3, 20), (3, 40), (7, 20), (7, 40)],
+                                simlab.METHODS, 0.2, 50)
+    for r in res.rows:
+        key = (r["q"], r["d"], r["method"])
+        assert r["reject_rate"] == sum(out[key] for _, out in seen) / 8
 
 
 def test_sweep_csv():

@@ -163,6 +163,12 @@ def test_family_json_roundtrip():
     assert payload["p"] == 10 and payload["q"] == 3 and payload["d"] == 12
 
 
+def test_family_from_numpy_ints_serializes():
+    fam = build_family(np.int64(10), np.int64(3), np.int64(20), RngSpec(1))
+    assert type(fam.p) is int and type(fam.q) is int
+    assert fam.to_json() == build_family(10, 3, 20, RngSpec(1)).to_json()
+
+
 @pytest.mark.parametrize(
     "members",
     [((1, 2), (3,)), ((1, 2, 3),), ((1, 1),), ((0, 2),), ((2, 6),), ((1.5, 2),)],
