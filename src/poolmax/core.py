@@ -58,8 +58,11 @@ def substream(rng: RngSpec, k: int) -> RngSpec:
     """Derive the k-th child stream of `rng`.
 
     The new stream_id is the Cantor pairing of (stream_id, k), which is
-    injective, so nested derivations never collide.
+    injective, so nested derivations never collide.  k is taken through
+    `operator.index`, so a numpy integer pairs as the Python int it holds
+    and cannot wrap around.
     """
+    k = operator.index(k)
     if k < 0:
         raise ValueError("substream index must be non-negative")
     return RngSpec(rng.seed, _cantor(rng.stream_id, k))

@@ -21,11 +21,14 @@ A new class needs a caller that catches it or reads its attributes.
 
 An argument out of its range raises before any work.  ``ValueError``: an
 alpha or VaR theta outside (0, 1), a count below its minimum (B, ``mc_reps``,
-``refit_every``, seeds, ``p``), the fields of ``GarchParams`` and the
-``kind`` of a ``VarMethod``; ``TypeError``: a B, seed or stream id that is
-not an integer.  ``PoolmaxError`` (CLI exit 3): theta0 (``score``'s theta
-too), ``alpha_n``, a negative or too large ``p0``, ``u``, the skewed-t
-parameters, and a sample too small for its estimator, which includes an
+``refit_every``, seeds, a ``substream`` index, ``p``, a ``DgpSpec``'s
+included), the fields of ``GarchParams`` and the ``kind`` of a
+``VarMethod``; ``TypeError``: a B, seed, stream id, ``substream`` index,
+``DgpSpec`` n, p or p0, or family p, q or d (``SubsetFamily.from_dict``
+too) that is not an integer.  ``PoolmaxError`` (CLI exit 3): theta0
+(``score``'s theta too), ``alpha_n``, a negative or too large ``p0``, ``u``,
+the skewed-t parameters, and a sample too small for its estimator, which
+includes a ``DgpSpec`` n below 2 (the message of ``validate_matrix``) and an
 EVT tail size k outside 10 <= k < m (checked where the residual count m is
 known, not when the ``VarMethod`` is made).
 """

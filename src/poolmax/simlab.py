@@ -49,10 +49,14 @@ MODELS = ("A1", "A2", "B1", "B2")
 METHODS = ("subsets-pool", "naive", "marginal")
 
 
-def sigma1(p: int) -> np.ndarray:
-    """Identity plus 0.7 coupling on disjoint adjacent pairs (2k-1, 2k)."""
+def _check_p(p: int) -> None:
     if p < 1:
         raise ValueError("p must be positive")
+
+
+def sigma1(p: int) -> np.ndarray:
+    """Identity plus 0.7 coupling on disjoint adjacent pairs (2k-1, 2k)."""
+    _check_p(p)
     s = np.eye(p)
     for k in range(p // 2):
         s[2 * k, 2 * k + 1] = s[2 * k + 1, 2 * k] = 0.7
@@ -61,8 +65,7 @@ def sigma1(p: int) -> np.ndarray:
 
 def sigma2(p: int) -> np.ndarray:
     """Toeplitz covariance with entries 0.5 ** |i - j|."""
-    if p < 1:
-        raise ValueError("p must be positive")
+    _check_p(p)
     idx = np.arange(p)
     return 0.5 ** np.abs(idx[:, None] - idx[None, :])
 
@@ -159,6 +162,14 @@ def model_b(z: np.ndarray, mus, alpha_n: float = 0.01) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DgpSpec:
+    """One data-generating process; every check runs when it is made.
+
+    n, p and p0 are stored as Python ints (through `operator.index`), so a
+    fractional one raises `TypeError`.  n below 2 raises the `PoolmaxError`
+    of `validate_matrix`, and p below 1 the `ValueError` of `sigma1`
+    and `sigma2`.
+    """
+
     model: str
     n: int
     p: int
@@ -170,6 +181,11 @@ class DgpSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
+        for name in ("n", "p", "p0"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if self.n < 2:
+            raise PoolmaxError(f"need at least 2 observations, got {self.n}")
+        _check_p(self.p)
         _check_alpha_n(self.alpha_n)
         _check_p0(self.p, self.p0, 4 if self.model.startswith("A") else 2)
 

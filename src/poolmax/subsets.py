@@ -94,8 +94,8 @@ class SubsetFamily:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SubsetFamily":
-        fam = cls(p=int(d["p"]), q=int(d["q"]), members=d["members"])
-        if "d" in d and int(d["d"]) != fam.d:
+        fam = cls(p=d["p"], q=d["q"], members=d["members"])
+        if "d" in d and operator.index(d["d"]) != fam.d:
             raise SubsetDesignError("declared d does not match member count")
         return fam
 

@@ -44,6 +44,7 @@ THETA = (ValueError, "theta must lie in (0, 1)")
 EVT_K = (PoolmaxError, "need 10 <= k < m, got k=500, m=500")
 EVT_K_SMALL = (PoolmaxError, "need 10 <= k < m, got k=5, m=500")
 P0 = (PoolmaxError, "need p0 >= 0, got p0=-1")
+NOT_INT = (TypeError, "'float' object cannot be interpreted as an integer")
 KINDS = ("empirical", "skew-t", "evt")
 
 CASES = {
@@ -83,13 +84,18 @@ CASES = {
         (PoolmaxError, "need at least 1000 points")),
     "DgpSpec-p0": (lambda: DgpSpec("A1", n=50, p=10, p0=-1, under_null=False,
                                     rng=RngSpec(0)), P0),
+    "DgpSpec-p0-fraction": (lambda: DgpSpec("A1", n=50, p=10, p0=1.5, under_null=False,
+                                             rng=RngSpec(0)), NOT_INT),
+    "DgpSpec-n": (lambda: DgpSpec("A1", n=1, p=10, p0=1, under_null=False, rng=RngSpec(0)),
+                  (PoolmaxError, "need at least 2 observations, got 1")),
+    "DgpSpec-p": (lambda: DgpSpec("B1", n=50, p=0, p0=0, under_null=True, rng=RngSpec(0)),
+                  (ValueError, "p must be positive")),
     "theta_profile-p0": (lambda: theta_profile(10, -1, False), P0),
     "mu_profile-p0": (lambda: mu_profile(10, -1, False), P0),
     "run_sweep-mc_reps": (lambda: run_sweep(SPEC, [3], [14], B=20, mc_reps=-1),
                           (ValueError, "mc_reps must be >= 0")),
     "BootstrapConfig-replicates": (lambda: BootstrapConfig(rng=RngSpec(0), replicates=2.5),
-                                   (TypeError, "'float' object cannot be interpreted as an "
-                                               "integer")),
+                                   NOT_INT),
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from poolmax import RngSpec, substream, validate_matrix
 from poolmax.core import substream_normals
 from poolmax.errors import NonFiniteError, PoolmaxError
@@ -64,11 +65,16 @@ def test_rngspec_stores_numpy_integers_as_int():
         RngSpec(7.0)
 
 
-def _normals_loop(rng, rows, n):
-    xi = np.empty((len(rows), n))
-    for i, b in enumerate(rows):
-        xi[i] = substream(rng, b).generator().standard_normal(n)
-    return xi
+def test_substream_takes_its_index_through_operator_index():
+    """A numpy index pairs as the Python int it holds: an int64 product
+    would wrap here and put two replicates on one stream."""
+    r = RngSpec(0, 2**40)
+    want = substream(r, 3).stream_id
+    assert want == 604462909811162878050313
+    for k in (np.int64(3), np.int32(3), np.uint64(3)):
+        assert substream(r, k).stream_id == want
+    with pytest.raises(TypeError):
+        substream(r, 3.0)
 
 
 def _rows_id(rows):
@@ -99,4 +105,4 @@ def _rows_id(rows):
 def test_substream_normals_matches_per_replicate_generators(rng, rows, n):
     xi = substream_normals(rng, rows, n)
     assert xi.shape == (len(rows), n)
-    assert xi.tobytes() == _normals_loop(rng, rows, n).tobytes()
+    assert xi.tobytes() == oracle.weights(rng, rows, n).tobytes()

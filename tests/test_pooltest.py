@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 import poolmax.core
 import poolmax.pooltest
 from poolmax import (
@@ -342,18 +343,18 @@ class TestEarlyStoppingVerdict:
 
 @pytest.mark.parametrize("n, p, d", [(500, 100, 200), (500, 100, 201), (37, 60, 333), (120, 9, 64)])
 def test_chunked_draws_lie_within_the_certified_bound(n, p, d):
-    """A chunk's draws differ from the full product's by at most
-    2 gamma_n |xi_b| max_l |y_l| / scale_l plus a few roundoffs, the bound
+    """A chunk's draws differ from the full product's, and those from the
+    oracle's one-shot product, by at most the oracle's certified bound, which
     `_bootstrap_rejects` relies on, whether or not BLAS keeps every bit."""
     gen = np.random.default_rng(n * d)
     panel = pooled_panel(gen.standard_normal((n, p)), _random_family(gen, p, (p - 1) // 2, d))
-    xi = substream_normals(RngSpec(d), range(300), n)
-    u = np.finfo(np.float64).eps / 2
-    c = (np.linalg.norm(panel.y, axis=0) / np.sqrt(n * panel.sigma_hat)).max()
+    cfg = BootstrapConfig(rng=RngSpec(d), replicates=300)
+    xi = substream_normals(cfg.rng, range(300), n)
+    want, bound = oracle.bootstrap(panel, cfg)
     full = _weighted_max(panel, xi)
     chunked = np.concatenate([_weighted_max(panel, xi[lo:hi])
                               for lo, hi in [(0, 64), (64, 65), (65, 190), (190, 300)]])
-    bound = 2 * n * u / (1 - n * u) * c * np.linalg.norm(xi, axis=1) + 4 * u * np.abs(full)
+    assert np.all(np.abs(full - want) <= bound)
     assert np.all(np.abs(full - chunked) <= bound)
 
 
@@ -513,24 +514,22 @@ def _random_family(gen, p, q, d):
 
 
 def _assert_agrees_with_one_shot(shape):
-    """Each pooled sum and each draw lies within 1e-13 of the sum of the
-    magnitudes of its terms in the one-shot product, and repeated calls
-    give the same bits."""
+    """Each pooled sum and each draw lies within the oracle's certified
+    bound of its one-shot product, and repeated calls give the same bits."""
     n, p, q, d, B = shape
     gen = np.random.default_rng(shape)
     x = gen.standard_normal((n, p))
     fam = _random_family(gen, p, q, d)
     assert len(_blocks(d, 8 * p)) > 1
-    s = fam.indicator()
     panel = pooled_panel(x, fam)
-    assert np.all(np.abs(panel.y - x @ s) <= 1e-13 * (np.abs(x) @ s))
+    want, bound = oracle.pooled_sums(x, fam)
+    assert np.all(np.abs(panel.y - want) <= bound)
     assert np.array_equal(pooled_panel(x, fam).y, panel.y)
 
-    xi = substream_normals(RngSpec(B, 7), range(B), n)
-    scale = np.sqrt(n * panel.sigma_hat)
-    t_b = xi @ panel.y / scale
-    bound = 1e-13 * (np.abs(xi) @ np.abs(panel.y) / scale).max(axis=1)
-    for one_sided, want in [(False, np.abs(t_b).max(axis=1)), (True, t_b.max(axis=1))]:
+    cfg = BootstrapConfig(rng=RngSpec(B, 7), replicates=B)
+    xi = substream_normals(cfg.rng, range(B), n)
+    for one_sided in (False, True):
+        want, bound = oracle.bootstrap(panel, cfg, one_sided)
         got = _weighted_max(panel, xi, one_sided)
         assert np.all(np.abs(got - want) <= bound)
         assert np.array_equal(_weighted_max(panel, xi, one_sided), got)
@@ -602,11 +601,10 @@ class TestStudentizedInBlocks:
         y = gen.standard_normal((n, d)) * 10.0 ** gen.uniform(-100, 100, size=d)
         y[:, gen.random(d) < 0.3] += gen.integers(-3, 4, size=n)[:, None]
         y[1:][gen.random((n - 1, d)) < 0.1] = -0.0  # row 0 keeps each column non-constant
-        sigma_hat = y.var(axis=0)
-        t_stats = y.sum(axis=0) / np.sqrt(n * sigma_hat)
+        want = oracle.studentized(y)
         panel = poolmax.pooltest._studentized(y)
-        assert panel.sigma_hat.tobytes() == sigma_hat.tobytes()
-        assert panel.t_stats.tobytes() == t_stats.tobytes()
+        assert panel.sigma_hat.tobytes() == want.sigma_hat.tobytes()
+        assert panel.t_stats.tobytes() == want.t_stats.tobytes()
 
     @pytest.fixture
     def blocked(self, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from poolmax import RngSpec, build_family, circular_family, random_extension
 from poolmax.errors import NotCoprimeError, SubsetDesignError
 import poolmax.subsets
@@ -58,16 +59,6 @@ def test_random_extension_inclusion_frequency():
     assert np.all(np.abs(freq - 0.49) < 0.02)
 
 
-def _choice_rows(p, q, count, rng):
-    """The reference draw: one `Generator.choice` call per row, then a sort."""
-    gen = rng.generator()
-    out = np.empty((count, q), dtype=np.int64)
-    for i in range(count):
-        out[i] = gen.choice(p, size=q, replace=False)
-    out.sort(axis=1)
-    return out + 1
-
-
 @pytest.mark.parametrize("p, q, count", [
     # numpy's Floyd branch (p <= 10000 or q <= p // 50)
     (100, 49, 300), (2000, 49, 500), (10000, 64, 50), (65, 64, 200), (5, 1, 50),
@@ -83,7 +74,7 @@ def _choice_rows(p, q, count, rng):
 def test_random_extension_equals_choice_rows(p, q, count):
     for seed in range(2):
         got = random_extension(p, q, count, RngSpec(seed, 1))
-        want = _choice_rows(p, q, count, RngSpec(seed, 1))
+        want = oracle.choice_rows(p, q, count, RngSpec(seed, 1))
         assert got.dtype == want.dtype and got.shape == want.shape == (count, q)
         assert np.array_equal(got, want)
 
@@ -161,6 +152,15 @@ def test_family_json_roundtrip():
     assert back == fam
     payload = json.loads(fam.to_json())
     assert payload["p"] == 10 and payload["q"] == 3 and payload["d"] == 12
+
+
+@pytest.mark.parametrize("sizes", ['"p": 5.9, "q": 2.7, "d": 5.5', '"p": 5, "q": 2, "d": 5.0'],
+                         ids=["p-q-d", "d"])
+def test_family_from_json_refuses_fractions(sizes):
+    """p, q and d reach `operator.index`, which no float passes; `int()`
+    made the first a p=5, q=2, d=5 family."""
+    with pytest.raises(TypeError):
+        SubsetFamily.from_json('{%s, "members": [[1,2],[2,3],[3,4],[4,5],[1,5]]}' % sizes)
 
 
 def test_family_from_numpy_ints_serializes():
