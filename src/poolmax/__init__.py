@@ -52,7 +52,6 @@ _EXPORTS = {
     "subsets": (
         "SubsetFamily",
         "build_family",
-        "circular_family",
         "random_extension",
         "verify_identifiability",
     ),

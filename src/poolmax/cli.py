@@ -22,15 +22,9 @@ import numpy as np
 
 from . import __version__
 from .core import RngSpec, csv_text, validate_matrix
-from .errors import (
-    DegenerateStatisticError,
-    NotCoprimeError,
-    ParseError,
-    PoolmaxError,
-    SubsetDesignError,
-)
+from .errors import DegenerateVarianceError, PoolmaxError, SubsetDesignError
 from .pooltest import BootstrapConfig, marginal_test, naive_test, pool_test
-from .subsets import build_family, check_design, verify_identifiability
+from .subsets import build_family, verify_identifiability
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,8 +41,8 @@ def ingest_panel(path):
     `_ingest_rows`, which alone reports errors and alone accepts what
     `float` parses but numpy does not (quoted numbers, `1_000`, non-ASCII
     digits); where both accept a body, they give the same bytes.  The file
-    is read as UTF-8 whatever the locale; one that is not UTF-8 is a
-    ParseError at the line of its first bad byte.
+    is read as UTF-8 whatever the locale; one that is not UTF-8 is an
+    error at the line of its first bad byte.
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -70,9 +64,14 @@ def ingest_panel(path):
     return headers, validate_matrix(x)
 
 
-def _not_utf8(path) -> ParseError:
-    """The ParseError for a file that does not decode as UTF-8: its path and
-    the line that holds the first bad byte.  No UTF-8 sequence contains a
+def _at_line(line, msg="unparseable value") -> PoolmaxError:
+    """The error for an input file that cannot be read at `line` (0: no line)."""
+    return PoolmaxError(f"line {line}: {msg}")
+
+
+def _not_utf8(path) -> PoolmaxError:
+    """The error for a file that does not decode as UTF-8: its path and the
+    line that holds the first bad byte.  No UTF-8 sequence contains a
     newline byte, so each line decodes on its own.  Line 0 means the file
     decoded on this second read: it changed after the first."""
     with open(path, "rb") as f:
@@ -80,14 +79,14 @@ def _not_utf8(path) -> ParseError:
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as e:
-                return ParseError(line, f"{path} is not UTF-8 (byte 0x{raw[e.start]:02x})")
-    return ParseError(0, f"{path} is not UTF-8")
+                return _at_line(line, f"{path} is not UTF-8 (byte 0x{raw[e.start]:02x})")
+    return _at_line(0, f"{path} is not UTF-8")
 
 
 def _records(f):
     """(line, record) for each non-empty `csv` record of f, with the line the
     record starts on; a record `csv` cannot read, such as one with a field
-    over its 131072-character limit, is a ParseError at its line."""
+    over its 131072-character limit, is an error at its line."""
     reader = csv.reader(f)
     while True:
         line = reader.line_num + 1
@@ -96,7 +95,7 @@ def _records(f):
         except StopIteration:
             return
         except csv.Error as e:
-            raise ParseError(line, str(e)) from None
+            raise _at_line(line, str(e)) from None
         if rec:
             yield line, rec
 
@@ -111,13 +110,13 @@ def _ingest_rows(path):
                 headers = [h.strip() for h in rec]
                 continue
             if len(rec) != len(headers):
-                raise ParseError(lineno, "inconsistent number of fields")
+                raise _at_line(lineno, "inconsistent number of fields")
             try:
                 rows.append([float(v) for v in rec])
             except ValueError:
-                raise ParseError(lineno)
+                raise _at_line(lineno)
     if headers is None:
-        raise ParseError(0, "empty file")
+        raise _at_line(0, "empty file")
     if not rows:
         raise PoolmaxError("header-only file: no observations")
     return headers, np.array(rows, dtype=np.float64).reshape(len(rows), len(headers))
@@ -140,9 +139,15 @@ def _write(path, text):
 
 
 def _family(args, p):
-    """The (p, --q, --d) design, d defaulting to 2p; the library checks it."""
+    """The (p, --q, --d) design, d defaulting to 2p, drawn from stream 1 of
+    --seed; the library checks it."""
     d = args.d if args.d is not None else 2 * p
     return build_family(p, args.q, d, RngSpec(args.seed, 1))
+
+
+def _bootstrap(args):
+    """--B multiplier-bootstrap replicates, weighted from stream 2 of --seed."""
+    return BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
 
 
 def _checked(convert, ok, expected):
@@ -220,11 +225,10 @@ def _cmd_test(args, parser):
     if args.command == "naive-test":
         res = naive_test(x, args.alpha)
     else:
-        cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
         if args.command == "marginal-test":
-            res = marginal_test(x, args.alpha, cfg)
+            res = marginal_test(x, args.alpha, _bootstrap(args))
         else:
-            res = pool_test(x, _family(args, x.shape[1]), args.alpha, cfg)
+            res = pool_test(x, _family(args, x.shape[1]), args.alpha, _bootstrap(args))
     _write(args.out, _formatted(args, res))
 
 
@@ -262,9 +266,8 @@ def _cmd_backtest(args, parser):
     _, u = ingest_panel(args.returns)
     forecasts = {name: ingest_panel(path)[1] for name, path in paths.items()}
     fam = _family(args, u.shape[1])
-    cfg = BootstrapConfig(rng=RngSpec(args.seed, 2), replicates=args.B)
     _write(args.out, _formatted(args, full_backtest(u, forecasts, args.theta0, fam,
-                                                    args.alpha, cfg)))
+                                                    args.alpha, _bootstrap(args))))
 
 
 def _cmd_taildep(args, parser):
@@ -278,22 +281,15 @@ def _cmd_taildep(args, parser):
 
 def _cmd_subsets_check(args, parser):
     p, q = args.p, args.q
-    out = {"p": p, "q": q, "gcd": math.gcd(p, q), "coprime": True}
-    try:
-        check_design(p, q)
-    except NotCoprimeError as e:
-        out["coprime"], out["suggested_q"] = False, e.suggested_q
     ident = verify_identifiability(p, q)
-    out["identifiable"] = ident.identifiable
-    if ident.witness is not None:
-        out["kernel_witness"] = list(ident.witness)
-    if out["coprime"] and args.d is not None:
-        fam = build_family(p, q, args.d, RngSpec(args.seed, 1))
-        out["family"] = fam.to_dict()
+    out = {"p": p, "q": q, "gcd": math.gcd(p, q), "coprime": ident.identifiable,
+           "identifiable": ident.identifiable}
+    if not ident.identifiable:
+        out["suggested_q"], out["kernel_witness"] = ident.suggested_q, list(ident.witness)
+    elif args.d is not None:
+        out["family"] = _family(args, p).to_dict()
     _write(args.out, json.dumps(out, indent=2, sort_keys=True))
-    if not out["coprime"]:
-        return EXIT_USAGE
-    return EXIT_OK
+    return EXIT_OK if ident.identifiable else EXIT_USAGE
 
 
 def _list_of(convert):
@@ -392,7 +388,7 @@ def run(argv=None) -> int:
     except SubsetDesignError as e:
         print(f"poolmax: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except DegenerateStatisticError as e:
+    except DegenerateVarianceError as e:
         print(f"poolmax: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
     except (PoolmaxError, OSError, json.JSONDecodeError) as e:

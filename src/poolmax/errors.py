@@ -9,12 +9,10 @@ class                      told apart by
 =========================  ==============================================
 PoolmaxError               the CLI: exit 3 (unusable input data)
 SubsetDesignError          the CLI: exit 2 (invalid pooling design)
-DegenerateStatisticError   the CLI: exit 4 (degenerate statistic)
-NotCoprimeError            ``subsets-check``, which reads ``suggested_q``
-NonFiniteError             ``backtest._forecast``, which reads ``row``/``col``
-DegenerateVarianceError    ``full_backtest``, which records it per cell;
+DegenerateVarianceError    the CLI: exit 4 (degenerate statistic);
+                           ``full_backtest``, which records it per cell;
                            the sweep-a1 benchmark, which prints its name
-ParseError                 the tests, which read ``line``
+NonFiniteError             ``backtest._forecast``, which reads ``row``/``col``
 =========================  ==============================================
 
 A new class needs a caller that catches it or reads its attributes.
@@ -22,8 +20,9 @@ A new class needs a caller that catches it or reads its attributes.
 An argument out of its range raises before any work.  ``ValueError``: an
 alpha or VaR theta outside (0, 1), a count below its minimum (B, ``mc_reps``,
 ``refit_every``, seeds, a ``substream`` index, ``p``, a ``DgpSpec``'s
-included), the fields of ``GarchParams`` and the ``kind`` of a
-``VarMethod``; ``TypeError``: a B, seed, stream id, ``substream`` index,
+included, and the draws of ``bootstrap_quantile``), a decreasing range of
+``substream_normals`` rows, the fields of ``GarchParams`` and the ``kind`` of
+a ``VarMethod``; ``TypeError``: a B, seed, stream id, ``substream`` index,
 ``DgpSpec`` n, p or p0, or family p, q or d (``SubsetFamily.from_dict``
 too) that is not an integer.  ``PoolmaxError`` (CLI exit 3): theta0
 (``score``'s theta too), ``alpha_n``, a negative or too large ``p0``, ``u``,
@@ -49,30 +48,12 @@ class NonFiniteError(PoolmaxError):
         super().__init__(at if where is None else f"{at} of {where}")
 
 
-class ParseError(PoolmaxError):
-    """An input file that cannot be read; `line` is where (0: no line)."""
-
-    def __init__(self, line, msg="unparseable value"):
-        self.line = line
-        super().__init__(f"line {line}: {msg}")
-
-
 class SubsetDesignError(PoolmaxError):
     """Invalid pooling design; the CLI exits 2."""
 
 
-class NotCoprimeError(SubsetDesignError):
-    """p and q share a factor; `subsets-check` reports `suggested_q`."""
-
-    def __init__(self, p, q, suggested_q):
-        self.suggested_q = suggested_q
-        super().__init__(f"p={p} and q={q} are not coprime; try q={suggested_q}")
-
-
-class DegenerateStatisticError(PoolmaxError):
-    """A statistic cannot be formed from the given data; the CLI exits 4."""
-
-
-class DegenerateVarianceError(DegenerateStatisticError):
-    """A variance estimate that is zero, or out of floating-point range;
-    `full_backtest` records it in the report's errors instead of aborting."""
+class DegenerateVarianceError(PoolmaxError):
+    """A variance estimate that is zero, or out of floating-point range, such
+    as that of a constant series: the statistic cannot be formed.  The CLI
+    exits 4, and `full_backtest` records it in the report's errors instead
+    of aborting."""

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngSpec, TestResult, substream_normals, validate_matrix
-from .errors import (
-    DegenerateStatisticError,
-    DegenerateVarianceError,
-    PoolmaxError,
-    SubsetDesignError,
-)
+from .errors import DegenerateVarianceError, PoolmaxError, SubsetDesignError
 from .subsets import SubsetFamily
 
 __all__ = [
@@ -314,7 +309,7 @@ def bootstrap_quantile(draws, alpha: float) -> float:
     """The ceil((1-alpha)(B+1))-th order statistic, clamped to the max draw."""
     draws = np.asarray(draws, dtype=np.float64)
     if draws.size == 0:
-        raise DegenerateStatisticError("no bootstrap draws")
+        raise ValueError("no bootstrap draws")
     return float(np.sort(draws)[_order_index(alpha, draws.size) - 1])
 
 

@@ -43,7 +43,7 @@ from scipy.optimize import brentq, minimize
 from scipy.signal import lfilter
 
 from .core import RngSpec
-from .errors import DegenerateStatisticError, PoolmaxError
+from .errors import DegenerateVarianceError, PoolmaxError
 from .sstd import sstd_logpdf, sstd_quantile
 
 __all__ = [
@@ -239,7 +239,7 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
         )
     var = u.var()
     if var == 0.0:
-        raise DegenerateStatisticError("constant series")
+        raise DegenerateVarianceError("constant series")
     scale = np.sqrt(var)
     bounds = [
         (-10 * scale, 10 * scale),  # a0

@@ -1,9 +1,9 @@
 """Pooling designs: circular window families and random extensions.
 
 The p circular q-windows identify every individual mean iff
-gcd(p, q) = 1.  `check_design` enforces that rule, and
-`verify_identifiability` states it in closed form for any p, with an
-integer kernel witness when it fails.
+gcd(p, q) = 1.  `verify_identifiability` decides that rule in closed form
+for any p, with an integer kernel witness and the nearest coprime width
+when it fails, and `check_design` raises from its result.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import RngSpec
-from .errors import NotCoprimeError, SubsetDesignError
+from .errors import SubsetDesignError
 
 __all__ = [
     "SubsetFamily",
     "check_design",
-    "circular_family",
     "random_extension",
     "build_family",
     "verify_identifiability",
@@ -122,11 +121,6 @@ def _index_rows(members, q: int) -> np.ndarray:
     return m
 
 
-def _check_pq(p: int, q: int) -> None:
-    if q < 1 or q >= p:
-        raise SubsetDesignError(f"need 1 <= q < p, got p={p}, q={q}")
-
-
 def _nearest_coprime(p: int, q: int) -> int:
     for delta in range(1, p):
         for cand in (q - delta, q + delta):
@@ -143,23 +137,13 @@ def check_design(p: int, q: int, d: Optional[int] = None) -> None:
     """
     if d is not None and d < p:
         raise SubsetDesignError(f"need d >= p, got d={d}, p={p}")
-    _check_pq(p, q)
-    if math.gcd(p, q) != 1:
-        raise NotCoprimeError(p, q, _nearest_coprime(p, q))
-
-
-def circular_family(p: int, q: int) -> SubsetFamily:
-    """The p circular windows {ell, ..., ell+q-1} with wrap-around.
-
-    Requires gcd(p, q) = 1, which makes the window sums identify every
-    individual mean; `verify_identifiability` gives the reason and, for a
-    non-coprime q, a mean profile that every window sums to zero.
-    """
-    check_design(p, q)
-    return SubsetFamily(p=p, q=q, members=_windows(p, q))
+    suggested_q = verify_identifiability(p, q).suggested_q
+    if suggested_q is not None:
+        raise SubsetDesignError(f"p={p} and q={q} are not coprime; try q={suggested_q}")
 
 
 def _windows(p: int, q: int) -> np.ndarray:
+    """The p circular windows {ell, ..., ell+q-1} with wrap-around."""
     return (np.arange(p)[:, None] + np.arange(q)) % p + 1
 
 
@@ -231,7 +215,8 @@ def build_family(
     rng: RngSpec,
     user_subsets: Optional[Sequence[Sequence[int]]] = None,
 ) -> SubsetFamily:
-    """Full design: p circular windows plus d - p extension subsets.
+    """Full design: p circular windows plus d - p extension subsets; d = p
+    gives the windows alone.
 
     The extension block is random by default; `user_subsets` replaces the
     leading part of it with caller-chosen subsets (validated for
@@ -256,8 +241,12 @@ def build_family(
 
 @dataclass(frozen=True)
 class IdentifiabilityResult:
+    """`witness` and `suggested_q`, the nearest width coprime with p, are
+    None when the windows identify every mean."""
+
     identifiable: bool
     witness: Optional[Tuple[int, ...]] = None
+    suggested_q: Optional[int] = None
 
 
 def verify_identifiability(p: int, q: int) -> IdentifiabilityResult:
@@ -270,9 +259,11 @@ def verify_identifiability(p: int, q: int) -> IdentifiabilityResult:
     profile whose every cyclic q-window, q/g full periods of the pattern,
     sums to zero.
     """
-    _check_pq(p, q)
+    if q < 1 or q >= p:
+        raise SubsetDesignError(f"need 1 <= q < p, got p={p}, q={q}")
     g = math.gcd(p, q)
     if g == 1:
         return IdentifiabilityResult(identifiable=True)
     period = (1, -1) + (0,) * (g - 2)
-    return IdentifiabilityResult(identifiable=False, witness=period * (p // g))
+    return IdentifiabilityResult(identifiable=False, witness=period * (p // g),
+                                 suggested_q=_nearest_coprime(p, q))

@@ -8,7 +8,7 @@ after one of them would surface as an AssertionError.
 import numpy as np
 import pytest
 
-from poolmax import RngSpec, backtest, pooltest, riskmodels, simlab
+from poolmax import RngSpec, backtest, core, pooltest, riskmodels, simlab
 from poolmax.backtest import (
     comparative_test,
     exceedance_matrix,
@@ -17,6 +17,7 @@ from poolmax.backtest import (
     score_diff_matrix,
     validation_test,
 )
+from poolmax.core import substream_normals
 from poolmax.errors import PoolmaxError
 from poolmax.pooltest import (
     BootstrapConfig,
@@ -96,6 +97,13 @@ CASES = {
                           (ValueError, "mc_reps must be >= 0")),
     "BootstrapConfig-replicates": (lambda: BootstrapConfig(rng=RngSpec(0), replicates=2.5),
                                    NOT_INT),
+    # ids of two 32-bit widths, whose bisection by width needs increasing ids
+    "substream_normals-decreasing-rows": (
+        lambda: substream_normals(RngSpec(3), range(92_700, 92_660, -1), 3),
+        (ValueError, "rows must be an increasing range, got range(92700, 92660, -1)")),
+    "substream_normals-decreasing-rows-one-width": (
+        lambda: substream_normals(RngSpec(3), range(5, 0, -1), 3),
+        (ValueError, "rows must be an increasing range, got range(5, 0, -1)")),
 }
 
 
@@ -105,6 +113,7 @@ def no_work(monkeypatch):
         raise AssertionError("work ran before the arguments were checked")
 
     for module, names in [
+        (core, ["_philox_keys"]),
         (pooltest, ["pooled_panel", "_studentized", "substream_normals"]),
         (backtest, ["pooled_panel", "substream_normals"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from poolmax import cli
 from poolmax.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_USAGE, ingest_panel, run
-from poolmax.errors import ParseError, PoolmaxError
+from poolmax.errors import (
+    DegenerateVarianceError,
+    NonFiniteError,
+    PoolmaxError,
+    SubsetDesignError,
+)
 
 
 @pytest.fixture
@@ -50,24 +55,22 @@ def test_ingest_header_only(tmp_path):
 def test_ingest_ragged(tmp_path):
     p = tmp_path / "r.csv"
     p.write_text("a,b\n1,2\n3\n")
-    with pytest.raises(ParseError, match="^line 3: inconsistent number of fields$") as exc:
+    with pytest.raises(PoolmaxError, match="^line 3: inconsistent number of fields$"):
         ingest_panel(p)
-    assert exc.value.line == 3
 
 
 def test_ingest_parse_error(tmp_path):
     p = tmp_path / "p.csv"
     p.write_text("a,b\n1,x\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(PoolmaxError, match="^line 2: unparseable value$"):
         ingest_panel(p)
 
 
 def test_ingest_error_line_counts_lines_not_records(tmp_path):
     p = tmp_path / "p.csv"
     p.write_text('a,b\n1,"2\n"\nx,5\n')  # the second record spans lines 2-3
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(PoolmaxError, match="^line 4: unparseable value$"):
         ingest_panel(p)
-    assert exc.value.line == 4
 
 
 def _force_row_reader(monkeypatch):
@@ -82,12 +85,12 @@ def _ingest_outcome(path):
     try:
         headers, x = ingest_panel(path)
     except Exception as e:
-        return type(e), str(e), getattr(e, "line", None)
+        return type(e), str(e)
     return headers, x.shape, x.tobytes()
 
 
 # Each body is read by numpy's parser and by the row reader alone; they must
-# agree on headers and bytes, or on the error class, line and message.
+# agree on headers and bytes, or on the error class and message.
 EDGE_CASES = {
     "lf": "a,b\n1,2\n3,4\n",
     "crlf": "a,b\r\n1,2\r\n3,4\r\n",
@@ -149,9 +152,8 @@ def test_ingest_numpy_parser_agrees_with_row_reader(tmp_path, monkeypatch, text)
 def test_field_over_csv_limit_exits_3(tmp_path, capsys, text, line):
     p = tmp_path / "long.csv"
     p.write_text(text)
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(PoolmaxError, match=f"^line {line}: field larger than field limit"):
         ingest_panel(p)
-    assert exc.value.line == line
     assert run(["naive-test", "--in", str(p)]) == EXIT_DATA
     assert f"poolmax: line {line}: field larger than field limit" in capsys.readouterr().err
 
@@ -607,6 +609,22 @@ def test_exit_code_table(tmp_path, capsys, argv, files, code, message):
     captured = capsys.readouterr()
     assert captured.err == f"poolmax: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("error, code", [
+    (SubsetDesignError("design"), EXIT_USAGE),
+    (PoolmaxError("data"), EXIT_DATA),
+    (NonFiniteError(1, 2), EXIT_DATA),
+    (DegenerateVarianceError("variance"), EXIT_DEGENERATE),
+], ids=["SubsetDesignError", "PoolmaxError", "NonFiniteError", "DegenerateVarianceError"])
+def test_each_error_class_has_its_exit_code(monkeypatch, capsys, error, code):
+    def handler(args, parser):
+        raise error
+
+    help_, _, flags = cli._COMMANDS["naive-test"]
+    monkeypatch.setitem(cli._COMMANDS, "naive-test", (help_, handler, flags))
+    assert run(["naive-test", "--in", "unread.csv"]) == code
+    assert capsys.readouterr().err == f"poolmax: {error}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -27,7 +27,6 @@ from poolmax import (
 )
 from poolmax.core import substream_normals, validate_matrix
 from poolmax.errors import (
-    DegenerateStatisticError,
     DegenerateVarianceError,
     PoolmaxError,
     SubsetDesignError,
@@ -161,7 +160,7 @@ class TestBootstrapQuantile:
         assert bootstrap_quantile([1, 2, 3, 4], 0.01) == 4.0
 
     def test_empty(self):
-        with pytest.raises(DegenerateStatisticError, match="^no bootstrap draws$"):
+        with pytest.raises(ValueError, match="^no bootstrap draws$"):
             bootstrap_quantile([], 0.5)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=40))

@@ -6,7 +6,7 @@ from scipy.stats import genpareto
 
 from conftest import reference_nll, use_scipy_finite_differences, use_scipy_stats_t
 from poolmax import RngSpec, riskmodels
-from poolmax.errors import DegenerateStatisticError, PoolmaxError
+from poolmax.errors import DegenerateVarianceError, PoolmaxError
 from poolmax.riskmodels import (
     GarchParams,
     VarMethod,
@@ -109,7 +109,7 @@ class TestFit:
         assert fit.b1 == 0.0
 
     def test_constant_series(self):
-        with pytest.raises(DegenerateStatisticError, match="^constant series$"):
+        with pytest.raises(DegenerateVarianceError, match="^constant series$"):
             garch_fit(np.ones(500))
 
     def test_too_short(self):

@@ -13,7 +13,7 @@ from poolmax import (
     simlab,
     substream,
 )
-from poolmax.errors import DegenerateVarianceError, NotCoprimeError, PoolmaxError
+from poolmax.errors import DegenerateVarianceError, PoolmaxError, SubsetDesignError
 from poolmax.simlab import (
     DgpSpec,
     g_transform,
@@ -135,7 +135,7 @@ def test_run_sweep_empty_and_small():
 
 def test_run_sweep_rejects_non_coprime_q():
     spec = DgpSpec("A1", 50, 10, 2, True, RngSpec(8))
-    with pytest.raises(NotCoprimeError):
+    with pytest.raises(SubsetDesignError, match="^p=10 and q=5 are not coprime; try q=3$"):
         run_sweep(spec, [5], [20], mc_reps=1)
 
 

@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from poolmax import RngSpec, build_family, circular_family, random_extension
-from poolmax.errors import NotCoprimeError, SubsetDesignError
+from poolmax import RngSpec, build_family, random_extension
+from poolmax.errors import SubsetDesignError
 import poolmax.subsets
 from poolmax.subsets import SubsetFamily, verify_identifiability
+
+
+def circular_family(p, q):
+    """The p circular windows alone: a family with d = p draws no extension."""
+    return build_family(p, q, p, RngSpec(0))
 
 
 def test_circular_family_p5_q2():
@@ -27,9 +32,10 @@ def test_circular_family_wraps():
 
 
 def test_circular_family_rejects_non_coprime():
-    with pytest.raises(NotCoprimeError) as exc:
+    with pytest.raises(SubsetDesignError, match="^p=100 and q=50 are not coprime; try q=49$"):
         circular_family(100, 50)
-    assert exc.value.suggested_q == 49 and "try q=49" in str(exc.value)
+    assert verify_identifiability(100, 50).suggested_q == 49
+    assert verify_identifiability(100, 49).suggested_q is None
     with pytest.raises(SubsetDesignError, match="^need 1 <= q < p, got p=5, q=5$"):
         circular_family(5, 5)
 
@@ -80,8 +86,7 @@ def test_random_extension_equals_choice_rows(p, q, count):
 
 
 def test_build_family_sizes_and_determinism():
-    fam = build_family(5, 2, 5, RngSpec(0))
-    assert np.array_equal(fam.members, circular_family(5, 2).members)
+    assert build_family(5, 2, 5, RngSpec(0)) == oracle.family(5, 2, 5, RngSpec(0))
     for d in (200, 300):
         fam = build_family(100, 49, d, RngSpec(3))
         assert fam.d == d
@@ -223,10 +228,11 @@ def test_witness_window_sums_vanish():
         for q in range(1, p):
             res = verify_identifiability(p, q)
             if math.gcd(p, q) == 1:
-                assert res.identifiable and res.witness is None
+                assert res.identifiable and res.witness is None and res.suggested_q is None
                 continue
             mu = np.asarray(res.witness)
             assert not res.identifiable and mu.shape == (p,) and mu.any()
+            assert 1 <= res.suggested_q < p and math.gcd(p, res.suggested_q) == 1
             assert not _window_sums(mu, q).any()
 
 
