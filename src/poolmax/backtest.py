@@ -15,13 +15,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import TestResult, csv_text, substream_normals, validate_matrix
+from .core import TestResult, csv_text, validate_matrix
 from .errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from .pooltest import (
     BootstrapConfig,
     _bootstrap_result,
     _check_alpha,
-    _weighted_max,
     multiplier_bootstrap,
     pool_test,
     pooled_panel,
@@ -243,12 +242,12 @@ def full_backtest(
 ) -> BacktestReport:
     """Validation test per method and one-sided comparisons per pair.
 
-    The losses and every forecast are validated before any bootstrap runs.
-    The multiplier weights depend only on (cfg.rng, B, n), so one weight
-    matrix is drawn and shared by all tests; each cell equals the
-    `validation_test` or `comparative_test` call it stands for, byte for
-    byte.  Degenerate cells (no variation in indicators or score
-    differences) are recorded in the report instead of aborting it.
+    The losses and every forecast are validated before any test runs.  Each
+    cell is the `validation_test` or `comparative_test` call it stands for,
+    so the tests share the weight matrix that `cfg` holds
+    (`BootstrapConfig.weights`), drawn once for all of them.  Degenerate
+    cells (no variation in indicators or score differences) are recorded in
+    the report instead of aborting it.
     """
     alpha = _check_alpha(alpha)
     u = validate_matrix(u)
@@ -260,21 +259,18 @@ def full_backtest(
         config={"theta0": theta0, "alpha": alpha, "B": cfg.replicates,
                 "q": fam.q, "d": fam.d},
     )
-    xi = substream_normals(cfg.rng, range(cfg.replicates), u.shape[0])
 
-    def cell(key: str, x, one_sided: bool) -> Optional[TestResult]:
+    def cell(key: str, test, *args, **kwargs) -> Optional[TestResult]:
         try:
-            panel = pooled_panel(x, fam)
+            return test(*args, **kwargs)
         except DegenerateVarianceError as e:
             report.errors[key] = str(e)
             return None
-        draws = _weighted_max(panel, xi, one_sided)
-        return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
 
     for m in names:
-        report.validation[m] = cell(m, exceedance_matrix(u, fcs[m], theta0), False)
+        report.validation[m] = cell(m, validation_test, u, fcs[m], theta0, fam, alpha, cfg)
     for i, a in enumerate(names):
         for b in names[:i]:
-            diff = score_diff_matrix(u, fcs[a], fcs[b], theta0)
-            report.comparative[(a, b)] = cell(f"{a}|{b}", diff, True)
+            report.comparative[(a, b)] = cell(f"{a}|{b}", comparative_test, u, fcs[a], fcs[b],
+                                              theta0, fam, alpha, cfg, one_sided=True)
     return report

@@ -282,8 +282,7 @@ def _cmd_taildep(args, parser):
 def _cmd_subsets_check(args, parser):
     p, q = args.p, args.q
     ident = verify_identifiability(p, q)
-    out = {"p": p, "q": q, "gcd": math.gcd(p, q), "coprime": ident.identifiable,
-           "identifiable": ident.identifiable}
+    out = {"p": p, "q": q, "gcd": math.gcd(p, q), "identifiable": ident.identifiable}
     if not ident.identifiable:
         out["suggested_q"], out["kernel_witness"] = ident.suggested_q, list(ident.witness)
     elif args.d is not None:

@@ -23,8 +23,10 @@ alpha or VaR theta outside (0, 1), a count below its minimum (B, ``mc_reps``,
 included, and the draws of ``bootstrap_quantile``), a decreasing range of
 ``substream_normals`` rows, the fields of ``GarchParams`` and the ``kind`` of
 a ``VarMethod``; ``TypeError``: a B, seed, stream id, ``substream`` index,
-``DgpSpec`` n, p or p0, or family p, q or d (``SubsetFamily.from_dict``
-too) that is not an integer.  ``PoolmaxError`` (CLI exit 3): theta0
+``DgpSpec`` n, p or p0, family p, q or d (``SubsetFamily.from_dict``
+too), ``rolling_forecasts`` window, horizon or ``refit_every``, or EVT tail
+size k (of a ``VarMethod`` or ``evt_var``) that is not an integer.
+``PoolmaxError`` (CLI exit 3): theta0
 (``score``'s theta too), ``alpha_n``, a negative or too large ``p0``, ``u``,
 the skewed-t parameters, and a sample too small for its estimator, which
 includes a ``DgpSpec`` n below 2 (the message of ``validate_matrix``) and an

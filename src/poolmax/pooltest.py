@@ -38,6 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BootstrapConfig:
+    """The stream and count of the multiplier bootstrap's replicates.
+
+    The weights are a property of the config: `weights(n)` draws the B x n
+    matrix on first use and holds it for later tests at the same n, so tests
+    that share a config share its draw.  The held matrix is not a field: it
+    takes no part in eq, hash or repr, and `dataclasses.replace` gives a
+    config that holds nothing.
+    """
+
     rng: RngSpec
     replicates: int = 1000
 
@@ -45,6 +54,19 @@ class BootstrapConfig:
         object.__setattr__(self, "replicates", operator.index(self.replicates))
         if self.replicates < 1:
             raise ValueError("need at least one bootstrap replicate")
+
+    def weights(self, n: int) -> np.ndarray:
+        """The (B, n) multiplier weights, ``substream_normals(rng, range(B), n)``.
+
+        Held read-only for one n at a time (B * n * 8 bytes while the config
+        lives); a call with another n draws again and replaces it.
+        """
+        xi = self.__dict__.get("_weights")
+        if xi is None or xi.shape[1] != n:
+            xi = substream_normals(self.rng, range(self.replicates), n)
+            xi.flags.writeable = False
+            object.__setattr__(self, "_weights", xi)
+        return xi
 
 
 @dataclass(frozen=True)
@@ -208,17 +230,15 @@ def multiplier_bootstrap(
 
     Replicate b draws its weights from substream(cfg.rng, b), so the
     output is independent of evaluation order.  The weights depend only on
-    (cfg.rng, B, n), never on the data: ``substream_normals`` draws the
-    rows ``range(B)``, deriving their Philox keys from NumPy's SeedSequence
-    pool of the seed, and ``full_backtest`` draws the weight matrix once
-    for all of its tests.  The pooled sums enter uncentered.  The weighted
-    sums are taken over column blocks of subsets (`_blocks`), so about
-    `_BLOCK_BYTES` of the B x d weighted sums exists at once and each block
-    re-packs only the B x n weights, never the n x d panel; a running max
-    over blocks is the max over all of them.
+    (cfg.rng, B, n), never on the data, so they come from
+    `cfg.weights(panel.n)`: every test on one config at one n shares one
+    draw.  The pooled sums enter uncentered.  The weighted sums are taken
+    over column blocks of subsets (`_blocks`), so about `_BLOCK_BYTES` of
+    the B x d weighted sums exists at once and each block re-packs only the
+    B x n weights, never the n x d panel; a running max over blocks is the
+    max over all of them.
     """
-    return _weighted_max(panel, substream_normals(cfg.rng, range(cfg.replicates), panel.n),
-                         one_sided)
+    return _weighted_max(panel, cfg.weights(panel.n), one_sided)
 
 
 def _weighted_max(panel: PooledPanel, xi: np.ndarray, one_sided: bool = False) -> np.ndarray:

@@ -35,6 +35,7 @@ maximum with xi < 1 exists, probability-weighted moments (Hosking & Wallis
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Tuple
 
@@ -130,11 +131,12 @@ class GpdFit(NamedTuple):
 @dataclass(frozen=True)
 class VarMethod:
     kind: str  # "empirical" | "skew-t" | "evt"
-    k: int = 50
+    k: int = 50  # the EVT tail size, stored as a Python int (through `operator.index`)
 
     def __post_init__(self):
         if self.kind not in ("empirical", "skew-t", "evt"):
             raise ValueError(f"unknown VaR method {self.kind!r}")
+        object.__setattr__(self, "k", operator.index(self.k))
 
 
 def garch_filter(
@@ -406,6 +408,7 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
     """
     r = np.asarray(residuals, dtype=np.float64)
     m = r.size
+    k = operator.index(k)
     _check_theta(theta, "evt", m, k)
     desc = np.sort(r)[::-1]
     u = desc[k]
@@ -455,8 +458,10 @@ def rolling_forecasts(
     Day h is forecast from the `window` observations immediately before it.
     The model is re-estimated every `refit_every` days; between refits the
     held parameters are re-filtered on the current window.  theta and the
-    window are checked (`_check_theta`) before the first fit.
+    window are checked (`_check_theta`) before the first fit, and so are the
+    counts `window`, `horizon` and `refit_every`, which must be integers.
     """
+    window, horizon, refit_every = map(operator.index, (window, horizon, refit_every))
     u = np.asarray(series, dtype=np.float64)
     if u.size < window + horizon:
         raise PoolmaxError(

@@ -15,8 +15,8 @@ stands for:
 
 It calls none of the paths it checks: `substream_normals`, `_philox_keys`,
 `pooled_panel`, `_studentized`, `_weighted_max`, `_blocks`,
-`_bootstrap_rejects`, `_floyd`, `random_extension` and
-`SubsetFamily.indicator`.
+`_bootstrap_rejects`, `_floyd`, `random_extension`,
+`SubsetFamily.indicator` and `BootstrapConfig.weights`.
 
 The contract the tests hold the library to has two parts.  Where a
 docstring promises bits (keys and weights, families, studentized sums and

@@ -26,7 +26,7 @@ from poolmax.pooltest import (
     naive_test,
     pool_test,
 )
-from poolmax.riskmodels import VarMethod, forecast_var, rolling_forecasts
+from poolmax.riskmodels import VarMethod, evt_var, forecast_var, rolling_forecasts
 from poolmax.simlab import DgpSpec, mu_profile, run_sweep, theta_profile
 from poolmax.subsets import build_family
 
@@ -80,6 +80,16 @@ CASES = {
         lambda: forecast_var(WINDOW, VarMethod("evt", k=5), 0.01), EVT_K_SMALL),
     "rolling_forecasts-evt-k-below-10": (
         lambda: rolling_forecasts(SERIES, 500, 200, VarMethod("evt", k=5), 0.01), EVT_K_SMALL),
+    "VarMethod-k-fraction": (lambda: VarMethod("evt", k=50.5), NOT_INT),
+    "evt_var-k-fraction": (lambda: evt_var(WINDOW, 0.01, 50.5), NOT_INT),
+    "rolling_forecasts-window-fraction": (
+        lambda: rolling_forecasts(SERIES, 500.5, 6, VarMethod("empirical"), 0.01), NOT_INT),
+    "rolling_forecasts-horizon-fraction": (
+        lambda: rolling_forecasts(SERIES, 500, 6.5, VarMethod("empirical"), 0.01), NOT_INT),
+    # would refit on days 0 and 3 only
+    "rolling_forecasts-refit_every-fraction": (
+        lambda: rolling_forecasts(SERIES, 500, 6, VarMethod("empirical"), 0.01, refit_every=1.5),
+        NOT_INT),
     "rolling_forecasts-empirical-window": (
         lambda: rolling_forecasts(SERIES, 500, 200, VarMethod("empirical"), 0.001),
         (PoolmaxError, "need at least 1000 points")),
@@ -115,7 +125,7 @@ def no_work(monkeypatch):
     for module, names in [
         (core, ["_philox_keys"]),
         (pooltest, ["pooled_panel", "_studentized", "substream_normals"]),
-        (backtest, ["pooled_panel", "substream_normals"]),
+        (backtest, ["pooled_panel"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),
         (riskmodels, ["garch_fit"]),
     ]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -234,7 +235,7 @@ class TestFullBacktest:
         def no_bootstrap(*args):
             raise AssertionError("a bootstrap ran before the inputs were checked")
 
-        monkeypatch.setattr(poolmax.backtest, "substream_normals", no_bootstrap)
+        monkeypatch.setattr(poolmax.pooltest, "substream_normals", no_bootstrap)
         fcs = {"a": good, "b": good + 0.1, "c": bad}
         with pytest.raises(NonFiniteError, match=r"\(0, 3\) of forecast 'c'"):
             full_backtest(u, fcs, 0.05, fam, 0.05, cfg)
@@ -263,6 +264,7 @@ class TestFullBacktest:
         fcs = {"emp": np.full_like(u, 1.2), "evt": np.full_like(u, 1.5),
                "dup": np.full_like(u, 1.2), "var": 1.3 + 0.2 * np.sin(u)}
         rep = full_backtest(u, fcs, 0.05, fam, 0.05, cfg)
+        cfg = dataclasses.replace(cfg)  # an equal config, whose weights are a draw of their own
         ref = BacktestReport(
             method_names=list(fcs),
             config={"theta0": 0.05, "alpha": 0.05, "B": cfg.replicates, "q": fam.q, "d": fam.d},

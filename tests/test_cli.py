@@ -302,12 +302,15 @@ def test_subsets_check(tmp_path):
     assert run(["subsets-check", "--p", "10", "--q", "3", "--d", "12",
                 "--out", str(out)]) == 0
     res = json.loads(out.read_text())
-    assert res["coprime"] and res["identifiable"]
+    # gcd and identifiable carry the coprimality; no key repeats them
+    assert set(res) == {"p", "q", "gcd", "identifiable", "family"}
+    assert res["identifiable"] and res["gcd"] == 1
     assert len(res["family"]["members"]) == 12
     assert run(["subsets-check", "--p", "10", "--q", "4",
                 "--out", str(out)]) == EXIT_USAGE
     res = json.loads(out.read_text())
-    assert not res["identifiable"] and "kernel_witness" in res
+    assert set(res) == {"p", "q", "gcd", "identifiable", "suggested_q", "kernel_witness"}
+    assert not res["identifiable"] and res["gcd"] == 2
     assert res["suggested_q"] == 3
     # identifiability and its witness are reported for every p
     assert run(["subsets-check", "--p", "100", "--q", "50",

@@ -9,6 +9,8 @@ taken in other blocks or chunks than the reference's lies within
 `oracle.product_bound` (see `assert_matches_oracle`).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,11 +157,12 @@ def test_full_backtest_cells(shape, blocks):
     u, r, r_var, fam, cfg = _losses(shape)
     fcs = {"emp": r, "var": r_var, "dup": r.copy()}
     rep = full_backtest(u, fcs, 0.2, fam, 0.05, cfg)
+    fresh = dataclasses.replace(cfg)  # the single calls draw their weights anew
     cells = [(rep.validation[m], m, exceedance_matrix(u, fcs[m], 0.2),
-              lambda m=m: validation_test(u, fcs[m], 0.2, fam, 0.05, cfg), False)
+              lambda m=m: validation_test(u, fcs[m], 0.2, fam, 0.05, fresh), False)
              for m in fcs]
     cells += [(rep.comparative[(a, b)], f"{a}|{b}", score_diff_matrix(u, fcs[a], fcs[b], 0.2),
-               lambda a=a, b=b: comparative_test(u, fcs[a], fcs[b], 0.2, fam, 0.05, cfg,
+               lambda a=a, b=b: comparative_test(u, fcs[a], fcs[b], 0.2, fam, 0.05, fresh,
                                                  one_sided=True), True)
               for (a, b) in rep.comparative]
     assert list(rep.errors) == ["dup|emp"]
@@ -288,6 +291,7 @@ def test_oracle_takes_no_fast_path(monkeypatch):
         for name in names:
             monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(SubsetFamily, "indicator", refuse)
+    monkeypatch.setattr(BootstrapConfig, "weights", refuse)
     spec = DgpSpec("B1", 50, 10, 2, False, RngSpec(1))
     rates = oracle.run_sweep(spec, [3], [10, 13], 0.2, 65, 2, METHODS)
     assert set(rates) == {(3, d, m) for d in (10, 13) for m in METHODS}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -18,12 +19,15 @@ from poolmax import (
     SubsetFamily,
     bootstrap_quantile,
     build_family,
+    comparative_test,
+    full_backtest,
     marginal_test,
     max_statistic,
     multiplier_bootstrap,
     naive_test,
     pool_test,
     pooled_panel,
+    validation_test,
 )
 from poolmax.core import substream_normals, validate_matrix
 from poolmax.errors import (
@@ -41,6 +45,19 @@ from poolmax.pooltest import (
     _weighted_max,
 )
 from poolmax.subsets import build_family
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The row count of each `substream_normals` call in pooltest."""
+    counts = []
+
+    def counted(rng, rows, n):
+        counts.append(len(rows))
+        return substream_normals(rng, rows, n)
+
+    monkeypatch.setattr(poolmax.pooltest, "substream_normals", counted)
+    return counts
 
 
 def singleton_family(p):
@@ -176,8 +193,9 @@ class TestBootstrap:
         x = rng.standard_normal((30, 5))
         panel = pooled_panel(x, build_family(5, 2, 8, RngSpec(1)))
         cfg = BootstrapConfig(rng=RngSpec(9), replicates=40)
+        # an equal config draws its own weights: the same bytes, not the same matrix
         assert np.array_equal(
-            multiplier_bootstrap(panel, cfg), multiplier_bootstrap(panel, cfg)
+            multiplier_bootstrap(panel, cfg), multiplier_bootstrap(panel, dataclasses.replace(cfg))
         )
 
     def test_one_sided_below_two_sided(self):
@@ -189,6 +207,52 @@ class TestBootstrap:
             multiplier_bootstrap(panel, cfg, one_sided=True)
             <= multiplier_bootstrap(panel, cfg)
         )
+
+
+class TestConfigWeights:
+    """A config draws its B x n weights once per n, and every test on it
+    shares that draw."""
+
+    @staticmethod
+    def _losses(n):
+        """Losses, two forecasts that each exceed about 20% of them, and a family."""
+        u = np.random.default_rng(13).standard_normal((n, 8))
+        return u, np.full_like(u, 0.84), 0.84 + 0.3 * np.sin(u), build_family(8, 3, 16, RngSpec(1))
+
+    def test_one_draw_per_config_and_n(self, drawn):
+        u, r, r_star, fam = self._losses(60)
+        cfg = BootstrapConfig(rng=RngSpec(4), replicates=50)
+        rep = full_backtest(u, {"a": r, "b": r_star}, 0.2, fam, 0.05, cfg)
+        assert drawn == [50] and rep.errors == {}
+        pool_test(u, fam, 0.05, cfg)
+        marginal_test(u, 0.05, cfg)
+        validation_test(u, r, 0.2, fam, 0.05, cfg)
+        comparative_test(u, r, r_star, 0.2, fam, 0.05, cfg, one_sided=True)
+        full_backtest(u, {"a": r, "b": r_star}, 0.2, fam, 0.05, cfg)
+        assert drawn == [50]
+
+    def test_new_n_draws_again(self, drawn):
+        u, _, _, fam = self._losses(60)
+        cfg = BootstrapConfig(rng=RngSpec(4), replicates=50)
+        pool_test(u, fam, 0.05, cfg)
+        got = pool_test(u[:40], fam, 0.05, cfg)
+        assert drawn == [50, 50]
+        fresh = BootstrapConfig(rng=RngSpec(4), replicates=50)
+        assert got.to_json() == pool_test(u[:40], fam, 0.05, fresh).to_json()
+        assert cfg.weights(40).tobytes() == fresh.weights(40).tobytes()
+        assert drawn == [50, 50, 50]
+
+    def test_held_matrix_is_read_only_and_no_field(self, drawn):
+        cfg = BootstrapConfig(rng=RngSpec(5, 92_600), replicates=65)
+        xi = cfg.weights(7)
+        assert xi.tobytes() == oracle.weights(cfg.rng, range(65), 7).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            xi[0, 0] = 1.0
+        assert cfg.weights(7) is xi
+        equal = dataclasses.replace(cfg)
+        assert equal == cfg and hash(equal) == hash(cfg)
+        assert repr(cfg) == "BootstrapConfig(rng=RngSpec(seed=5, stream_id=92600), replicates=65)"
+        assert equal.weights(7) is not xi and drawn == [65, 65]
 
 
 class TestPoolTest:
@@ -291,18 +355,6 @@ class TestEarlyStoppingVerdict:
         assert _bootstrap_rejects(panel, 0.05, cfg) == want and calls == []
         monkeypatch.setattr(poolmax.pooltest, "_MARGIN_SLACK", np.inf)
         assert _bootstrap_rejects(panel, 0.05, cfg) == want and len(calls) == 1
-
-    @pytest.fixture
-    def drawn(self, monkeypatch):
-        """The row count of each `substream_normals` call in pooltest."""
-        counts = []
-
-        def counted(rng, rows, n):
-            counts.append(len(rows))
-            return substream_normals(rng, rows, n)
-
-        monkeypatch.setattr(poolmax.pooltest, "substream_normals", counted)
-        return counts
 
     @staticmethod
     def _null_and_far_panels():
@@ -570,7 +622,8 @@ class TestBlockedProducts:
         x = gen.standard_normal((30, 40))
         fam = _random_family(gen, 40, 7, 1025)
         cfg = BootstrapConfig(rng=RngSpec(8, 2), replicates=129)
-        assert _outcome(pool_test, x, fam, 0.05, cfg) == _outcome(pool_test, x, fam, 0.05, cfg)
+        assert (_outcome(pool_test, x, fam, 0.05, cfg)
+                == _outcome(pool_test, x, fam, 0.05, dataclasses.replace(cfg)))
 
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_marginal_equals_singleton_pooling(self, monkeypatch, setting):
