@@ -15,12 +15,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import TestResult, csv_text, validate_matrix
+from .core import TestResult, _check_level, _raise_first_nonfinite, csv_text, validate_matrix
 from .errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from .pooltest import (
     BootstrapConfig,
     _bootstrap_result,
-    _check_alpha,
     multiplier_bootstrap,
     pool_test,
     pooled_panel,
@@ -52,17 +51,10 @@ def _same_shape(*mats):
     return arrs
 
 
-def _check_theta0(theta0: float) -> float:
-    """theta0 as a Python float, which a report records; it must lie in (0, 1)."""
-    if not 0 < theta0 < 1:
-        raise PoolmaxError("theta0 must lie in (0, 1)")
-    return float(theta0)
-
-
 def exceedance_matrix(u, r, theta0: float) -> np.ndarray:
     """Centered violation indicators 1{U > R} - theta0 (ties are misses)."""
     u, r = _same_shape(u, r)
-    _check_theta0(theta0)
+    _check_level("theta0", theta0)
     return (u > r).astype(np.float64) - theta0
 
 
@@ -83,12 +75,8 @@ def score(r, x, theta: float):
     """
     r = np.asarray(r, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    _check_theta0(theta)
-    bad = ~(np.isfinite(r) & np.isfinite(x))
-    if bad.any():
-        # positioned as validate_matrix does it: a 1-d input is one column
-        i, j = np.argwhere(bad.reshape(len(bad) if bad.ndim > 1 else bad.size, -1))[0]
-        raise NonFiniteError(int(i), int(j))
+    _check_level("theta0", theta)
+    _raise_first_nonfinite(~(np.isfinite(r) & np.isfinite(x)))
     hit = (x > r).astype(np.float64)
     out = (theta - hit) * logistic(r) + hit * logistic(x)
     return out if out.shape else float(out)
@@ -118,7 +106,7 @@ def comparative_test(
     outperforms r (the row method).
     """
     diff = score_diff_matrix(u, r, r_star, theta0)
-    alpha = _check_alpha(alpha)
+    alpha = _check_level("alpha", alpha)
     panel = pooled_panel(diff, fam)
     draws = multiplier_bootstrap(panel, cfg, one_sided)
     return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
@@ -159,8 +147,7 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
     """
     z = validate_matrix(zhat)
     n = z.shape[0]
-    if not 0 < u < 0.5:
-        raise PoolmaxError("u must lie in (0, 0.5)")
+    _check_level("u", u, 0.5)
     if n * u < 1:
         raise PoolmaxError("need n * u >= 1")
     cdf = _average_ranks(z) / n
@@ -249,10 +236,10 @@ def full_backtest(
     cells (no variation in indicators or score differences) are recorded in
     the report instead of aborting it.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_level("alpha", alpha)
     u = validate_matrix(u)
     fcs = {m: _forecast(m, r, u.shape) for m, r in forecasts.items()}
-    theta0 = _check_theta0(theta0)
+    theta0 = _check_level("theta0", theta0)
     names = list(fcs)
     report = BacktestReport(
         method_names=names,

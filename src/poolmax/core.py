@@ -35,8 +35,8 @@ class RngSpec:
     Identical (seed, stream_id) reproduce identical draws across runs and
     across thread counts; the underlying generator is counter-based
     (Philox), so streams with distinct ids are statistically independent.
-    Both fields are stored as Python ints (through `operator.index`), so a
-    numpy integer such as an element of `np.arange` cannot overflow in
+    Both fields are stored as Python ints (`_check_count`), so a numpy
+    integer such as an element of `np.arange` cannot overflow in
     `substream`.
     """
 
@@ -44,10 +44,8 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", operator.index(self.seed))
-        object.__setattr__(self, "stream_id", operator.index(self.stream_id))
-        if self.seed < 0 or self.stream_id < 0:
-            raise ValueError("seed and stream_id must be non-negative")
+        for name in ("seed", "stream_id"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 0))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -58,13 +56,11 @@ def substream(rng: RngSpec, k: int) -> RngSpec:
     """Derive the k-th child stream of `rng`.
 
     The new stream_id is the Cantor pairing of (stream_id, k), which is
-    injective, so nested derivations never collide.  k is taken through
-    `operator.index`, so a numpy integer pairs as the Python int it holds
-    and cannot wrap around.
+    injective, so nested derivations never collide.  k is taken as a
+    Python int (`_check_count`), so a numpy integer pairs as the Python int
+    it holds and cannot wrap around.
     """
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError("substream index must be non-negative")
+    k = _check_count("substream index", k, 0)
     return RngSpec(rng.seed, _cantor(rng.stream_id, k))
 
 
@@ -130,7 +126,7 @@ def substream_normals(rng: RngSpec, rows: range, n: int) -> np.ndarray:
     """A (len(rows), n) matrix whose row i is
     ``substream(rng, rows[i]).generator().standard_normal(n)``, byte for byte.
 
-    `rows` is an increasing range of replicate indices (a ValueError
+    `rows` is an increasing range of replicate indices (a PoolmaxError
     otherwise), so the stream ids increase too and the ids that take w
     32-bit words are one run of rows, found by bisection; the Philox keys
     of each run are derived in one vectorized pass.  One generator is then
@@ -138,7 +134,7 @@ def substream_normals(rng: RngSpec, rows: range, n: int) -> np.ndarray:
     a freshly built one, and draws straight into its row.
     """
     if rows.step <= 0:
-        raise ValueError(f"rows must be an increasing range, got {rows!r}")
+        raise PoolmaxError(f"rows must be an increasing range, got {rows!r}")
     ids = _cantor(rng.stream_id, np.array(rows, dtype=object))
     keys = np.empty((len(rows), 2), dtype=np.uint64)
     lo = 0
@@ -183,11 +179,34 @@ def validate_matrix(values) -> np.ndarray:
         raise PoolmaxError(f"need at least 2 observations, got {n}")
     if p < 1:
         raise PoolmaxError("need at least 1 dimension")
-    bad = ~np.isfinite(x)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NonFiniteError(int(i), int(j))
+    _raise_first_nonfinite(~np.isfinite(x))
     return x
+
+
+def _raise_first_nonfinite(bad: np.ndarray) -> None:
+    """Raise NonFiniteError at the first True entry of `bad`, the mask of a
+    panel's non-finite entries, as (row, column); a 0-d or 1-d mask is one
+    column."""
+    if bad.any():
+        i, j = np.argwhere(bad.reshape(len(bad) if bad.ndim > 1 else bad.size, -1))[0]
+        raise NonFiniteError(int(i), int(j))
+
+
+def _check_level(name: str, value: float, upper: float = 1) -> float:
+    """`value` as a Python float, which a result records; a level such as
+    alpha, theta0 or a VaR theta must lie in (0, upper)."""
+    if not 0 < value < upper:
+        raise PoolmaxError(f"{name} must lie in (0, {upper})")
+    return float(value)
+
+
+def _check_count(name: str, value: int, minimum: int) -> int:
+    """`value` as a Python int, through `operator.index`, so that a fraction
+    raises TypeError; a count such as B, a seed or p must be >= minimum."""
+    value = operator.index(value)
+    if value < minimum:
+        raise PoolmaxError(f"{name} must be >= {minimum}")
+    return value
 
 
 @dataclass(frozen=True)

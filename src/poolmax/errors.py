@@ -17,27 +17,17 @@ NonFiniteError             ``backtest._forecast``, which reads ``row``/``col``
 
 A new class needs a caller that catches it or reads its attributes.
 
-An argument out of its range raises before any work.  ``ValueError``: an
-alpha or VaR theta outside (0, 1), a count below its minimum (B, ``mc_reps``,
-``refit_every``, seeds, a ``substream`` index, ``p``, a ``DgpSpec``'s
-included, and the draws of ``bootstrap_quantile``), a decreasing range of
-``substream_normals`` rows, the fields of ``GarchParams`` and the ``kind`` of
-a ``VarMethod``; ``TypeError``: a B, seed, stream id, ``substream`` index,
-``DgpSpec`` n, p or p0, family p, q or d (``SubsetFamily.from_dict``
-too), ``rolling_forecasts`` window, horizon or ``refit_every``, or EVT tail
-size k (of a ``VarMethod`` or ``evt_var``) that is not an integer.
-``PoolmaxError`` (CLI exit 3): theta0
-(``score``'s theta too), ``alpha_n``, a negative or too large ``p0``, ``u``,
-the skewed-t parameters, and a sample too small for its estimator, which
-includes a ``DgpSpec`` n below 2 (the message of ``validate_matrix``) and an
-EVT tail size k outside 10 <= k < m (checked where the residual count m is
-known, not when the ``VarMethod`` is made).
+One rule covers a bad argument: a value out of its range (a level, a count
+below its minimum, an unknown kind, a parameter a model forbids) raises
+``PoolmaxError``, which is a ``ValueError``, before any work, and a count
+that is not an integer raises ``TypeError``.
 """
 
 
-class PoolmaxError(Exception):
+class PoolmaxError(ValueError):
     """Base class for all library errors; the CLI exits 3 on one that no
-    subclass below claims."""
+    subclass below claims.  A ``ValueError``, as NumPy's ``LinAlgError`` is,
+    so a caller's ``except ValueError`` catches every bad argument."""
 
 
 class NonFiniteError(PoolmaxError):

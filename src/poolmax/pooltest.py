@@ -14,12 +14,18 @@ verbatim (see tests for the conditional-covariance identity this implies).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngSpec, TestResult, substream_normals, validate_matrix
+from .core import (
+    RngSpec,
+    TestResult,
+    _check_count,
+    _check_level,
+    substream_normals,
+    validate_matrix,
+)
 from .errors import DegenerateVarianceError, PoolmaxError, SubsetDesignError
 from .subsets import SubsetFamily
 
@@ -51,9 +57,7 @@ class BootstrapConfig:
     replicates: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(self, "replicates", operator.index(self.replicates))
-        if self.replicates < 1:
-            raise ValueError("need at least one bootstrap replicate")
+        object.__setattr__(self, "replicates", _check_count("replicates", self.replicates, 1))
 
     def weights(self, n: int) -> np.ndarray:
         """The (B, n) multiplier weights, ``substream_normals(rng, range(B), n)``.
@@ -190,13 +194,6 @@ def _studentized(y: np.ndarray) -> PooledPanel:
     return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
 
 
-def _check_alpha(alpha: float) -> float:
-    """alpha as a Python float, which a result records; it must lie in (0, 1)."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    return float(alpha)
-
-
 def max_statistic(panel: PooledPanel) -> float:
     return float(np.abs(panel.t_stats).max())
 
@@ -207,7 +204,7 @@ def naive_test(x, alpha: float) -> TestResult:
     from scipy.special import ndtr, ndtri  # here, not above: only this test needs scipy
 
     x = validate_matrix(x)
-    alpha = _check_alpha(alpha)
+    alpha = _check_level("alpha", alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # `_studentized` checks the sums
         y = x.sum(axis=1)
     t = float(_studentized(y[:, None]).t_stats[0])
@@ -321,7 +318,7 @@ def _order_index(alpha: float, B: int) -> int:
     """k = min(ceil((1-alpha)(B+1)), B): the critical value of B draws is
     their k-th smallest, so a statistic exceeds it iff at least k draws lie
     below the statistic."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_level("alpha", alpha)
     return min(int(np.ceil((1 - alpha) * (B + 1))), B)
 
 
@@ -329,7 +326,7 @@ def bootstrap_quantile(draws, alpha: float) -> float:
     """The ceil((1-alpha)(B+1))-th order statistic, clamped to the max draw."""
     draws = np.asarray(draws, dtype=np.float64)
     if draws.size == 0:
-        raise ValueError("no bootstrap draws")
+        raise PoolmaxError("no bootstrap draws")
     return float(np.sort(draws)[_order_index(alpha, draws.size) - 1])
 
 
@@ -357,7 +354,7 @@ def _bootstrap_result(
 
 def pool_test(x, fam: SubsetFamily, alpha: float, cfg: BootstrapConfig) -> TestResult:
     """Subsets-based pooling max-test with multiplier-bootstrap calibration."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_level("alpha", alpha)
     panel = pooled_panel(x, fam)
     return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "subsets-pool")
 
@@ -366,6 +363,6 @@ def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
     """Max-type test on individual dimensions: the subsets-pool test with
     singleton subsets, whose pooled sums are the columns of x themselves."""
     x = validate_matrix(x)
-    alpha = _check_alpha(alpha)
+    alpha = _check_level("alpha", alpha)
     panel = _studentized(x)
     return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "marginal")

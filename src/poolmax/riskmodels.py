@@ -43,7 +43,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.signal import lfilter
 
-from .core import RngSpec
+from .core import RngSpec, _check_count, _check_level
 from .errors import DegenerateVarianceError, PoolmaxError
 from .sstd import sstd_logpdf, sstd_quantile
 
@@ -93,11 +93,11 @@ class GarchParams:
 
     def __post_init__(self):
         if not (self.b0 > 0 and self.b1 >= 0 and self.b2 >= 0):
-            raise ValueError("need b0 > 0, b1 >= 0, b2 >= 0")
+            raise PoolmaxError("need b0 > 0, b1 >= 0, b2 >= 0")
         if not self.b1 + self.b2 < 1:
-            raise ValueError("need b1 + b2 < 1 (stationarity)")
+            raise PoolmaxError("need b1 + b2 < 1 (stationarity)")
         if not abs(self.a1) < 1:
-            raise ValueError("need |a1| < 1")
+            raise PoolmaxError("need |a1| < 1")
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class VarMethod:
 
     def __post_init__(self):
         if self.kind not in ("empirical", "skew-t", "evt"):
-            raise ValueError(f"unknown VaR method {self.kind!r}")
+            raise PoolmaxError(f"unknown VaR method {self.kind!r}")
         object.__setattr__(self, "k", operator.index(self.k))
 
 
@@ -309,8 +309,7 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
 def _check_theta(theta: float, kind: str = "", m: int = 0, k: int = 0) -> None:
     """The one check of a VaR level theta, and of the m residuals that a quantile
     of `kind` takes at it: at least ceil(1/theta) for "empirical", 10 <= k < m for "evt"."""
-    if not 0 < theta < 1:
-        raise ValueError("theta must lie in (0, 1)")
+    _check_level("theta", theta)
     if kind == "empirical" and m < 1.0 / theta:
         raise PoolmaxError(f"need at least {int(np.ceil(1/theta))} points")
     if kind == "evt" and (k < 10 or k >= m):
@@ -379,12 +378,12 @@ def gpd_tail_fit(exceedances) -> GpdFit:
     likelihood is unbounded, as for xi < -1), or is not finite, or has
     beta <= 0 or xi >= 1, the probability-weighted moment estimates of
     Hosking & Wallis (1987) are returned instead; `method` says which.
-    Constant excesses raise PoolmaxError, negative ones ValueError.
+    Constant or negative excesses raise PoolmaxError.
     """
     y = np.asarray(exceedances, dtype=np.float64)
     low = y.min()
     if low < 0:
-        raise ValueError("excesses must be non-negative")
+        raise PoolmaxError("excesses must be non-negative")
     if not low < y.max():
         raise PoolmaxError("degenerate exceedance sample")
     theta = _profile_mle(y)
@@ -461,14 +460,13 @@ def rolling_forecasts(
     window are checked (`_check_theta`) before the first fit, and so are the
     counts `window`, `horizon` and `refit_every`, which must be integers.
     """
-    window, horizon, refit_every = map(operator.index, (window, horizon, refit_every))
+    window, horizon = map(operator.index, (window, horizon))
+    refit_every = _check_count("refit_every", refit_every, 1)
     u = np.asarray(series, dtype=np.float64)
     if u.size < window + horizon:
         raise PoolmaxError(
             f"need {window + horizon} observations, got {u.size}"
         )
-    if refit_every < 1:
-        raise ValueError("refit_every must be >= 1")
     _check_theta(theta, method.kind, window, method.k)
     out = np.empty(horizon)
     fit = None

@@ -18,12 +18,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .core import RngSpec, csv_text, substream, validate_matrix
+from .core import RngSpec, _check_count, _check_level, csv_text, substream, validate_matrix
 from .errors import PoolmaxError
 from .pooltest import (
     BootstrapConfig,
     _bootstrap_rejects,
-    _check_alpha,
     _studentized,
     naive_test,
     pooled_panel,
@@ -49,14 +48,9 @@ MODELS = ("A1", "A2", "B1", "B2")
 METHODS = ("subsets-pool", "naive", "marginal")
 
 
-def _check_p(p: int) -> None:
-    if p < 1:
-        raise ValueError("p must be positive")
-
-
 def sigma1(p: int) -> np.ndarray:
     """Identity plus 0.7 coupling on disjoint adjacent pairs (2k-1, 2k)."""
-    _check_p(p)
+    p = _check_count("p", p, 1)
     s = np.eye(p)
     for k in range(p // 2):
         s[2 * k, 2 * k + 1] = s[2 * k + 1, 2 * k] = 0.7
@@ -65,21 +59,19 @@ def sigma1(p: int) -> np.ndarray:
 
 def sigma2(p: int) -> np.ndarray:
     """Toeplitz covariance with entries 0.5 ** |i - j|."""
-    _check_p(p)
+    p = _check_count("p", p, 1)
     idx = np.arange(p)
     return 0.5 ** np.abs(idx[:, None] - idx[None, :])
 
 
 def sample_gaussian(n: int, cov: np.ndarray, rng: RngSpec) -> np.ndarray:
-    """n i.i.d. rows from N(0, cov) via Cholesky (eigen fallback)."""
+    """n i.i.d. rows from N(0, cov) via Cholesky; a cov that is not
+    positive definite raises PoolmaxError."""
     cov = np.asarray(cov, dtype=np.float64)
     try:
         root = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        w, v = np.linalg.eigh((cov + cov.T) / 2)
-        if w.min() < -1e-10:
-            raise PoolmaxError(f"smallest eigenvalue {w.min():.3e}")
-        root = v * np.sqrt(np.clip(w, 0.0, None))
+    except np.linalg.LinAlgError as e:
+        raise PoolmaxError(f"Cholesky factorization failed: {e}") from None
     z = rng.generator().standard_normal((n, cov.shape[0]))
     return z @ root.T
 
@@ -91,11 +83,6 @@ def _check_p0(p: int, p0: int, m: int) -> None:
         raise PoolmaxError(f"need p0 >= 0, got p0={p0}")
     if m * p0 > p:
         raise PoolmaxError(f"need {m}*p0 <= p, got p0={p0}, p={p}")
-
-
-def _check_alpha_n(alpha_n: float) -> None:
-    if not 0 < alpha_n < 0.5:
-        raise PoolmaxError("alpha_n must lie in (0, 0.5)")
 
 
 def theta_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
@@ -142,7 +129,7 @@ def g_transform(x, alpha_n: float):
     The left branch is closed at x = 1 - alpha_n.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_alpha_n(alpha_n)
+    _check_level("alpha_n", alpha_n, 0.5)
     if np.any((x < 0) | (x > 1)):
         raise PoolmaxError("x must lie in [0, 1]")
     body = (2 * alpha_n / (1 - alpha_n)) * x - alpha_n
@@ -165,9 +152,8 @@ class DgpSpec:
     """One data-generating process; every check runs when it is made.
 
     n, p and p0 are stored as Python ints (through `operator.index`), so a
-    fractional one raises `TypeError`.  n below 2 raises the `PoolmaxError`
-    of `validate_matrix`, and p below 1 the `ValueError` of `sigma1`
-    and `sigma2`.
+    fractional one raises `TypeError`.  n below 2 raises the message of
+    `validate_matrix`, and p below 1 that of `sigma1` and `sigma2`.
     """
 
     model: str
@@ -180,13 +166,13 @@ class DgpSpec:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}")
+            raise PoolmaxError(f"model must be one of {MODELS}")
         for name in ("n", "p", "p0"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n < 2:
             raise PoolmaxError(f"need at least 2 observations, got {self.n}")
-        _check_p(self.p)
-        _check_alpha_n(self.alpha_n)
+        _check_count("p", self.p, 1)
+        _check_level("alpha_n", self.alpha_n, 0.5)
         _check_p0(self.p, self.p0, 4 if self.model.startswith("A") else 2)
 
 
@@ -246,7 +232,7 @@ def run_sweep(
     """
     q_grid = [operator.index(q) for q in q_grid]
     d_grid = [operator.index(d) for d in d_grid]
-    mc_reps = operator.index(mc_reps)
+    mc_reps = _check_count("mc_reps", mc_reps, 0)
     for name, values in (("q_grid", q_grid), ("d_grid", d_grid), ("methods", methods)):
         seen = set()
         for v in values:
@@ -256,9 +242,7 @@ def run_sweep(
     for m in methods:
         if m not in METHODS:
             raise PoolmaxError(f"unknown method {m!r}; expected one of {', '.join(METHODS)}")
-    alpha = _check_alpha(alpha)
-    if mc_reps < 0:
-        raise ValueError("mc_reps must be >= 0")
+    alpha = _check_level("alpha", alpha)
     if "marginal" in methods or "subsets-pool" in methods:
         BootstrapConfig(rng=spec.rng, replicates=B)  # checks B
     grid = [(q, d) for q in q_grid for d in d_grid]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import RngSpec
+from .core import RngSpec, _check_count
 from .errors import SubsetDesignError
 
 __all__ = [
@@ -164,8 +164,7 @@ def random_extension(p: int, q: int, count: int, rng: RngSpec) -> np.ndarray:
     """
     if q < 1 or q > p:
         raise SubsetDesignError(f"need 1 <= q <= p, got p={p}, q={q}")
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    count = _check_count("count", count, 0)
     gen = rng.generator()
     if p <= 10000 or q <= p // 50:
         bounds = np.concatenate([np.arange(p - q, p), np.arange(q - 1, 0, -1)])

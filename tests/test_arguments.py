@@ -1,4 +1,6 @@
-"""A bad argument raises before any work, with one class and message per check.
+"""A bad argument raises before any work, with one class and message per check:
+`PoolmaxError` (a `ValueError`) for a value out of its range, `TypeError`
+for a count that is not an integer.
 
 The expensive layers (pooling, studentizing, the bootstrap weights, the data
 generator and the GARCH fit) are patched to fail, so a check that ran only
@@ -15,9 +17,10 @@ from poolmax.backtest import (
     full_backtest,
     score,
     score_diff_matrix,
+    tail_dependence,
     validation_test,
 )
-from poolmax.core import substream_normals
+from poolmax.core import substream, substream_normals
 from poolmax.errors import PoolmaxError
 from poolmax.pooltest import (
     BootstrapConfig,
@@ -26,9 +29,16 @@ from poolmax.pooltest import (
     naive_test,
     pool_test,
 )
-from poolmax.riskmodels import VarMethod, evt_var, forecast_var, rolling_forecasts
-from poolmax.simlab import DgpSpec, mu_profile, run_sweep, theta_profile
-from poolmax.subsets import build_family
+from poolmax.riskmodels import (
+    GarchParams,
+    VarMethod,
+    evt_var,
+    forecast_var,
+    gpd_tail_fit,
+    rolling_forecasts,
+)
+from poolmax.simlab import DgpSpec, mu_profile, run_sweep, sigma1, sigma2, theta_profile
+from poolmax.subsets import build_family, random_extension
 
 U = np.random.default_rng(0).standard_normal((40, 7))
 R = np.full((40, 7), 1.5)
@@ -39,9 +49,9 @@ SPEC = DgpSpec("A1", n=50, p=7, p0=1, under_null=True, rng=RngSpec(3))
 SERIES = np.random.default_rng(4).standard_normal(700)
 WINDOW = SERIES[:500]
 
-ALPHA = (ValueError, "alpha must lie in (0, 1)")
+ALPHA = (PoolmaxError, "alpha must lie in (0, 1)")
 THETA0 = (PoolmaxError, "theta0 must lie in (0, 1)")
-THETA = (ValueError, "theta must lie in (0, 1)")
+THETA = (PoolmaxError, "theta must lie in (0, 1)")
 EVT_K = (PoolmaxError, "need 10 <= k < m, got k=500, m=500")
 EVT_K_SMALL = (PoolmaxError, "need 10 <= k < m, got k=5, m=500")
 P0 = (PoolmaxError, "need p0 >= 0, got p0=-1")
@@ -100,20 +110,49 @@ CASES = {
     "DgpSpec-n": (lambda: DgpSpec("A1", n=1, p=10, p0=1, under_null=False, rng=RngSpec(0)),
                   (PoolmaxError, "need at least 2 observations, got 1")),
     "DgpSpec-p": (lambda: DgpSpec("B1", n=50, p=0, p0=0, under_null=True, rng=RngSpec(0)),
-                  (ValueError, "p must be positive")),
+                  (PoolmaxError, "p must be >= 1")),
     "theta_profile-p0": (lambda: theta_profile(10, -1, False), P0),
     "mu_profile-p0": (lambda: mu_profile(10, -1, False), P0),
     "run_sweep-mc_reps": (lambda: run_sweep(SPEC, [3], [14], B=20, mc_reps=-1),
-                          (ValueError, "mc_reps must be >= 0")),
+                          (PoolmaxError, "mc_reps must be >= 0")),
     "BootstrapConfig-replicates": (lambda: BootstrapConfig(rng=RngSpec(0), replicates=2.5),
                                    NOT_INT),
     # ids of two 32-bit widths, whose bisection by width needs increasing ids
     "substream_normals-decreasing-rows": (
         lambda: substream_normals(RngSpec(3), range(92_700, 92_660, -1), 3),
-        (ValueError, "rows must be an increasing range, got range(92700, 92660, -1)")),
+        (PoolmaxError, "rows must be an increasing range, got range(92700, 92660, -1)")),
     "substream_normals-decreasing-rows-one-width": (
         lambda: substream_normals(RngSpec(3), range(5, 0, -1), 3),
-        (ValueError, "rows must be an increasing range, got range(5, 0, -1)")),
+        (PoolmaxError, "rows must be an increasing range, got range(5, 0, -1)")),
+    "BootstrapConfig-replicates-0": (lambda: BootstrapConfig(rng=RngSpec(0), replicates=0),
+                                     (PoolmaxError, "replicates must be >= 1")),
+    "RngSpec-seed": (lambda: RngSpec(-1), (PoolmaxError, "seed must be >= 0")),
+    "RngSpec-stream_id": (lambda: RngSpec(0, -1), (PoolmaxError, "stream_id must be >= 0")),
+    "substream-index": (lambda: substream(RngSpec(0), -1),
+                        (PoolmaxError, "substream index must be >= 0")),
+    "rolling_forecasts-refit_every": (
+        lambda: rolling_forecasts(SERIES, 500, 6, VarMethod("empirical"), 0.01, refit_every=0),
+        (PoolmaxError, "refit_every must be >= 1")),
+    "tail_dependence-u": (lambda: tail_dependence(U, 0.5),
+                          (PoolmaxError, "u must lie in (0, 0.5)")),
+    "DgpSpec-alpha_n": (lambda: DgpSpec("B1", n=50, p=10, p0=1, under_null=True, rng=RngSpec(0),
+                                        alpha_n=0.5),
+                        (PoolmaxError, "alpha_n must lie in (0, 0.5)")),
+    "DgpSpec-model": (lambda: DgpSpec("C1", n=50, p=10, p0=1, under_null=True, rng=RngSpec(0)),
+                      (PoolmaxError, "model must be one of ('A1', 'A2', 'B1', 'B2')")),
+    "sigma1-p": (lambda: sigma1(0), (PoolmaxError, "p must be >= 1")),
+    "sigma2-p": (lambda: sigma2(0), (PoolmaxError, "p must be >= 1")),
+    "random_extension-count": (lambda: random_extension(7, 3, -1, RngSpec(0)),
+                               (PoolmaxError, "count must be >= 0")),
+    "random_extension-count-fraction": (lambda: random_extension(7, 3, 1.5, RngSpec(0)),
+                                        NOT_INT),
+    "bootstrap_quantile-no-draws": (lambda: bootstrap_quantile(np.array([]), 0.05),
+                                    (PoolmaxError, "no bootstrap draws")),
+    "gpd_tail_fit-negative": (lambda: gpd_tail_fit([-1.0, 1.0]),
+                              (PoolmaxError, "excesses must be non-negative")),
+    "GarchParams-b0": (lambda: GarchParams(0, 0, 0, 0, 0),
+                       (PoolmaxError, "need b0 > 0, b1 >= 0, b2 >= 0")),
+    "VarMethod-kind": (lambda: VarMethod("bogus"), (PoolmaxError, "unknown VaR method 'bogus'")),
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poolmax
 from poolmax import cli
 from poolmax.cli import EXIT_DATA, EXIT_DEGENERATE, EXIT_USAGE, ingest_panel, run
 from poolmax.errors import (
@@ -228,6 +229,13 @@ def test_unknown_flag_exits_2(panel_csv):
     with pytest.raises(SystemExit) as exc:
         run(["pool-test", "--in", str(panel_csv), "--bogus", "1"])
     assert exc.value.code == EXIT_USAGE
+
+
+def test_version_flag_prints_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{poolmax.__version__}\n"
 
 
 def _exit_code(argv):

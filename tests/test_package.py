@@ -1,5 +1,7 @@
-"""The lazy package namespace, and which commands load scipy."""
+"""The lazy package namespace, which commands load scipy, and which classes
+the library raises."""
 
+import ast
 import json
 import os
 import subprocess
@@ -142,3 +144,21 @@ def test_error_classes_are_the_documented_four():
                if isinstance(value, type) and issubclass(value, errors.PoolmaxError)}
     assert classes == {"PoolmaxError", "SubsetDesignError", "DegenerateVarianceError",
                        "NonFiniteError"}
+
+
+def test_library_raises_only_its_own_classes_and_three_builtins():
+    """A bad value raises a poolmax.errors class (a ValueError), never a bare
+    ValueError.  cli.py is left out: its `_whole` raises a ValueError that
+    `_checked` turns into an argparse error."""
+    allowed = {"PoolmaxError", "SubsetDesignError", "DegenerateVarianceError",
+               "NonFiniteError", "TypeError", "AttributeError", "KeyError"}
+    named = {}
+    for path in sorted(Path(poolmax.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                named[f"{path.name}:{node.lineno}"] = getattr(exc, "id", None) or ast.unparse(node)
+    assert named
+    assert {at: name for at, name in named.items() if name not in allowed} == {}

@@ -50,6 +50,12 @@ def test_sample_gaussian_moments():
     assert np.array_equal(y, sample_gaussian(10**5, sigma1(4), RngSpec(2)))
 
 
+def test_sample_gaussian_rejects_a_covariance_cholesky_rejects():
+    with pytest.raises(PoolmaxError, match="^Cholesky factorization failed: "
+                       "Matrix is not positive definite$"):
+        sample_gaussian(5, [[1.0, 1.0], [1.0, 1.0]], RngSpec(0))
+
+
 def test_theta_profile():
     alt = theta_profile(100, 20, under_null=False)
     assert (alt[:20] == 0.025).all()
@@ -165,8 +171,8 @@ def test_run_sweep_rejects_repeated_or_unknown_before_any_rep(no_reps, q_grid, d
 @pytest.mark.parametrize("alpha, B, methods, message", [
     (0.0, 10, ("naive",), "alpha must lie in (0, 1)"),
     (1.0, 10, ("subsets-pool", "naive", "marginal"), "alpha must lie in (0, 1)"),
-    (0.05, 0, ("marginal",), "need at least one bootstrap replicate"),
-    (0.05, 0, ("naive", "subsets-pool"), "need at least one bootstrap replicate"),
+    (0.05, 0, ("marginal",), "replicates must be >= 1"),
+    (0.05, 0, ("naive", "subsets-pool"), "replicates must be >= 1"),
 ], ids=["alpha-0", "alpha-1", "B-marginal", "B-pool"])
 @pytest.mark.parametrize("mc_reps", [0, 2])
 def test_run_sweep_checks_alpha_and_B_before_any_rep(no_reps, alpha, B, methods, message,
