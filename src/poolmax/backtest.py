@@ -17,13 +17,7 @@ import numpy as np
 
 from .core import TestResult, _check_level, _raise_first_nonfinite, csv_text, validate_matrix
 from .errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
-from .pooltest import (
-    BootstrapConfig,
-    _bootstrap_result,
-    multiplier_bootstrap,
-    pool_test,
-    pooled_panel,
-)
+from .pooltest import BootstrapConfig, pool_test
 from .subsets import SubsetFamily
 
 __all__ = [
@@ -98,18 +92,11 @@ def comparative_test(
     cfg: BootstrapConfig,
     one_sided: bool = False,
 ) -> TestResult:
-    """Equal-predictive-accuracy test between two forecast panels.
-
-    Two-sided: the usual pooling max test on score differences.
-    One-sided: the signed max statistic with a one-sided bootstrap
-    quantile; rejection is evidence that r_star (the column method)
-    outperforms r (the row method).
+    """Equal-predictive-accuracy test between two forecast panels: the
+    pooling test on their score differences.  One-sided, a rejection is
+    evidence that r_star (the column method) outperforms r (the row method).
     """
-    diff = score_diff_matrix(u, r, r_star, theta0)
-    alpha = _check_level("alpha", alpha)
-    panel = pooled_panel(diff, fam)
-    draws = multiplier_bootstrap(panel, cfg, one_sided)
-    return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
+    return pool_test(score_diff_matrix(u, r, r_star, theta0), fam, alpha, cfg, one_sided)
 
 
 def _average_ranks(z: np.ndarray) -> np.ndarray:

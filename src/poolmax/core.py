@@ -126,15 +126,17 @@ def substream_normals(rng: RngSpec, rows: range, n: int) -> np.ndarray:
     """A (len(rows), n) matrix whose row i is
     ``substream(rng, rows[i]).generator().standard_normal(n)``, byte for byte.
 
-    `rows` is an increasing range of replicate indices (a PoolmaxError
-    otherwise), so the stream ids increase too and the ids that take w
-    32-bit words are one run of rows, found by bisection; the Philox keys
-    of each run are derived in one vectorized pass.  One generator is then
-    reset to each key with a zero counter and an empty buffer, the state of
-    a freshly built one, and draws straight into its row.
+    `rows` is an increasing range of replicate indices and n >= 0 (a
+    PoolmaxError otherwise), so the stream ids increase too and the ids
+    that take w 32-bit words are one run of rows, found by bisection; the
+    Philox keys of each run are derived in one vectorized pass.  One
+    generator is then reset to each key with a zero counter and an empty
+    buffer, the state of a freshly built one, and draws straight into its
+    row.
     """
     if rows.step <= 0:
         raise PoolmaxError(f"rows must be an increasing range, got {rows!r}")
+    n = _check_count("n", n, 0)
     ids = _cantor(rng.stream_id, np.array(rows, dtype=object))
     keys = np.empty((len(rows), 2), dtype=np.uint64)
     lo = 0

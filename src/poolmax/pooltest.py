@@ -352,11 +352,19 @@ def _bootstrap_result(
     )
 
 
-def pool_test(x, fam: SubsetFamily, alpha: float, cfg: BootstrapConfig) -> TestResult:
-    """Subsets-based pooling max-test with multiplier-bootstrap calibration."""
+def pool_test(
+    x, fam: SubsetFamily, alpha: float, cfg: BootstrapConfig, one_sided: bool = False
+) -> TestResult:
+    """Subsets-based pooling max-test with multiplier-bootstrap calibration.
+
+    Two-sided: the max absolute t-statistic against the max absolute
+    bootstrap draws.  One-sided: the max signed t-statistic against the max
+    signed draws, so only pooled sums above zero count as evidence.
+    """
     alpha = _check_level("alpha", alpha)
     panel = pooled_panel(x, fam)
-    return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "subsets-pool")
+    draws = multiplier_bootstrap(panel, cfg, one_sided)
+    return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
 
 
 def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:

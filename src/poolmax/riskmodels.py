@@ -458,9 +458,11 @@ def rolling_forecasts(
     The model is re-estimated every `refit_every` days; between refits the
     held parameters are re-filtered on the current window.  theta and the
     window are checked (`_check_theta`) before the first fit, and so are the
-    counts `window`, `horizon` and `refit_every`, which must be integers.
+    counts `window`, `horizon` (>= 0) and `refit_every` (>= 1), which must be
+    integers.
     """
-    window, horizon = map(operator.index, (window, horizon))
+    window = operator.index(window)
+    horizon = _check_count("horizon", horizon, 0)
     refit_every = _check_count("refit_every", refit_every, 1)
     u = np.asarray(series, dtype=np.float64)
     if u.size < window + horizon:

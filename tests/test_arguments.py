@@ -10,7 +10,7 @@ after one of them would surface as an AssertionError.
 import numpy as np
 import pytest
 
-from poolmax import RngSpec, backtest, core, pooltest, riskmodels, simlab
+from poolmax import RngSpec, core, pooltest, riskmodels, simlab
 from poolmax.backtest import (
     comparative_test,
     exceedance_matrix,
@@ -62,6 +62,7 @@ CASES = {
     "naive_test-alpha": (lambda: naive_test(U, 1.5), ALPHA),
     "bootstrap_quantile-alpha": (lambda: bootstrap_quantile(np.ones(5), 0.0), ALPHA),
     "pool_test-alpha": (lambda: pool_test(U, FAM, 1.5, CFG), ALPHA),
+    "pool_test-one-sided-alpha": (lambda: pool_test(U, FAM, 1.5, CFG, one_sided=True), ALPHA),
     "marginal_test-alpha": (lambda: marginal_test(U, 1.5, CFG), ALPHA),
     "validation_test-alpha": (lambda: validation_test(U, R, 0.05, FAM, 1.5, CFG), ALPHA),
     "comparative_test-alpha": (lambda: comparative_test(U, R, R_STAR, 0.05, FAM, 1.5, CFG),
@@ -130,6 +131,11 @@ CASES = {
     "RngSpec-stream_id": (lambda: RngSpec(0, -1), (PoolmaxError, "stream_id must be >= 0")),
     "substream-index": (lambda: substream(RngSpec(0), -1),
                         (PoolmaxError, "substream index must be >= 0")),
+    "rolling_forecasts-horizon": (
+        lambda: rolling_forecasts(SERIES, 500, -1, VarMethod("skew-t"), 0.01),
+        (PoolmaxError, "horizon must be >= 0")),
+    "substream_normals-n": (lambda: substream_normals(RngSpec(3), range(4), -1),
+                            (PoolmaxError, "n must be >= 0")),
     "rolling_forecasts-refit_every": (
         lambda: rolling_forecasts(SERIES, 500, 6, VarMethod("empirical"), 0.01, refit_every=0),
         (PoolmaxError, "refit_every must be >= 1")),
@@ -164,7 +170,6 @@ def no_work(monkeypatch):
     for module, names in [
         (core, ["_philox_keys"]),
         (pooltest, ["pooled_panel", "_studentized", "substream_normals"]),
-        (backtest, ["pooled_panel"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),
         (riskmodels, ["garch_fit"]),
     ]:

@@ -113,8 +113,11 @@ def assert_matches_oracle(got, panel, x, fam, alpha, cfg, one_sided=False):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=_shape_id)
 def test_pool_test(shape, blocks):
+    """The two-sided and the one-sided form, on one config."""
     x, fam, cfg = _inputs(shape)
-    assert_matches_oracle(pool_test(x, fam, 0.05, cfg), pooled_panel(x, fam), x, fam, 0.05, cfg)
+    for one_sided in (False, True):
+        got = pool_test(x, fam, 0.05, cfg, one_sided=one_sided)
+        assert_matches_oracle(got, pooled_panel(x, fam), x, fam, 0.05, cfg, one_sided)
 
 
 @pytest.mark.parametrize("shape", MARGINAL_SHAPES, ids=_shape_id)
