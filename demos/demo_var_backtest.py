@@ -1,38 +1,27 @@
 """Rolling VaR forecasts and a cross-asset validation/comparative backtest.
 
-Simulates a handful of AR-GARCH loss series, produces daily one-step VaR
-forecasts with the empirical and tail-extrapolation methods, then runs
-the pooled backtest: a validation test per method plus one-sided pairwise
-comparisons.  A 5% target with a short horizon keeps the run quick while
-still producing enough exceedances to test.
+Simulates a handful of AR(1)-GARCH(1,1) loss series with the library's
+own simulator, `garch_simulate` (Gaussian shocks, a 300-day burn-in sliced
+off each), produces daily one-step VaR forecasts with the empirical and
+tail-extrapolation methods, then runs the pooled backtest: a validation
+test per method plus one-sided pairwise comparisons.  A 5% target with a
+short horizon keeps the run quick while still producing enough
+exceedances to test.
 """
 
 import numpy as np
 
 from poolmax import (
     BootstrapConfig,
+    GarchParams,
     RngSpec,
     VarMethod,
     build_family,
     full_backtest,
+    garch_simulate,
     rolling_forecasts,
     tail_dependence,
 )
-
-
-def simulate_losses(n, gen, a1=0.05, b0=0.05, b1=0.08, b2=0.88):
-    """AR(1) losses with GARCH(1,1) volatility, Gaussian innovations."""
-    burn = 300
-    z = gen.standard_normal(n + burn)
-    u = np.empty(n + burn)
-    sig2 = b0 / (1 - b1 - b2)
-    prev = 0.0
-    for t in range(n + burn):
-        eps = np.sqrt(sig2) * z[t]
-        u[t] = a1 * prev + eps
-        prev = u[t]
-        sig2 = b0 + b1 * eps**2 + b2 * sig2
-    return u[burn:]
 
 
 def main():
@@ -40,8 +29,10 @@ def main():
     n_assets, window, horizon = 5, 400, 80
     theta = 0.05
 
+    params = GarchParams(a0=0.0, a1=0.05, b0=0.05, b1=0.08, b2=0.88)
     losses = np.column_stack(
-        [simulate_losses(window + horizon, gen) for _ in range(n_assets)]
+        [garch_simulate(params, gen.standard_normal(window + horizon + 300))[300:]
+         for _ in range(n_assets)]
     )
 
     methods = {

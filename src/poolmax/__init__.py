@@ -45,6 +45,7 @@ _EXPORTS = {
         "forecast_var",
         "garch_filter",
         "garch_fit",
+        "garch_simulate",
         "rolling_forecasts",
     ),
     "simlab": ("DgpSpec", "SweepResult", "generate_panel", "run_sweep", "sigma1", "sigma2"),

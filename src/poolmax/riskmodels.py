@@ -6,10 +6,12 @@ The loss recursion is
     mu_t = a0 + a1 * u_{t-1}
     sigma_t^2 = b0 + b1 * sigma_{t-1}^2 z_{t-1}^2 + b2 * sigma_{t-1}^2
 
-with z_t i.i.d. mean 0 variance 1.  Since sigma_{t-1}^2 z_{t-1}^2 equals
-the squared mean residual, the volatility recursion is linear in
-sigma_t^2 and is evaluated with a one-pole filter, which keeps the
-likelihood fast enough for daily refitting.
+with z_t i.i.d. mean 0 variance 1.  Its forward step is written once
+(`_next_step`): the simulator `garch_simulate` takes it on every day and
+`forecast_var` once, after the window.  Since sigma_{t-1}^2 z_{t-1}^2
+equals the squared mean residual, the volatility recursion is linear in
+sigma_t^2 and `garch_filter` evaluates it with a one-pole filter, which
+keeps the likelihood fast enough for daily refitting.
 
 The fit is L-BFGS-B on the negative log-likelihood, with the gradient
 L-BFGS-B would estimate itself: forward differences, one step per
@@ -43,7 +45,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 from scipy.signal import lfilter
 
-from .core import RngSpec, _check_count, _check_level
+from .core import RngSpec, _check_count, _check_level, _raise_first_nonfinite
 from .errors import DegenerateVarianceError, PoolmaxError
 from .sstd import sstd_logpdf, sstd_quantile
 
@@ -54,6 +56,7 @@ __all__ = [
     "VarMethod",
     "garch_filter",
     "garch_fit",
+    "garch_simulate",
     "empirical_var",
     "evt_var",
     "gpd_tail_fit",
@@ -163,6 +166,36 @@ def garch_filter(
     return mu, vol, eps / vol
 
 
+def _next_step(params: GarchParams, u_t, eps_t, sig2_t):
+    """The model's one forward step: (mu_{t+1}, sigma_{t+1}^2) from the loss
+    u_t, its mean residual eps_t = u_t - mu_t and its variance sigma_t^2."""
+    return (params.a0 + params.a1 * u_t,
+            params.b0 + params.b1 * eps_t**2 + params.b2 * sig2_t)
+
+
+def garch_simulate(params: GarchParams, shocks) -> np.ndarray:
+    """The loss path u_t = mu_t + sigma_t * z_t driven by the standardized
+    shocks z_t, a 1-d array that the caller draws.
+
+    The path starts where `garch_filter` does, at the unconditional mean
+    a0/(1-a1) and variance b0/(1-b1-b2), and moves by `_next_step`; the
+    caller slices off any burn-in.  `garch_filter(path, params)` gives the
+    shocks back as its residuals.  A non-finite shock raises NonFiniteError.
+    """
+    z = np.asarray(shocks, dtype=np.float64)
+    if z.ndim != 1:
+        raise PoolmaxError(f"expected 1-d shocks, got ndim={z.ndim}")
+    _raise_first_nonfinite(~np.isfinite(z))
+    u = np.empty(z.size)
+    mu = params.a0 / (1.0 - params.a1)
+    sig2 = params.b0 / (1.0 - params.b1 - params.b2)
+    for t, z_t in enumerate(z):
+        eps = np.sqrt(sig2) * z_t
+        u[t] = mu + eps
+        mu, sig2 = _next_step(params, u[t], eps, sig2)
+    return u
+
+
 def _nll_points(points, u, sig2_init) -> np.ndarray:
     """Negative log-likelihoods of the 8 rows of `points`, _BIG where b1 + b2 >
     0.999 or the value is not finite.  Every other bound of `GarchParams` and
@@ -234,6 +267,7 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
     reaches them, and the best finite one is returned, converged or not
     (see `GarchFit.converged`); if none is finite, PoolmaxError is raised.
     """
+    max_iter = _check_count("max_iter", max_iter, 1)
     u = np.asarray(series, dtype=np.float64)
     if u.size < MIN_FIT_LENGTH:
         raise PoolmaxError(
@@ -419,13 +453,6 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
     return float(u + beta / xi * (ratio**xi - 1.0))
 
 
-def _next_step(u, fit: GarchFit) -> Tuple[float, float]:
-    mu_next = fit.a0 + fit.a1 * u[-1]
-    eps_last = u[-1] - fit.cond_mean[-1]
-    sig2_next = fit.b0 + fit.b1 * eps_last**2 + fit.b2 * fit.cond_vol[-1] ** 2
-    return float(mu_next), float(np.sqrt(sig2_next))
-
-
 def forecast_var(window, method: VarMethod, theta: float,
                  fit: Optional[GarchFit] = None) -> float:
     """One-step-ahead VaR: mu_next + sigma_next * residual quantile; theta
@@ -434,14 +461,15 @@ def forecast_var(window, method: VarMethod, theta: float,
     _check_theta(theta, method.kind, u.size if fit is None else fit.residuals.size, method.k)
     if fit is None:
         fit = garch_fit(u)
-    mu_next, sig_next = _next_step(u, fit)
+    mu_next, sig2_next = _next_step(fit, u[-1], u[-1] - fit.cond_mean[-1],
+                                    fit.cond_vol[-1] ** 2)
     if method.kind == "empirical":
         q = empirical_var(fit.residuals, theta)
     elif method.kind == "evt":
         q = evt_var(fit.residuals, theta, method.k)
     else:
         q = float(sstd_quantile(1 - theta, fit.nu, fit.gamma))
-    return mu_next + sig_next * q
+    return float(mu_next) + float(np.sqrt(sig2_next)) * q
 
 
 def rolling_forecasts(
@@ -458,10 +486,10 @@ def rolling_forecasts(
     The model is re-estimated every `refit_every` days; between refits the
     held parameters are re-filtered on the current window.  theta and the
     window are checked (`_check_theta`) before the first fit, and so are the
-    counts `window`, `horizon` (>= 0) and `refit_every` (>= 1), which must be
-    integers.
+    counts `window` (>= MIN_FIT_LENGTH, the points a fit needs), `horizon`
+    (>= 0) and `refit_every` (>= 1), which must be integers.
     """
-    window = operator.index(window)
+    window = _check_count("window", window, MIN_FIT_LENGTH)
     horizon = _check_count("horizon", horizon, 0)
     refit_every = _check_count("refit_every", refit_every, 1)
     u = np.asarray(series, dtype=np.float64)

@@ -4,28 +4,7 @@ import numpy as np
 import pytest
 
 from poolmax import riskmodels, sstd
-from poolmax.riskmodels import GarchParams, garch_filter
-
-
-def simulate_ar_garch(params: GarchParams, n: int, rng: np.random.Generator,
-                      burn: int = 500) -> np.ndarray:
-    """Reference AR(1)-GARCH(1,1) path with Gaussian innovations.
-
-    Step-by-step recursion independent of the filter implementation; used
-    as the simulate-and-refit oracle.
-    """
-    total = n + burn
-    z = rng.standard_normal(total)
-    u = np.empty(total)
-    sig2 = params.b0 / (1 - params.b1 - params.b2)
-    prev = params.a0 / (1 - params.a1)
-    for t in range(total):
-        mu = params.a0 + params.a1 * prev
-        eps = np.sqrt(sig2) * z[t]
-        u[t] = mu + eps
-        sig2 = params.b0 + params.b1 * eps**2 + params.b2 * sig2
-        prev = u[t]
-    return u[burn:]
+from poolmax.riskmodels import GarchParams, garch_filter, garch_simulate
 
 
 def window_matrix(p: int, q: int) -> list:
@@ -119,4 +98,6 @@ def use_scipy_finite_differences(monkeypatch):
 @pytest.fixture(scope="session")
 def garch_path():
     params = GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85)
-    return params, simulate_ar_garch(params, 3000, np.random.default_rng(12345))
+    # 3000 days after a 500-day burn-in
+    z = np.random.default_rng(12345).standard_normal(3500)
+    return params, garch_simulate(params, z)[500:]

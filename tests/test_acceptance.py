@@ -29,11 +29,18 @@ from poolmax.backtest import score
 from poolmax.errors import DegenerateVarianceError
 from poolmax.cli import run as cli_run
 from poolmax.pooltest import multiplier_bootstrap
-from poolmax.riskmodels import GarchParams, VarMethod, evt_var, garch_filter, garch_fit
+from poolmax.riskmodels import (
+    GarchParams,
+    VarMethod,
+    evt_var,
+    garch_filter,
+    garch_fit,
+    garch_simulate,
+)
 from poolmax.simlab import DgpSpec, generate_panel
 from poolmax.subsets import verify_identifiability
 
-from conftest import rational_rank, simulate_ar_garch, window_matrix
+from conftest import rational_rank, window_matrix
 
 MC_REPS = 500
 ALPHA = 0.05
@@ -208,7 +215,7 @@ def test_criterion_08_garch_recovery():
     errs = []
     ok_roundtrip = True
     for k in range(20):
-        u = simulate_ar_garch(true, 3000, np.random.default_rng(8000 + k))
+        u = garch_simulate(true, np.random.default_rng(8000 + k).standard_normal(3500))[500:]
         fit = garch_fit(u)
         errs.append(abs(fit.b1 + fit.b2 - 0.95))
         params = GarchParams(fit.a0, fit.a1, fit.b0, fit.b1, fit.b2)

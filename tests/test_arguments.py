@@ -3,8 +3,8 @@
 for a count that is not an integer.
 
 The expensive layers (pooling, studentizing, the bootstrap weights, the data
-generator and the GARCH fit) are patched to fail, so a check that ran only
-after one of them would surface as an AssertionError.
+generator, the GARCH fit and its optimizer) are patched to fail, so a check
+that ran only after one of them would surface as an AssertionError.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from poolmax.backtest import (
     validation_test,
 )
 from poolmax.core import substream, substream_normals
-from poolmax.errors import PoolmaxError
+from poolmax.errors import NonFiniteError, PoolmaxError
 from poolmax.pooltest import (
     BootstrapConfig,
     bootstrap_quantile,
@@ -34,6 +34,8 @@ from poolmax.riskmodels import (
     VarMethod,
     evt_var,
     forecast_var,
+    garch_fit,
+    garch_simulate,
     gpd_tail_fit,
     rolling_forecasts,
 )
@@ -48,6 +50,7 @@ CFG = BootstrapConfig(rng=RngSpec(2), replicates=20)
 SPEC = DgpSpec("A1", n=50, p=7, p0=1, under_null=True, rng=RngSpec(3))
 SERIES = np.random.default_rng(4).standard_normal(700)
 WINDOW = SERIES[:500]
+GARCH = GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85)
 
 ALPHA = (PoolmaxError, "alpha must lie in (0, 1)")
 THETA0 = (PoolmaxError, "theta0 must lie in (0, 1)")
@@ -139,6 +142,16 @@ CASES = {
     "rolling_forecasts-refit_every": (
         lambda: rolling_forecasts(SERIES, 500, 6, VarMethod("empirical"), 0.01, refit_every=0),
         (PoolmaxError, "refit_every must be >= 1")),
+    **{f"rolling_forecasts-window-{window}": (
+        lambda window=window: rolling_forecasts(SERIES, window, 200, VarMethod("skew-t"), 0.01),
+        (PoolmaxError, "window must be >= 300")) for window in (-1, 0, 299)},
+    **{f"garch_fit-max_iter-{max_iter}": (
+        lambda max_iter=max_iter: garch_fit(WINDOW, max_iter=max_iter),
+        (PoolmaxError, "max_iter must be >= 1")) for max_iter in (0, -1)},
+    "garch_simulate-nan-shock": (lambda: garch_simulate(GARCH, [0.5, np.nan, 1.0]),
+                                 (NonFiniteError, "non-finite entry at (1, 0)")),
+    "garch_simulate-2d-shocks": (lambda: garch_simulate(GARCH, np.zeros((3, 2))),
+                                 (PoolmaxError, "expected 1-d shocks, got ndim=2")),
     "tail_dependence-u": (lambda: tail_dependence(U, 0.5),
                           (PoolmaxError, "u must lie in (0, 0.5)")),
     "DgpSpec-alpha_n": (lambda: DgpSpec("B1", n=50, p=10, p0=1, under_null=True, rng=RngSpec(0),
@@ -171,7 +184,7 @@ def no_work(monkeypatch):
         (core, ["_philox_keys"]),
         (pooltest, ["pooled_panel", "_studentized", "substream_normals"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),
-        (riskmodels, ["garch_fit"]),
+        (riskmodels, ["garch_fit", "minimize"]),
     ]:
         for name in names:
             monkeypatch.setattr(module, name, refuse)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -15,6 +17,7 @@ from poolmax.riskmodels import (
     forecast_var,
     garch_filter,
     garch_fit,
+    garch_simulate,
     gpd_tail_fit,
     rolling_forecasts,
 )
@@ -40,6 +43,36 @@ class TestFilter:
         _, _, z = garch_filter(u, params)
         assert z.var() == pytest.approx(1.0, abs=0.05)
         assert z.mean() == pytest.approx(0.0, abs=0.05)
+
+
+class TestSimulate:
+    @pytest.mark.parametrize("params", [
+        GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85),
+        GarchParams(a0=0.3, a1=-0.6, b0=2.0, b1=0.3, b2=0.5),
+        GarchParams(a0=-0.02, a1=0.9, b0=1e-4, b1=0.0, b2=0.99),
+    ])
+    def test_filter_gives_back_the_shocks(self, params):
+        z = np.random.default_rng(5).standard_normal(2000)
+        u = garch_simulate(params, z)
+        mu, vol, resid = garch_filter(u, params)
+        assert np.max(np.abs(resid - z)) <= 1e-12
+        assert np.max(np.abs(mu + vol * resid - u)) <= 1e-12
+
+    def test_criterion_08_input_bytes(self):
+        """The path of the `garch_path` fixture and of criterion 08 keeps
+        the bytes of the step-by-step recursion that produced it before the
+        simulator joined the library."""
+        params = GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85)
+        z = np.random.default_rng(12345).standard_normal(3500)
+        u = garch_simulate(params, z)[500:]
+        assert hashlib.sha256(u.astype("<f8").tobytes()).hexdigest() == (
+            "6192f4eebc1011dde58f176cc795c489ab0807f7a49461513765d966aa00dcf3")
+
+    def test_starts_at_the_unconditional_moments(self):
+        params = GarchParams(a0=0.5, a1=0.5, b0=0.4, b1=0.1, b2=0.7)
+        assert garch_simulate(params, [0.0, 0.0]).tolist() == [1.0, 1.0]
+        assert garch_simulate(params, [1.0])[0] == 1.0 + np.sqrt(2.0)
+        assert garch_simulate(params, []).size == 0
 
 
 class TestFit:
@@ -314,8 +347,8 @@ class TestForecast:
 
 class TestRolling:
     def test_insufficient_history(self):
-        with pytest.raises(PoolmaxError, match="^need 110 observations, got 100$"):
-            rolling_forecasts(np.zeros(100), window=90, horizon=20,
+        with pytest.raises(PoolmaxError, match="^need 370 observations, got 360$"):
+            rolling_forecasts(np.zeros(360), window=350, horizon=20,
                               method=VarMethod("empirical"), theta=0.01)
 
     def test_horizon_zero(self):
