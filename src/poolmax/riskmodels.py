@@ -38,7 +38,7 @@ maximum with xi < 1 exists, probability-weighted moments (Hosking & Wallis
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -66,7 +66,6 @@ __all__ = [
 
 MIN_FIT_LENGTH = 300
 _BIG = 1e12
-_PARAM_NAMES = ("a0", "a1", "b0", "b1", "b2", "nu", "gamma")
 # `garch_fit`'s random restarts after an unconverged first start, and their stream
 _RESTARTS = 5
 _RESTART_RNG = RngSpec(0)
@@ -142,16 +141,33 @@ class VarMethod:
         object.__setattr__(self, "k", operator.index(self.k))
 
 
+def _series(values, name: str = "series", minimum: int = 1) -> np.ndarray:
+    """The one check of a loss series, residual, shock or excess array:
+    `values` as a 1-d float64 array of at least `minimum` finite points,
+    which is `values` itself when it already is such an array.  A NaN or
+    inf raises NonFiniteError at its index, as (i, 0)."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1:
+        raise PoolmaxError(f"expected 1-d {name}, got ndim={x.ndim}")
+    if x.size < minimum:
+        raise PoolmaxError(f"need at least {minimum} observations, got {x.size}")
+    _raise_first_nonfinite(~np.isfinite(x))
+    return x
+
+
 def garch_filter(
     series, params: GarchParams, sig2_init: Optional[float] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conditional means, volatilities and standardized residuals.
 
     The first step uses the unconditional moments (mean a0/(1-a1),
-    variance b0/(1-b1-b2)) unless `sig2_init` overrides the variance.
-    Reconstruction series = mean + vol * residual is exact.
+    variance b0/(1-b1-b2)) unless `sig2_init`, positive and finite,
+    overrides the variance.  Reconstruction series = mean + vol * residual
+    is exact.
     """
-    u = np.asarray(series, dtype=np.float64)
+    u = _series(series)
+    if sig2_init is not None and not 0 < sig2_init < np.inf:
+        raise PoolmaxError("sig2_init must lie in (0, inf)")
     n = u.size
     mu = np.empty(n)
     mu[0] = params.a0 / (1.0 - params.a1)
@@ -180,19 +196,24 @@ def garch_simulate(params: GarchParams, shocks) -> np.ndarray:
     The path starts where `garch_filter` does, at the unconditional mean
     a0/(1-a1) and variance b0/(1-b1-b2), and moves by `_next_step`; the
     caller slices off any burn-in.  `garch_filter(path, params)` gives the
-    shocks back as its residuals.  A non-finite shock raises NonFiniteError.
+    shocks back as its residuals.  A non-finite shock raises NonFiniteError,
+    and a path whose sigma^2 or loss leaves the float range raises
+    PoolmaxError naming the first such day.  No shocks give an empty path.
     """
-    z = np.asarray(shocks, dtype=np.float64)
-    if z.ndim != 1:
-        raise PoolmaxError(f"expected 1-d shocks, got ndim={z.ndim}")
-    _raise_first_nonfinite(~np.isfinite(z))
+    z = _series(shocks, "shocks", minimum=0)
     u = np.empty(z.size)
     mu = params.a0 / (1.0 - params.a1)
     sig2 = params.b0 / (1.0 - params.b1 - params.b2)
-    for t, z_t in enumerate(z):
-        eps = np.sqrt(sig2) * z_t
-        u[t] = mu + eps
-        mu, sig2 = _next_step(params, u[t], eps, sig2)
+    # a loss is non-finite from the first day on which sigma^2 or the loss
+    # overflows, so the check after the loop finds that day
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, z_t in enumerate(z):
+            eps = np.sqrt(sig2) * z_t
+            u[t] = mu + eps
+            mu, sig2 = _next_step(params, u[t], eps, sig2)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        raise PoolmaxError(f"sigma^2 or the loss leaves the float range on day {bad.argmax()}")
     return u
 
 
@@ -268,11 +289,7 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
     (see `GarchFit.converged`); if none is finite, PoolmaxError is raised.
     """
     max_iter = _check_count("max_iter", max_iter, 1)
-    u = np.asarray(series, dtype=np.float64)
-    if u.size < MIN_FIT_LENGTH:
-        raise PoolmaxError(
-            f"need at least {MIN_FIT_LENGTH} observations, got {u.size}"
-        )
+    u = _series(series, minimum=MIN_FIT_LENGTH)
     var = u.var()
     if var == 0.0:
         raise DegenerateVarianceError("constant series")
@@ -292,7 +309,7 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
         )
 
     def starts():
-        yield np.array([init.a0, init.a1, init.b0, init.b1, init.b2, init.nu, init.gamma])
+        yield np.array([getattr(init, f.name) for f in fields(GarchParams)])
         gen = _RESTART_RNG.generator()
         for _ in range(_RESTARTS):
             yield np.array([
@@ -325,15 +342,13 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
                 break
     if best is None:
         raise PoolmaxError("all optimizer starts failed")
-    a0, a1, b0, b1, b2, nu, gamma = best.x
-    params = GarchParams(a0, a1, b0, b1, b2, nu, gamma)
-    mu, vol, z = garch_filter(u, params, sig2_init=var)
+    mu, vol, z = garch_filter(u, GarchParams(*best.x), sig2_init=var)
     at_bound = tuple(
-        name for name, v, (lo, hi) in zip(_PARAM_NAMES, best.x, bounds)
+        f.name for f, v, (lo, hi) in zip(fields(GarchParams), best.x, bounds)
         if v <= lo or v >= hi
     )
     return GarchFit(
-        a0=a0, a1=a1, b0=b0, b1=b1, b2=b2, nu=nu, gamma=gamma,
+        *best.x,
         loglik=-float(best.fun), converged=bool(best.success),
         n_starts=k + 1, nit=int(best.nit), at_bound=at_bound,
         cond_mean=mu, cond_vol=vol, residuals=z,
@@ -352,7 +367,7 @@ def _check_theta(theta: float, kind: str = "", m: int = 0, k: int = 0) -> None:
 
 def empirical_var(residuals, theta: float) -> float:
     """The ceil((1-theta) * m)-th order statistic of the residuals."""
-    r = np.asarray(residuals, dtype=np.float64)
+    r = _series(residuals, "residuals")
     _check_theta(theta, "empirical", r.size)
     k = int(np.ceil((1 - theta) * r.size))
     return float(np.sort(r)[k - 1])
@@ -414,7 +429,7 @@ def gpd_tail_fit(exceedances) -> GpdFit:
     Hosking & Wallis (1987) are returned instead; `method` says which.
     Constant or negative excesses raise PoolmaxError.
     """
-    y = np.asarray(exceedances, dtype=np.float64)
+    y = _series(exceedances, "excesses")
     low = y.min()
     if low < 0:
         raise PoolmaxError("excesses must be non-negative")
@@ -439,7 +454,7 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
     the k excesses and extrapolated to the (1-theta) quantile:
     u + beta/xi * ((k / (m theta))^xi - 1), with the log limit at xi = 0.
     """
-    r = np.asarray(residuals, dtype=np.float64)
+    r = _series(residuals, "residuals")
     m = r.size
     k = operator.index(k)
     _check_theta(theta, "evt", m, k)
@@ -455,9 +470,9 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
 
 def forecast_var(window, method: VarMethod, theta: float,
                  fit: Optional[GarchFit] = None) -> float:
-    """One-step-ahead VaR: mu_next + sigma_next * residual quantile; theta
-    and the residual count are checked (`_check_theta`) before any fit."""
-    u = np.asarray(window, dtype=np.float64)
+    """One-step-ahead VaR: mu_next + sigma_next * residual quantile; the
+    window, theta and the residual count are checked before any fit."""
+    u = _series(window, "window")
     _check_theta(theta, method.kind, u.size if fit is None else fit.residuals.size, method.k)
     if fit is None:
         fit = garch_fit(u)
@@ -484,19 +499,15 @@ def rolling_forecasts(
 
     Day h is forecast from the `window` observations immediately before it.
     The model is re-estimated every `refit_every` days; between refits the
-    held parameters are re-filtered on the current window.  theta and the
-    window are checked (`_check_theta`) before the first fit, and so are the
-    counts `window` (>= MIN_FIT_LENGTH, the points a fit needs), `horizon`
-    (>= 0) and `refit_every` (>= 1), which must be integers.
+    held parameters are re-filtered on the current window.  The series, theta
+    and the window are checked before the first fit, and so are the counts
+    `window` (>= MIN_FIT_LENGTH, the points a fit needs), `horizon` (>= 0) and
+    `refit_every` (>= 1), which must be integers.
     """
     window = _check_count("window", window, MIN_FIT_LENGTH)
     horizon = _check_count("horizon", horizon, 0)
     refit_every = _check_count("refit_every", refit_every, 1)
-    u = np.asarray(series, dtype=np.float64)
-    if u.size < window + horizon:
-        raise PoolmaxError(
-            f"need {window + horizon} observations, got {u.size}"
-        )
+    u = _series(series, minimum=window + horizon)
     _check_theta(theta, method.kind, window, method.k)
     out = np.empty(horizon)
     fit = None

@@ -3,8 +3,9 @@
 for a count that is not an integer.
 
 The expensive layers (pooling, studentizing, the bootstrap weights, the data
-generator, the GARCH fit and its optimizer) are patched to fail, so a check
-that ran only after one of them would surface as an AssertionError.
+generator, the GARCH fit, its optimizer and volatility filter, the GPD fit) are
+patched to fail, so a check that ran only after one of them would surface as an
+AssertionError.
 """
 
 import numpy as np
@@ -32,8 +33,10 @@ from poolmax.pooltest import (
 from poolmax.riskmodels import (
     GarchParams,
     VarMethod,
+    empirical_var,
     evt_var,
     forecast_var,
+    garch_filter,
     garch_fit,
     garch_simulate,
     gpd_tail_fit,
@@ -60,6 +63,29 @@ EVT_K_SMALL = (PoolmaxError, "need 10 <= k < m, got k=5, m=500")
 P0 = (PoolmaxError, "need p0 >= 0, got p0=-1")
 NOT_INT = (TypeError, "'float' object cannot be interpreted as an integer")
 KINDS = ("empirical", "skew-t", "evt")
+
+
+def _with(value, at=3):
+    """SERIES with `value` on day `at`."""
+    x = SERIES.copy()
+    x[at] = value
+    return x
+
+
+# Each entry point that takes a loss series, residual, shock or excess array,
+# with the name its messages give the array and the points it needs
+SERIES_CALLS = {
+    "garch_filter": (lambda x: garch_filter(x, GARCH), "series", 1),
+    "garch_fit": (garch_fit, "series", 300),
+    # no shocks give an empty path
+    "garch_simulate": (lambda x: garch_simulate(GARCH, x), "shocks", 0),
+    "forecast_var": (lambda x: forecast_var(x, VarMethod("skew-t"), 0.01), "window", 1),
+    "rolling_forecasts": (lambda x: rolling_forecasts(x, 500, 200, VarMethod("skew-t"), 0.01),
+                          "series", 700),
+    "empirical_var": (lambda x: empirical_var(x, 0.01), "residuals", 1),
+    "evt_var": (lambda x: evt_var(x, 0.01), "residuals", 1),
+    "gpd_tail_fit": (gpd_tail_fit, "excesses", 1),
+}
 
 CASES = {
     "naive_test-alpha": (lambda: naive_test(U, 1.5), ALPHA),
@@ -148,10 +174,20 @@ CASES = {
     **{f"garch_fit-max_iter-{max_iter}": (
         lambda max_iter=max_iter: garch_fit(WINDOW, max_iter=max_iter),
         (PoolmaxError, "max_iter must be >= 1")) for max_iter in (0, -1)},
-    "garch_simulate-nan-shock": (lambda: garch_simulate(GARCH, [0.5, np.nan, 1.0]),
-                                 (NonFiniteError, "non-finite entry at (1, 0)")),
-    "garch_simulate-2d-shocks": (lambda: garch_simulate(GARCH, np.zeros((3, 2))),
-                                 (PoolmaxError, "expected 1-d shocks, got ndim=2")),
+    **{f"{entry}-{case}": (lambda call=call, bad=bad: call(bad), error)
+       for entry, (call, name, minimum) in SERIES_CALLS.items()
+       for case, bad, error in [
+           ("nan", _with(np.nan), (NonFiniteError, "non-finite entry at (3, 0)")),
+           ("inf", _with(-np.inf, at=0), (NonFiniteError, "non-finite entry at (0, 0)")),
+           ("2d", SERIES.reshape(350, 2), (PoolmaxError, f"expected 1-d {name}, got ndim=2")),
+           ("short", SERIES[:minimum - 1],
+            (PoolmaxError, f"need at least {minimum} observations, got {minimum - 1}")),
+       ] if minimum or case != "short"},
+    "garch_simulate-0d": (lambda: garch_simulate(GARCH, 1.0),
+                          (PoolmaxError, "expected 1-d shocks, got ndim=0")),
+    **{f"garch_filter-sig2_init-{value}": (
+        lambda value=value: garch_filter(SERIES, GARCH, sig2_init=value),
+        (PoolmaxError, "sig2_init must lie in (0, inf)")) for value in (-1.0, 0.0, np.inf, np.nan)},
     "tail_dependence-u": (lambda: tail_dependence(U, 0.5),
                           (PoolmaxError, "u must lie in (0, 0.5)")),
     "DgpSpec-alpha_n": (lambda: DgpSpec("B1", n=50, p=10, p0=1, under_null=True, rng=RngSpec(0),
@@ -184,7 +220,7 @@ def no_work(monkeypatch):
         (core, ["_philox_keys"]),
         (pooltest, ["pooled_panel", "_studentized", "substream_normals"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),
-        (riskmodels, ["garch_fit", "minimize"]),
+        (riskmodels, ["garch_fit", "minimize", "lfilter", "_profile_mle"]),
     ]:
         for name in names:
             monkeypatch.setattr(module, name, refuse)

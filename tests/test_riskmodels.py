@@ -8,7 +8,7 @@ from scipy.stats import genpareto
 
 from conftest import reference_nll, use_scipy_finite_differences, use_scipy_stats_t
 from poolmax import RngSpec, riskmodels
-from poolmax.errors import DegenerateVarianceError, PoolmaxError
+from poolmax.errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from poolmax.riskmodels import (
     GarchParams,
     VarMethod,
@@ -44,6 +44,10 @@ class TestFilter:
         assert z.var() == pytest.approx(1.0, abs=0.05)
         assert z.mean() == pytest.approx(0.0, abs=0.05)
 
+    def test_empty_series_raises(self):
+        with pytest.raises(PoolmaxError, match="^need at least 1 observations, got 0$"):
+            garch_filter([], GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85))
+
 
 class TestSimulate:
     @pytest.mark.parametrize("params", [
@@ -73,6 +77,16 @@ class TestSimulate:
         assert garch_simulate(params, [0.0, 0.0]).tolist() == [1.0, 1.0]
         assert garch_simulate(params, [1.0])[0] == 1.0 + np.sqrt(2.0)
         assert garch_simulate(params, []).size == 0
+
+    @pytest.mark.parametrize("shocks, day", [([1e300, 0.0, 1.0], 1), ([1.0, 1e200, 1.0, 2.0], 2),
+                                             ([1e160, 1.0], 1), ([0.0, -1e308, 0.0], 2)])
+    def test_overflow_names_the_first_day_out_of_range(self, shocks, day):
+        """Shocks that drive sigma^2 or the loss past the float range raise,
+        with no RuntimeWarning (an error under this suite's settings)."""
+        params = GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85)
+        with pytest.raises(PoolmaxError,
+                           match=f"^sigma\\^2 or the loss leaves the float range on day {day}$"):
+            garch_simulate(params, shocks)
 
 
 class TestFit:
@@ -151,6 +165,12 @@ class TestFit:
 
 
 class TestEmpiricalVar:
+    def test_nan_residual_raises(self):
+        r = np.random.default_rng(2).standard_normal(500)
+        r[123] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^non-finite entry at \(123, 0\)$"):
+            empirical_var(r, 0.01)
+
     def test_order_statistics(self):
         assert empirical_var(np.arange(1.0, 101.0), 0.01) == 99.0
         assert empirical_var(np.array([1.0, 2.0, 3.0, 4.0]), 0.5) == 2.0
@@ -347,9 +367,19 @@ class TestForecast:
 
 class TestRolling:
     def test_insufficient_history(self):
-        with pytest.raises(PoolmaxError, match="^need 370 observations, got 360$"):
+        with pytest.raises(PoolmaxError, match="^need at least 370 observations, got 360$"):
             rolling_forecasts(np.zeros(360), window=350, horizon=20,
                               method=VarMethod("empirical"), theta=0.01)
+
+    @pytest.mark.parametrize("kind", ["empirical", "skew-t", "evt"])
+    def test_nan_near_the_end_raises(self, kind):
+        """A NaN that only the days between refits reach raises, at its index."""
+        u = np.random.default_rng(9).standard_normal(900)
+        u[-3] = np.nan
+        with pytest.raises(NonFiniteError) as info:
+            rolling_forecasts(u, window=600, horizon=5, method=VarMethod(kind), theta=0.01,
+                              refit_every=5)
+        assert (info.value.row, info.value.col) == (897, 0)
 
     def test_horizon_zero(self):
         u = np.random.default_rng(9).standard_normal(400)
