@@ -8,7 +8,8 @@ The loss recursion is
 
 with z_t i.i.d. mean 0 variance 1.  Its forward step is written once
 (`_next_step`): the simulator `garch_simulate` takes it on every day and
-`forecast_var` once, after the window.  Since sigma_{t-1}^2 z_{t-1}^2
+`forecast_var` once, after filtering the window it is given with any
+parameters (a `GarchFit` holds no path).  Since sigma_{t-1}^2 z_{t-1}^2
 equals the squared mean residual, the volatility recursion is linear in
 sigma_t^2 and `garch_filter` evaluates it with a one-pole filter, which
 keeps the likelihood fast enough for daily refitting.
@@ -38,7 +39,7 @@ maximum with xi < 1 exists, probability-weighted moments (Hosking & Wallis
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -47,7 +48,7 @@ from scipy.signal import lfilter
 
 from .core import RngSpec, _check_count, _check_level, _raise_first_nonfinite
 from .errors import DegenerateVarianceError, PoolmaxError
-from .sstd import sstd_logpdf, sstd_quantile
+from .sstd import _check as _check_sstd, sstd_logpdf, sstd_quantile
 
 __all__ = [
     "GarchParams",
@@ -68,6 +69,7 @@ MIN_FIT_LENGTH = 300
 _BIG = 1e12
 # `garch_fit`'s random restarts after an unconverged first start, and their stream
 _RESTARTS = 5
+_MAX_ITER = 500  # L-BFGS-B iterations per start
 _RESTART_RNG = RngSpec(0)
 # scipy's forward-difference steps for L-BFGS-B: its default absolute step and
 # the relative fallback sqrt(machine epsilon) of `approx_derivative`
@@ -94,17 +96,20 @@ class GarchParams:
     gamma: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite([getattr(self, f.name) for f in fields(GarchParams)]).all():
+            raise PoolmaxError("need finite parameters")
         if not (self.b0 > 0 and self.b1 >= 0 and self.b2 >= 0):
             raise PoolmaxError("need b0 > 0, b1 >= 0, b2 >= 0")
         if not self.b1 + self.b2 < 1:
             raise PoolmaxError("need b1 + b2 < 1 (stationarity)")
         if not abs(self.a1) < 1:
             raise PoolmaxError("need |a1| < 1")
+        _check_sstd(self.nu, self.gamma)
 
 
 @dataclass(frozen=True)
 class GarchFit(GarchParams):
-    """Fitted parameters, the conditional path and how the fit went.
+    """Fitted parameters and how the fit went.
 
     `converged` is the optimizer's success flag for the chosen start,
     `n_starts` the starts tried, `nit` the chosen start's iterations and
@@ -116,9 +121,6 @@ class GarchFit(GarchParams):
     n_starts: int = 0
     nit: int = 0
     at_bound: Tuple[str, ...] = ()
-    cond_mean: np.ndarray = field(default=None, repr=False)
-    cond_vol: np.ndarray = field(default=None, repr=False)
-    residuals: np.ndarray = field(default=None, repr=False)
 
 
 class GpdFit(NamedTuple):
@@ -153,6 +155,19 @@ def _series(values, name: str = "series", minimum: int = 1) -> np.ndarray:
         raise PoolmaxError(f"need at least {minimum} observations, got {x.size}")
     _raise_first_nonfinite(~np.isfinite(x))
     return x
+
+
+def _window_var(u: np.ndarray) -> float:
+    """A window's sample variance, where its filter starts and which scales `garch_fit`'s
+    box: DegenerateVarianceError if the window is constant or a box bound would be infinite or
+    subnormal (the one check of a window's scale)."""
+    if (u == u[0]).all():
+        raise DegenerateVarianceError("constant series")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        var = float(u.var())
+    if not (1e-12 * var >= np.finfo(np.float64).tiny and 10 * var < np.inf):
+        raise DegenerateVarianceError(f"variance estimate {var!r} is out of floating-point range")
+    return var
 
 
 def garch_filter(
@@ -276,23 +291,21 @@ def _nll_and_grad(theta, u, sig2_init, lb, ub):
     return f[0], (f[1:] - f[0]) / (stepped - theta)
 
 
-def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -> GarchFit:
+def garch_fit(series, init: Optional[GarchParams] = None) -> GarchFit:
     """Joint quasi-MLE of the seven model parameters.
 
     Box-constrained L-BFGS-B, given the forward-difference gradient it
     would estimate itself, computed in one batched likelihood per step
     (`_nll_and_grad`; see the module docstring for why every bit of it is
-    kept).  The volatility recursion starts at the sample variance during
-    estimation.  Unless the first start converges, `_RESTARTS` random
+    kept).  The volatility recursion starts at the sample variance
+    (`_window_var`), which also scales the start and the box.  Unless the
+    first start converges within `_MAX_ITER` iterations, `_RESTARTS` random
     starts follow, drawn in turn from the `_RESTART_RNG` stream as the loop
     reaches them, and the best finite one is returned, converged or not
     (see `GarchFit.converged`); if none is finite, PoolmaxError is raised.
     """
-    max_iter = _check_count("max_iter", max_iter, 1)
     u = _series(series, minimum=MIN_FIT_LENGTH)
-    var = u.var()
-    if var == 0.0:
-        raise DegenerateVarianceError("constant series")
+    var = _window_var(u)
     scale = np.sqrt(var)
     bounds = [
         (-10 * scale, 10 * scale),  # a0
@@ -304,9 +317,7 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
         (0.1, 10.0),  # gamma
     ]
     if init is None:
-        init = GarchParams(
-            a0=float(u.mean()), a1=0.0, b0=0.1 * var, b1=0.05, b2=0.85
-        )
+        init = GarchParams(a0=float(u.mean()), a1=0.0, b0=0.1 * var, b1=0.05, b2=0.85)
 
     def starts():
         yield np.array([getattr(init, f.name) for f in fields(GarchParams)])
@@ -324,17 +335,10 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
     lb, ub = np.array(bounds, dtype=np.float64).T
     best = None
     for k, x0 in enumerate(starts()):
-        res = minimize(
-            _nll_and_grad,
-            x0,
-            args=(u, var, lb, ub),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            # differencing itself, scipy counts 8 evaluations per step against
-            # maxfun (default 15000); given the gradient it counts 1
-            options={"maxiter": max_iter, "maxfun": 15000 // 8},
-        )
+        # differencing itself, scipy counts 8 evaluations per step against
+        # maxfun (default 15000); given the gradient it counts 1
+        res = minimize(_nll_and_grad, x0, args=(u, var, lb, ub), jac=True, method="L-BFGS-B",
+                       bounds=bounds, options={"maxiter": _MAX_ITER, "maxfun": 15000 // 8})
         if np.isfinite(res.fun) and res.fun < _BIG:
             if best is None or res.fun < best.fun:
                 best = res
@@ -342,7 +346,6 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
                 break
     if best is None:
         raise PoolmaxError("all optimizer starts failed")
-    mu, vol, z = garch_filter(u, GarchParams(*best.x), sig2_init=var)
     at_bound = tuple(
         f.name for f, v, (lo, hi) in zip(fields(GarchParams), best.x, bounds)
         if v <= lo or v >= hi
@@ -351,7 +354,6 @@ def garch_fit(series, init: Optional[GarchParams] = None, max_iter: int = 500) -
         *best.x,
         loglik=-float(best.fun), converged=bool(best.success),
         n_starts=k + 1, nit=int(best.nit), at_bound=at_bound,
-        cond_mean=mu, cond_vol=vol, residuals=z,
     )
 
 
@@ -469,21 +471,22 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
 
 
 def forecast_var(window, method: VarMethod, theta: float,
-                 fit: Optional[GarchFit] = None) -> float:
-    """One-step-ahead VaR: mu_next + sigma_next * residual quantile; the
-    window, theta and the residual count are checked before any fit."""
+                 params: Optional[GarchParams] = None) -> float:
+    """One-step-ahead VaR: mu_next + sigma_next * residual quantile of the window filtered
+    from its `_window_var` with `params`, any `GarchParams`, or `garch_fit(window)` if None;
+    the window, theta and the residual count are checked before any fit."""
     u = _series(window, "window")
-    _check_theta(theta, method.kind, u.size if fit is None else fit.residuals.size, method.k)
-    if fit is None:
-        fit = garch_fit(u)
-    mu_next, sig2_next = _next_step(fit, u[-1], u[-1] - fit.cond_mean[-1],
-                                    fit.cond_vol[-1] ** 2)
+    _check_theta(theta, method.kind, u.size, method.k)
+    if params is None:
+        params = garch_fit(u)
+    mu, vol, z = garch_filter(u, params, sig2_init=_window_var(u))
+    mu_next, sig2_next = _next_step(params, u[-1], u[-1] - mu[-1], vol[-1] ** 2)
     if method.kind == "empirical":
-        q = empirical_var(fit.residuals, theta)
+        q = empirical_var(z, theta)
     elif method.kind == "evt":
-        q = evt_var(fit.residuals, theta, method.k)
+        q = evt_var(z, theta, method.k)
     else:
-        q = float(sstd_quantile(1 - theta, fit.nu, fit.gamma))
+        q = float(sstd_quantile(1 - theta, params.nu, params.gamma))
     return float(mu_next) + float(np.sqrt(sig2_next)) * q
 
 
@@ -498,8 +501,8 @@ def rolling_forecasts(
     """Daily one-step-ahead VaR forecasts over the last `horizon` days.
 
     Day h is forecast from the `window` observations immediately before it.
-    The model is re-estimated every `refit_every` days; between refits the
-    held parameters are re-filtered on the current window.  The series, theta
+    The model is re-estimated every `refit_every` days, and each day's
+    `forecast_var` filters its window with the last fit.  The series, theta
     and the window are checked before the first fit, and so are the counts
     `window` (>= MIN_FIT_LENGTH, the points a fit needs), `horizon` (>= 0) and
     `refit_every` (>= 1), which must be integers.
@@ -510,14 +513,10 @@ def rolling_forecasts(
     u = _series(series, minimum=window + horizon)
     _check_theta(theta, method.kind, window, method.k)
     out = np.empty(horizon)
-    fit = None
     for h in range(horizon):
         end = u.size - horizon + h
         win = u[end - window : end]
-        if fit is None or h % refit_every == 0:
-            fit = garch_fit(win)
-        else:
-            mu, vol, z = garch_filter(win, fit, sig2_init=win.var())
-            fit = replace(fit, cond_mean=mu, cond_vol=vol, residuals=z)
-        out[h] = forecast_var(win, method, theta, fit=fit)
+        if h % refit_every == 0:
+            params = garch_fit(win)
+        out[h] = forecast_var(win, method, theta, params)
     return out

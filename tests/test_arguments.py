@@ -8,6 +8,8 @@ patched to fail, so a check that ran only after one of them would surface as an
 AssertionError.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from poolmax.backtest import (
     validation_test,
 )
 from poolmax.core import substream, substream_normals
-from poolmax.errors import NonFiniteError, PoolmaxError
+from poolmax.errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from poolmax.pooltest import (
     BootstrapConfig,
     bootstrap_quantile,
@@ -171,9 +173,6 @@ CASES = {
     **{f"rolling_forecasts-window-{window}": (
         lambda window=window: rolling_forecasts(SERIES, window, 200, VarMethod("skew-t"), 0.01),
         (PoolmaxError, "window must be >= 300")) for window in (-1, 0, 299)},
-    **{f"garch_fit-max_iter-{max_iter}": (
-        lambda max_iter=max_iter: garch_fit(WINDOW, max_iter=max_iter),
-        (PoolmaxError, "max_iter must be >= 1")) for max_iter in (0, -1)},
     **{f"{entry}-{case}": (lambda call=call, bad=bad: call(bad), error)
        for entry, (call, name, minimum) in SERIES_CALLS.items()
        for case, bad, error in [
@@ -207,6 +206,18 @@ CASES = {
                               (PoolmaxError, "excesses must be non-negative")),
     "GarchParams-b0": (lambda: GarchParams(0, 0, 0, 0, 0),
                        (PoolmaxError, "need b0 > 0, b1 >= 0, b2 >= 0")),
+    **{f"GarchParams-{name}-{value}": (
+        lambda name=name, value=value: replace(GARCH, **{name: value}),
+        (PoolmaxError, "need finite parameters"))
+       for name, value in [("a0", np.nan), ("a0", np.inf), ("b0", np.inf), ("nu", np.inf),
+                           ("gamma", -np.inf)]},
+    "GarchParams-nu": (lambda: replace(GARCH, nu=1.5), (PoolmaxError, "need nu > 2, got 1.5")),
+    "GarchParams-gamma": (lambda: replace(GARCH, gamma=-1),
+                          (PoolmaxError, "need gamma > 0, got -1")),
+    # the window is checked before it is filtered with the given parameters
+    "forecast_var-params-constant-window": (
+        lambda: forecast_var(np.full(500, 0.5), VarMethod("skew-t"), 0.01, GARCH),
+        (DegenerateVarianceError, "constant series")),
     "VarMethod-kind": (lambda: VarMethod("bogus"), (PoolmaxError, "unknown VaR method 'bogus'")),
 }
 

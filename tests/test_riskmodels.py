@@ -12,6 +12,7 @@ from poolmax.errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from poolmax.riskmodels import (
     GarchParams,
     VarMethod,
+    _next_step,
     empirical_var,
     evt_var,
     forecast_var,
@@ -21,6 +22,14 @@ from poolmax.riskmodels import (
     gpd_tail_fit,
     rolling_forecasts,
 )
+from poolmax.sstd import sstd_quantile
+
+
+def fit_with_max_iter(series, max_iter, monkeypatch):
+    """`garch_fit` with each L-BFGS-B start stopped after `max_iter` iterations."""
+    with monkeypatch.context() as m:
+        m.setattr(riskmodels, "_MAX_ITER", max_iter)
+        return garch_fit(series)
 
 
 class TestFilter:
@@ -95,7 +104,14 @@ class TestFit:
         fit = garch_fit(u)
         assert fit.b1 + fit.b2 == pytest.approx(0.95, abs=0.05)
         assert fit.a1 == pytest.approx(0.1, abs=0.05)
-        assert np.max(np.abs(fit.cond_mean + fit.cond_vol * fit.residuals - u)) < 1e-12
+        mu, vol, z = garch_filter(u, fit, sig2_init=u.var())
+        assert np.max(np.abs(mu + vol * z - u)) < 1e-12
+
+    def test_fit_is_hashable_and_equal_fits_compare_equal(self, garch_path):
+        u = garch_path[1][:1000]
+        fit, again = garch_fit(u), garch_fit(u)
+        assert fit == again and hash(fit) == hash(again)
+        assert len({fit, again, garch_fit(u[:999])}) == 2
 
     def test_refit_is_fixed_point(self, garch_path):
         _, u = garch_path
@@ -112,9 +128,9 @@ class TestFit:
         assert fit.nit > 1
         assert fit.at_bound == ()
 
-    def test_reports_non_convergence(self, garch_path):
+    def test_reports_non_convergence(self, garch_path, monkeypatch):
         _, u = garch_path
-        fit = garch_fit(u[:1000], max_iter=1)
+        fit = fit_with_max_iter(u[:1000], 1, monkeypatch)
         assert fit.converged is False
         assert fit.n_starts == 6  # the first start and 5 restarts
         assert fit.nit == 1
@@ -141,7 +157,7 @@ class TestFit:
             return minimize(fun, x0, **kwargs)
 
         monkeypatch.setattr(riskmodels, "minimize", recording_minimize)
-        garch_fit(u, max_iter=1)
+        fit_with_max_iter(u, 1, monkeypatch)
         gen = RngSpec(0).generator()
         var, scale = u.var(), np.sqrt(u.var())
         want = [[u.mean() + scale * 0.1 * gen.standard_normal(), gen.uniform(-0.3, 0.3),
@@ -158,6 +174,21 @@ class TestFit:
     def test_constant_series(self):
         with pytest.raises(DegenerateVarianceError, match="^constant series$"):
             garch_fit(np.ones(500))
+
+    @pytest.mark.parametrize("factor, var", [(1e-200, "0.0"), (1e-160, "9.9e-321"),
+                                             (1e153, "inf"), (1e154, "inf"), (1e200, "inf")])
+    def test_variance_out_of_range_raises_before_any_start(self, factor, var, monkeypatch):
+        """A window whose variance leaves a bound of the L-BFGS-B box (1e-12 var
+        or 10 var) infinite or subnormal raises before any optimizer start,
+        with no RuntimeWarning (an error under this suite's settings)."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("an optimizer start ran")
+
+        monkeypatch.setattr(riskmodels, "minimize", refuse)
+        u = np.random.default_rng(0).standard_normal(400) * factor
+        with pytest.raises(DegenerateVarianceError,
+                           match=f"^variance estimate {var} is out of floating-point range$"):
+            garch_fit(u)
 
     def test_too_short(self):
         with pytest.raises(PoolmaxError, match="^need at least 300 observations, got 100$"):
@@ -360,9 +391,23 @@ class TestForecast:
         fit = garch_fit(u)
         bumped = u.copy()
         bumped[-1] = u[-1] + 10 * u.std()
-        lo = forecast_var(u, VarMethod("empirical"), 0.01, fit=fit)
-        hi = forecast_var(bumped, VarMethod("empirical"), 0.01, fit=fit)
+        lo = forecast_var(u, VarMethod("empirical"), 0.01, params=fit)
+        hi = forecast_var(bumped, VarMethod("empirical"), 0.01, params=fit)
         assert hi > lo
+
+    @pytest.mark.parametrize("kind", ["empirical", "skew-t", "evt"])
+    def test_given_params_take_the_forward_step_of_the_filtered_window(self, kind, garch_path):
+        """With parameters given, the forecast is `_next_step` after the
+        window filtered from its sample variance, times the residual quantile."""
+        params = GarchParams(a0=0.01, a1=0.12, b0=0.04, b1=0.09, b2=0.86, nu=7.0, gamma=1.1)
+        win = garch_path[1][:600]
+        mu, vol, z = garch_filter(win, params, sig2_init=win.var())
+        mu_next, sig2_next = _next_step(params, win[-1], win[-1] - mu[-1], vol[-1] ** 2)
+        q = {"empirical": lambda: empirical_var(z, 0.01), "evt": lambda: evt_var(z, 0.01, 50),
+             "skew-t": lambda: float(sstd_quantile(0.99, 7.0, 1.1))}[kind]()
+        want = float(mu_next) + float(np.sqrt(sig2_next)) * q
+        got = forecast_var(win, VarMethod(kind), 0.01, params)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestRolling:
@@ -387,6 +432,32 @@ class TestRolling:
                                 method=VarMethod("empirical"), theta=0.01)
         assert out.size == 0
 
+    @pytest.mark.parametrize("kind", ["empirical", "skew-t", "evt"])
+    def test_day_between_refits_is_forecast_var_with_the_last_fit(self, kind, garch_path,
+                                                                    monkeypatch):
+        """Days 1-3 forecast with day 0's fit, bit for bit as `forecast_var`."""
+        u = garch_path[1][:404]
+        fits = []
+
+        def recording_fit(series):
+            fits.append(garch_fit(series))
+            return fits[-1]
+
+        monkeypatch.setattr(riskmodels, "garch_fit", recording_fit)
+        out = rolling_forecasts(u, window=400, horizon=4, method=VarMethod(kind), theta=0.01,
+                                refit_every=4)
+        assert len(fits) == 1
+        want = [forecast_var(u[h : h + 400], VarMethod(kind), 0.01, fits[0]) for h in range(1, 4)]
+        assert out[1:].tobytes() == np.array(want).tobytes()
+
+    def test_constant_window_between_refits_raises(self):
+        """A window that has become constant since the last refit raises as
+        `garch_fit` does on it."""
+        u = np.concatenate([np.random.default_rng(11).standard_normal(400), np.full(400, 0.5)])
+        with pytest.raises(DegenerateVarianceError, match="^constant series$"):
+            rolling_forecasts(u, window=300, horizon=400, method=VarMethod("skew-t"),
+                              theta=0.01, refit_every=200)
+
     def test_refit_cadence_close(self):
         u = np.random.default_rng(10).standard_normal(430)
         daily = rolling_forecasts(u, window=400, horizon=30,
@@ -400,9 +471,12 @@ class TestRolling:
         assert rel.mean() < 0.05
 
 
-def fit_bytes(fit):
+def fit_bytes(fit, u):
+    """The bytes of a fit of the series u: its parameters, log-likelihood,
+    residuals on u and diagnostics."""
     x = np.array([fit.a0, fit.a1, fit.b0, fit.b1, fit.b2, fit.nu, fit.gamma, fit.loglik])
-    return (x.tobytes() + fit.residuals.tobytes()
+    _, _, z = garch_filter(u, fit, sig2_init=u.var())
+    return (x.tobytes() + z.tobytes()
             + repr((fit.converged, fit.n_starts, fit.nit, fit.at_bound)).encode())
 
 
@@ -410,16 +484,17 @@ def rolling_run(series, kind, monkeypatch):
     """Two days of rolling forecasts, with the fit made for each day."""
     fits = []
 
-    def recording_fit(*args, **kwargs):
-        fits.append(garch_fit(*args, **kwargs))
-        return fits[-1]
+    def recording_fit(window):
+        fit = garch_fit(window)
+        fits.append(fit_bytes(fit, window))
+        return fit
 
     with monkeypatch.context() as m:
         m.setattr(riskmodels, "garch_fit", recording_fit)
         out = rolling_forecasts(series, window=400, horizon=2,
                                 method=VarMethod(kind), theta=0.01)
     assert len(fits) == 2
-    return out.tobytes(), [fit_bytes(f) for f in fits]
+    return out.tobytes(), fits
 
 
 @pytest.mark.parametrize("kind", ["empirical", "skew-t", "evt"])
@@ -510,17 +585,18 @@ def test_fits_bitwise_equal_to_scipy_finite_differences(kind, garch_path, monkey
 def test_edge_fits_bitwise_equal_to_scipy_finite_differences(garch_path, monkeypatch):
     """Unconverged fits with restarts, and a fit with b1 on its bound, keep their bytes."""
     u = garch_path[1]
-    iid = np.random.default_rng(3).standard_normal(1000)
+    series = [u[:1000], u[:400] * 1e9, np.random.default_rng(3).standard_normal(1000)]
 
     def fits():
-        return [garch_fit(u[:1000], max_iter=1), garch_fit(u[:400] * 1e9, max_iter=1),
-                garch_fit(iid)]
+        return [fit_with_max_iter(series[0], 1, monkeypatch),
+                fit_with_max_iter(series[1], 1, monkeypatch), garch_fit(series[2])]
 
     got = fits()
     assert [(f.converged, f.n_starts) for f in got[:2]] == [(False, 6), (False, 6)]
     assert got[2].at_bound == ("b1",)
     use_scipy_finite_differences(monkeypatch)
-    assert [fit_bytes(f) for f in got] == [fit_bytes(f) for f in fits()]
+    assert ([fit_bytes(f, x) for f, x in zip(got, series)]
+            == [fit_bytes(f, x) for f, x in zip(fits(), series)])
 
 
 def test_every_likelihood_point_lies_in_the_box(garch_path, monkeypatch):
@@ -550,8 +626,8 @@ def test_every_likelihood_point_lies_in_the_box(garch_path, monkeypatch):
     wide = GarchParams(a0=20 * u[:1000].std(), a1=0.0, b0=0.1, b1=0.05, b2=0.85,
                        nu=150.0, gamma=20.0)
     fits = [garch_fit(u[:1000]), garch_fit(np.random.default_rng(3).standard_normal(1000)),
-            garch_fit(u[:1000], max_iter=1), garch_fit(u[:400] * 1e9, max_iter=1),
-            garch_fit(u[:1000], init=wide)]
+            fit_with_max_iter(u[:1000], 1, monkeypatch),
+            fit_with_max_iter(u[:400] * 1e9, 1, monkeypatch), garch_fit(u[:1000], init=wide)]
     assert [(f.converged, f.n_starts) for f in fits] == [
         (True, 1), (True, 1), (False, 6), (False, 6), (True, 1)]
     assert len(boxes) == 15 and sum(rows) > 1000
@@ -559,8 +635,8 @@ def test_every_likelihood_point_lies_in_the_box(garch_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_fit_emits_no_runtime_warning(garch_path):
+def test_fit_emits_no_runtime_warning(garch_path, monkeypatch):
     u = garch_path[1]
     garch_fit(u[:1000])
-    garch_fit(u[:400] * 1e9, max_iter=20)
+    fit_with_max_iter(u[:400] * 1e9, 20, monkeypatch)
     garch_fit(np.random.default_rng(3).standard_normal(1000))
