@@ -12,7 +12,13 @@ with z_t i.i.d. mean 0 variance 1.  Its forward step is written once
 parameters (a `GarchFit` holds no path).  Since sigma_{t-1}^2 z_{t-1}^2
 equals the squared mean residual, the volatility recursion is linear in
 sigma_t^2 and `garch_filter` evaluates it with a one-pole filter, which
-keeps the likelihood fast enough for daily refitting.
+keeps the likelihood fast enough for daily refitting.  The filter
+(`_one_pole`) is scipy's compiled IIR kernel `_sigtools._linear_filter`,
+the routine `scipy.signal.lfilter` runs for a two-term denominator, called
+directly: so every value has `lfilter`'s bytes, but the module is loaded
+from its file (`_linear_filter_from`) without importing `scipy.signal`,
+which would load `scipy.stats` with it and cost a rolling forecast about
+a quarter of its peak memory.
 
 The fit is L-BFGS-B on the negative log-likelihood, with the gradient
 L-BFGS-B would estimate itself: forward differences, one step per
@@ -39,12 +45,15 @@ maximum with xi < 1 exists, probability-weighted moments (Hosking & Wallis
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass, fields
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+import scipy
 from scipy.optimize import brentq, minimize
-from scipy.signal import lfilter
 
 from .core import RngSpec, _check_count, _check_level, _raise_first_nonfinite
 from .errors import DegenerateVarianceError, PoolmaxError
@@ -83,6 +92,33 @@ _REL_STEP = np.finfo(np.float64).eps ** 0.5
 # land exactly on the spurious root of `_grimshaw_h`.
 _THETA_GRID = np.concatenate([-1.0 + np.logspace(-12, -0.25, 48),
                               -np.logspace(-0.375, -3.875, 15), np.logspace(-4, 6, 41)])
+
+
+def _linear_filter_from(directory):
+    """`_linear_filter` of the compiled module `scipy.signal._sigtools` found in
+    `directory`, loaded from its file: the package `scipy.signal` is not
+    imported.  Python may register the module under that name, and
+    `scipy.signal`, imported later, then uses it.  ImportError, naming the
+    directory and the scipy version, if the directory holds no such module."""
+    directory = os.fspath(directory)
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.signal._sigtools")
+    if spec is None:
+        raise ImportError(f"no compiled scipy.signal._sigtools in {directory!r} "
+                          f"(scipy {scipy.__version__})")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
+
+
+_linear_filter = _linear_filter_from(os.path.join(os.path.dirname(scipy.__file__), "signal"))
+
+
+def _one_pole(pole, drive, zi):
+    """y_t = drive_t + pole * y_{t-1} along the last axis of `drive`, with
+    y_0 = drive_0 + zi: `lfilter([1.0], [1.0, -pole], drive, zi=zi)[0]` to the
+    bit, where `zi` holds one value per row of `drive`."""
+    return _linear_filter(np.array([1.0]), np.array([1.0, -pole]), drive, -1, zi)[0]
 
 
 @dataclass(frozen=True)
@@ -192,7 +228,7 @@ def garch_filter(
     sig2[0] = params.b0 / (1.0 - params.b1 - params.b2) if sig2_init is None else sig2_init
     if n > 1:
         drive = params.b0 + params.b1 * eps[:-1] ** 2
-        sig2[1:] = lfilter([1.0], [1.0, -params.b2], drive, zi=[params.b2 * sig2[0]])[0]
+        sig2[1:] = _one_pole(params.b2, drive, [params.b2 * sig2[0]])
     vol = np.sqrt(sig2)
     return mu, vol, eps / vol
 
@@ -240,11 +276,12 @@ def _nll_points(points, u, sig2_init) -> np.ndarray:
 
     Row 0 is the base point and row i (1..7) moves parameter i-1 only, so the
     rows share most of the work: rows 3-7 reuse row 0's means, rows 0-4
-    share the pole b2 of one `lfilter` call, rows 0-5 share (nu, gamma) in
+    share the pole b2 of one `_one_pole` call, rows 0-5 share (nu, gamma) in
     one `sstd_logpdf` call, and rows 6-7 reuse row 0's residuals.  Every
     value has the bytes of `garch_filter` and `sstd_logpdf` evaluated row by
-    row: the ops are elementwise, and a row of a 2-D `lfilter` or of a
-    last-axis sum is computed as the 1-D call computes it.
+    row: the ops are elementwise, scipy's `_linear_filter` kernel runs the
+    recursion of each row of a 2-D drive as it runs a 1-D one, and a row of
+    a last-axis sum is computed as the 1-D sum.
     """
     a0, a1, b0, b1, b2, nu, gamma = points.T
     n = u.size
@@ -255,8 +292,8 @@ def _nll_points(points, u, sig2_init) -> np.ndarray:
     drive = b0[:5, None] + b1[:5, None] * (eps[:, :-1] ** 2)[[0, 1, 2, 0, 0]]
     sig2 = np.empty((6, n))  # rows 0-5; rows 6-7 have row 0's variances
     sig2[:, 0] = sig2_init
-    sig2[:5, 1:] = lfilter([1.0], [1.0, -b2[0]], drive, zi=b2[:5, None] * sig2_init)[0]
-    sig2[5, 1:] = lfilter([1.0], [1.0, -b2[5]], drive[0], zi=[b2[5] * sig2_init])[0]
+    sig2[:5, 1:] = _one_pole(b2[0], drive, b2[:5, None] * sig2_init)
+    sig2[5, 1:] = _one_pole(b2[5], drive[0], [b2[5] * sig2_init])
     vol = np.sqrt(sig2)
     z = eps[[0, 1, 2, 0, 0, 0]] / vol
     log_vol = np.log(vol)

@@ -231,7 +231,7 @@ def no_work(monkeypatch):
         (core, ["_philox_keys"]),
         (pooltest, ["pooled_panel", "_studentized", "substream_normals"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),
-        (riskmodels, ["garch_fit", "minimize", "lfilter", "_profile_mle"]),
+        (riskmodels, ["garch_fit", "minimize", "_one_pole", "_profile_mle"]),
     ]:
         for name in names:
             monkeypatch.setattr(module, name, refuse)

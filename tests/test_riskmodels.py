@@ -57,6 +57,27 @@ class TestFilter:
         with pytest.raises(PoolmaxError, match="^need at least 1 observations, got 0$"):
             garch_filter([], GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85))
 
+    @pytest.mark.parametrize("n", [1, 2, 999, 1200])
+    @pytest.mark.parametrize("pole", [0.0, 0.5, 0.998])
+    def test_one_pole_bitwise_equal_to_lfilter(self, pole, n):
+        # the reference, in the test only: the library never imports scipy.signal
+        from scipy.signal import lfilter
+
+        gen = np.random.default_rng(n)
+        drive = gen.exponential(size=(5, n))
+        zi = gen.exponential(size=(5, 1))
+        for x, state in [(drive[0], zi[0]), (drive, zi)]:
+            got = riskmodels._one_pole(pole, x, state)
+            want = lfilter([1.0], [1.0, -pole], x, zi=state)[0]
+            assert got.shape == want.shape == x.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_missing_filter_kernel_raises_import_error(self, tmp_path):
+        with pytest.raises(ImportError) as info:
+            riskmodels._linear_filter_from(tmp_path)
+        assert str(info.value) == (f"no compiled scipy.signal._sigtools in {str(tmp_path)!r} "
+                                   f"(scipy {scipy.__version__})")
+
 
 class TestSimulate:
     @pytest.mark.parametrize("params", [
