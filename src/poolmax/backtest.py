@@ -48,7 +48,7 @@ def _same_shape(*mats):
 def exceedance_matrix(u, r, theta0: float) -> np.ndarray:
     """Centered violation indicators 1{U > R} - theta0 (ties are misses)."""
     u, r = _same_shape(u, r)
-    _check_level("theta0", theta0)
+    theta0 = _check_level("theta0", theta0)
     return (u > r).astype(np.float64) - theta0
 
 
@@ -69,7 +69,7 @@ def score(r, x, theta: float):
     """
     r = np.asarray(r, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    _check_level("theta0", theta)
+    theta = _check_level("theta0", theta)
     _raise_first_nonfinite(~(np.isfinite(r) & np.isfinite(x)))
     hit = (x > r).astype(np.float64)
     out = (theta - hit) * logistic(r) + hit * logistic(x)
@@ -134,7 +134,7 @@ def tail_dependence(zhat, u: float) -> np.ndarray:
     """
     z = validate_matrix(zhat)
     n = z.shape[0]
-    _check_level("u", u, 0.5)
+    u = _check_level("u", u, 0.5)
     if n * u < 1:
         raise PoolmaxError("need n * u >= 1")
     cdf = _average_ranks(z) / n

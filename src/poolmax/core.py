@@ -195,8 +195,9 @@ def _raise_first_nonfinite(bad: np.ndarray) -> None:
 
 
 def _check_level(name: str, value: float, upper: float = 1) -> float:
-    """`value` as a Python float, which a result records; a level such as
-    alpha, theta0 or a VaR theta must lie in (0, upper)."""
+    """`value` as a Python float, which a result records and every caller
+    computes with; a level such as alpha, theta0 or a VaR theta must lie in
+    (0, upper)."""
     if not 0 < value < upper:
         raise PoolmaxError(f"{name} must lie in (0, {upper})")
     return float(value)

@@ -394,20 +394,22 @@ def garch_fit(series, init: Optional[GarchParams] = None) -> GarchFit:
     )
 
 
-def _check_theta(theta: float, kind: str = "", m: int = 0, k: int = 0) -> None:
+def _check_theta(theta: float, kind: str = "", m: int = 0, k: int = 0) -> float:
     """The one check of a VaR level theta, and of the m residuals that a quantile
-    of `kind` takes at it: at least ceil(1/theta) for "empirical", 10 <= k < m for "evt"."""
-    _check_level("theta", theta)
+    of `kind` takes at it: at least ceil(1/theta) for "empirical", 10 <= k < m for "evt".
+    Returns theta as the Python float that every quantile computes with."""
+    theta = _check_level("theta", theta)
     if kind == "empirical" and m < 1.0 / theta:
         raise PoolmaxError(f"need at least {int(np.ceil(1/theta))} points")
     if kind == "evt" and (k < 10 or k >= m):
         raise PoolmaxError(f"need 10 <= k < m, got k={k}, m={m}")
+    return theta
 
 
 def empirical_var(residuals, theta: float) -> float:
     """The ceil((1-theta) * m)-th order statistic of the residuals."""
     r = _series(residuals, "residuals")
-    _check_theta(theta, "empirical", r.size)
+    theta = _check_theta(theta, "empirical", r.size)
     k = int(np.ceil((1 - theta) * r.size))
     return float(np.sort(r)[k - 1])
 
@@ -496,7 +498,7 @@ def evt_var(residuals, theta: float, k: int = 50) -> float:
     r = _series(residuals, "residuals")
     m = r.size
     k = operator.index(k)
-    _check_theta(theta, "evt", m, k)
+    theta = _check_theta(theta, "evt", m, k)
     desc = np.sort(r)[::-1]
     u = desc[k]
     exc = desc[:k] - u
@@ -513,7 +515,7 @@ def forecast_var(window, method: VarMethod, theta: float,
     from its `_window_var` with `params`, any `GarchParams`, or `garch_fit(window)` if None;
     the window, theta and the residual count are checked before any fit."""
     u = _series(window, "window")
-    _check_theta(theta, method.kind, u.size, method.k)
+    theta = _check_theta(theta, method.kind, u.size, method.k)
     if params is None:
         params = garch_fit(u)
     mu, vol, z = garch_filter(u, params, sig2_init=_window_var(u))
@@ -548,7 +550,7 @@ def rolling_forecasts(
     horizon = _check_count("horizon", horizon, 0)
     refit_every = _check_count("refit_every", refit_every, 1)
     u = _series(series, minimum=window + horizon)
-    _check_theta(theta, method.kind, window, method.k)
+    theta = _check_theta(theta, method.kind, window, method.k)
     out = np.empty(horizon)
     for h in range(horizon):
         end = u.size - horizon + h

@@ -129,7 +129,7 @@ def g_transform(x, alpha_n: float):
     The left branch is closed at x = 1 - alpha_n.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_level("alpha_n", alpha_n, 0.5)
+    alpha_n = _check_level("alpha_n", alpha_n, 0.5)
     if np.any((x < 0) | (x > 1)):
         raise PoolmaxError("x must lie in [0, 1]")
     body = (2 * alpha_n / (1 - alpha_n)) * x - alpha_n
@@ -152,7 +152,8 @@ class DgpSpec:
     """One data-generating process; every check runs when it is made.
 
     n, p and p0 are stored as Python ints (through `operator.index`), so a
-    fractional one raises `TypeError`.  n below 2 raises the message of
+    fractional one raises `TypeError`, and alpha_n as the Python float its
+    check returns.  n below 2 raises the message of
     `validate_matrix`, and p below 1 that of `sigma1` and `sigma2`.
     """
 
@@ -172,7 +173,7 @@ class DgpSpec:
         if self.n < 2:
             raise PoolmaxError(f"need at least 2 observations, got {self.n}")
         _check_count("p", self.p, 1)
-        _check_level("alpha_n", self.alpha_n, 0.5)
+        object.__setattr__(self, "alpha_n", _check_level("alpha_n", self.alpha_n, 0.5))
         _check_p0(self.p, self.p0, 4 if self.model.startswith("A") else 2)
 
 

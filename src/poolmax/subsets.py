@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -207,30 +207,20 @@ def _floyd(v: np.ndarray, p: int) -> np.ndarray:
     return np.where(kept_before, p - q + k, v)
 
 
-def build_family(
-    p: int,
-    q: int,
-    d: int,
-    rng: RngSpec,
-    user_subsets: Optional[Sequence[Sequence[int]]] = None,
-) -> SubsetFamily:
-    """Full design: p circular windows plus d - p extension subsets; d = p
-    gives the windows alone.
+def build_family(p: int, q: int, d: int, rng: RngSpec) -> SubsetFamily:
+    """Full design: the p circular q-windows, then the d - p subsets of
+    `random_extension(p, q, d - p, rng)`; d = p gives the windows alone.
 
-    The extension block is random by default; `user_subsets` replaces the
-    leading part of it with caller-chosen subsets (validated for
-    cardinality and range only).
+    A family with chosen subsets is built from the same public pieces: the
+    `SubsetFamily` of the windows, the chosen rows and a shorter extension,
+    ``SubsetFamily(p, q, np.concatenate([build_family(p, q, p, rng).members,
+    rows, random_extension(p, q, d - p - len(rows), rng)]))``, whose
+    constructor checks every row.
     """
     check_design(p, q, d)
-    user = np.empty((0, q), dtype=np.int64)
-    if user_subsets is not None:
-        if len(user_subsets) > d - p:
-            raise SubsetDesignError("more user subsets than extension slots")
-        # int64 here, or uint64 rows would make the concatenation float
-        user = _index_rows(user_subsets, q).astype(np.int64, copy=False)
-    extra = random_extension(p, q, d - p - len(user), rng)
-    blocks = [_windows(p, q), user, extra]
-    # The constructor sorts and checks every row, the user's among them, once.
+    extra = random_extension(p, q, d - p, rng)
+    blocks = [_windows(p, q), extra]
+    # The constructor sorts and checks every row once.
     # Drawing before making the windows, and holding the blocks until the
     # constructor has copied them, leaves glibc's heap so that a cold
     # 250 x 2000 `pool-test` peaks at 58.5 MB; the other orders measured

@@ -67,12 +67,11 @@ def choice_rows(p: int, q: int, count: int, rng: RngSpec) -> np.ndarray:
     return out + 1
 
 
-def family(p: int, q: int, d: int, rng: RngSpec, user_subsets=None) -> SubsetFamily:
-    """The p circular q-windows, the user's subsets, then random ones up to d."""
-    user = np.empty((0, q), dtype=np.int64) if user_subsets is None else np.asarray(user_subsets)
+def family(p: int, q: int, d: int, rng: RngSpec) -> SubsetFamily:
+    """The p circular q-windows, then random subsets up to d."""
     windows = (np.arange(p)[:, None] + np.arange(q)) % p + 1
-    extra = choice_rows(p, q, d - p - len(user), rng)
-    return SubsetFamily(p=p, q=q, members=np.concatenate([windows, user, extra]))
+    extra = choice_rows(p, q, d - p, rng)
+    return SubsetFamily(p=p, q=q, members=np.concatenate([windows, extra]))
 
 
 def indicator(fam: SubsetFamily) -> np.ndarray:

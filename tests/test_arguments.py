@@ -6,6 +6,8 @@ The expensive layers (pooling, studentizing, the bootstrap weights, the data
 generator, the GARCH fit, its optimizer and volatility filter, the GPD fit) are
 patched to fail, so a check that ran only after one of them would surface as an
 AssertionError.
+
+A level that passes its check is used as the Python float the check returns.
 """
 
 from dataclasses import replace
@@ -244,3 +246,34 @@ def test_bad_argument_raises_before_any_work(case, no_work):
         call()
     assert type(info.value) is cls
     assert str(info.value) == message
+
+
+# Each entry point that takes a level, called at that level.  A level is used
+# as the Python float its check returns, so an np.float32 one computes as its
+# float64 value; in float32 arithmetic (1 - theta) m, k / (m theta) or
+# 1 - theta would round differently.
+RESIDUALS = np.random.default_rng(0).standard_normal(1000)
+LEVEL_CALLS = {
+    "empirical_var": lambda v: empirical_var(RESIDUALS, v),
+    "evt_var": lambda v: evt_var(RESIDUALS, v),
+    **{f"forecast_var-{kind}": (
+        lambda v, kind=kind: forecast_var(WINDOW, VarMethod(kind), v, GARCH)) for kind in KINDS},
+    "rolling_forecasts": lambda v: rolling_forecasts(SERIES, 500, 2, VarMethod("evt"), v,
+                                                     refit_every=2),
+    "generate_panel-B1": lambda v: simlab.generate_panel(
+        DgpSpec("B1", n=50, p=10, p0=1, under_null=False, rng=RngSpec(0), alpha_n=v),
+        RngSpec(5)),
+    "g_transform": lambda v: simlab.g_transform(np.linspace(0, 1, 101), v),
+    "exceedance_matrix": lambda v: exceedance_matrix(U, R, v),
+    "score": lambda v: score(R, U, v),
+    "tail_dependence": lambda v: tail_dependence(RESIDUALS.reshape(200, 5), v),
+}
+
+
+@pytest.mark.parametrize("case", list(LEVEL_CALLS))
+@pytest.mark.parametrize("level", [0.01, 0.02, 0.1])
+def test_float32_level_is_used_as_its_float64_value(case, level):
+    call = LEVEL_CALLS[case]
+    got, want = np.asarray(call(np.float32(level))), np.asarray(call(float(np.float32(level))))
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()

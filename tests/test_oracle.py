@@ -255,19 +255,19 @@ def test_early_stopped_verdict_beside_a_lone_row(seed):
 
 
 FAMILIES = [
-    (5, 2, 5, 0, None),
-    (100, 49, 301, 3, None),
-    (7, 3, 20, 5, [[7, 1, 2], [3, 2, 1]]),
-    (6000, 49, 6300, 1, None),
-    (10001, 201, 10004, 2, None),  # numpy's partial shuffle, not Floyd's draws
+    (5, 2, 5, 0),
+    (100, 49, 301, 3),
+    (7, 3, 20, 5),
+    (6000, 49, 6300, 1),
+    (10001, 201, 10004, 2),  # numpy's partial shuffle, not Floyd's draws
 ]
 
 
-@pytest.mark.parametrize("p, q, d, seed, user", FAMILIES, ids=[f"p{f[0]}-q{f[1]}-d{f[2]}"
-                                                               for f in FAMILIES])
-def test_build_family(p, q, d, seed, user):
-    got = build_family(p, q, d, RngSpec(seed, 2**33), user_subsets=user)
-    want = oracle.family(p, q, d, RngSpec(seed, 2**33), user_subsets=user)
+@pytest.mark.parametrize("p, q, d, seed", FAMILIES, ids=[f"p{f[0]}-q{f[1]}-d{f[2]}"
+                                                         for f in FAMILIES])
+def test_build_family(p, q, d, seed):
+    got = build_family(p, q, d, RngSpec(seed, 2**33))
+    want = oracle.family(p, q, d, RngSpec(seed, 2**33))
     assert got.members.tobytes() == want.members.tobytes()
     assert got == want
 
@@ -302,4 +302,3 @@ def test_oracle_takes_no_fast_path(monkeypatch):
     panel = oracle.studentized(oracle.pooled_sums(x, fam)[0])
     oracle.result(panel, 0.05, oracle.bootstrap(panel, cfg, True)[0], "subsets-pool", True)
     oracle.naive_test(x, 0.05)
-    oracle.family(7, 3, 20, RngSpec(5), user_subsets=[[7, 1, 2]])

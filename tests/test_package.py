@@ -1,5 +1,5 @@
-"""The lazy package namespace, which commands load scipy, and which classes
-the library raises."""
+"""The lazy package namespace, which commands load scipy, which classes the
+library raises, and that it uses every level its check returns."""
 
 import ast
 import json
@@ -192,3 +192,21 @@ def test_library_raises_only_its_own_classes_and_three_builtins():
     assert named
     assert [(at.split(":")[0], name) for at, name in named.items()
             if name not in allowed] == [("riskmodels.py", "ImportError")]
+
+
+def test_library_uses_the_level_its_check_returns():
+    """`_check_level` and `_check_theta` return the level as a Python float;
+    a call whose value is dropped leaves the caller computing with the raw
+    level, in float32 arithmetic for an np.float32 one."""
+    checks = {"_check_level", "_check_theta"}
+    calls, dropped = 0, []
+    for path in sorted(Path(poolmax.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in checks:
+                calls += 1
+            if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) in checks):
+                dropped.append(f"{path.name}:{node.lineno}")
+    assert calls
+    assert dropped == []

@@ -96,14 +96,22 @@ def test_build_family_sizes_and_determinism():
         build_family(100, 49, 99, RngSpec(0))
 
 
-def test_build_family_user_subsets():
-    user = [(1, 3), (2, 5)]
-    fam = build_family(5, 2, 8, RngSpec(1), user_subsets=user)
+def chosen_family(p, q, d, rng, rows):
+    """The family whose extension begins with chosen rows: the windows, the
+    rows, then the random rows that fill it up to d."""
+    extra = random_extension(p, q, d - p - len(rows), rng)
+    return SubsetFamily(p, q, np.concatenate([build_family(p, q, p, rng).members, rows, extra]))
+
+
+def test_chosen_family_keeps_its_rows():
+    fam = chosen_family(5, 2, 8, RngSpec(1), [(1, 3), (2, 5)])
     assert fam.members[5].tolist() == [1, 3] and fam.members[6].tolist() == [2, 5]
+    assert fam.members[7].tolist() == random_extension(5, 2, 1, RngSpec(1))[0].tolist()
 
 
-# sha256 of the members of build_family(p, q, d, RngSpec(seed), user), as
-# built when every block was checked on its own and again in the whole.
+# sha256 of the members of build_family(p, q, d, RngSpec(seed)), or, given
+# rows, of the family that chosen_family composes from them, as built when
+# every block was checked on its own and again in the whole.
 FAMILY_DIGESTS = [
     (6, 5, 12, 1, None, "42c8e44a51c618be1d29c439b18150b618e35fca7df526200a63063428ba345e"),
     (100, 49, 200, 0, None, "0065f440386dcad2ca34292214a632983920ec8f86cf1e31110b3525b32eef17"),
@@ -118,24 +126,27 @@ FAMILY_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("p, q, d, seed, user, digest", FAMILY_DIGESTS,
+@pytest.mark.parametrize("p, q, d, seed, rows, digest", FAMILY_DIGESTS,
                          ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}" for c in FAMILY_DIGESTS])
-def test_build_family_digests(p, q, d, seed, user, digest):
-    fam = build_family(p, q, d, RngSpec(seed), user_subsets=user)
+def test_build_family_digests(p, q, d, seed, rows, digest):
+    if rows is None:
+        fam = build_family(p, q, d, RngSpec(seed))
+    else:
+        fam = chosen_family(p, q, d, RngSpec(seed), rows)
     assert fam.members.dtype == np.int64 and fam.members.shape == (d, q)
     assert hashlib.sha256(fam.members.tobytes()).hexdigest() == digest
 
 
 def test_build_family_checks_each_row_once(monkeypatch):
     """One design check and one family: its constructor sorts and checks
-    the windows, the user rows and the random rows together."""
+    the windows and the random rows together."""
     calls = []
     check_design, post_init = poolmax.subsets.check_design, SubsetFamily.__post_init__
     monkeypatch.setattr(poolmax.subsets, "check_design",
                         lambda *a: calls.append("design") or check_design(*a))
     monkeypatch.setattr(SubsetFamily, "__post_init__",
                         lambda self: calls.append(len(self.members)) or post_init(self))
-    build_family(7, 3, 20, RngSpec(5), user_subsets=[[7, 1, 2], [3, 2, 1]])
+    build_family(7, 3, 20, RngSpec(5))
     assert calls == ["design", 20]
 
 
