@@ -12,13 +12,22 @@ with z_t i.i.d. mean 0 variance 1.  Its forward step is written once
 parameters (a `GarchFit` holds no path).  Since sigma_{t-1}^2 z_{t-1}^2
 equals the squared mean residual, the volatility recursion is linear in
 sigma_t^2 and `garch_filter` evaluates it with a one-pole filter, which
-keeps the likelihood fast enough for daily refitting.  The filter
-(`_one_pole`) is scipy's compiled IIR kernel `_sigtools._linear_filter`,
-the routine `scipy.signal.lfilter` runs for a two-term denominator, called
-directly: so every value has `lfilter`'s bytes, but the module is loaded
-from its file (`_linear_filter_from`) without importing `scipy.signal`,
-which would load `scipy.stats` with it and cost a rolling forecast about
-a quarter of its peak memory.
+keeps the likelihood fast enough for daily refitting.
+
+The layer's three numerical kernels are scipy's compiled ones, called
+directly: the IIR filter `_sigtools._linear_filter`, which
+`scipy.signal.lfilter` runs for a two-term denominator (`_one_pole`), the
+L-BFGS-B step `_lbfgsb.setulb` and the root finder `_zeros._brentq`.  One
+loader (`_extension`) loads each from its file without importing the
+package that holds it: `scipy.signal` would load `scipy.stats` with it,
+and `scipy.optimize` some 250 scipy modules of its own, which together
+cost a rolling forecast about two fifths of its peak memory.  Every value
+keeps the bytes the public routines give.  `minimize` is the L-BFGS-B
+driver of scipy's `_minimize_lbfgsb` (`scipy/optimize/_lbfgsb_py.py`) for
+a function that returns its gradient, with scipy's default constants and
+its evaluation cache; `_profile_mle` calls `_brentq` as `scipy.optimize.brentq`
+does with its default tolerances.  The tests compare both with scipy's own
+routines.
 
 The fit is L-BFGS-B on the negative log-likelihood, with the gradient
 L-BFGS-B would estimate itself: forward differences, one step per
@@ -53,7 +62,6 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy
-from scipy.optimize import brentq, minimize
 
 from .core import RngSpec, _check_count, _check_level, _raise_first_nonfinite
 from .errors import DegenerateVarianceError, PoolmaxError
@@ -79,11 +87,17 @@ _BIG = 1e12
 # `garch_fit`'s random restarts after an unconverged first start, and their stream
 _RESTARTS = 5
 _MAX_ITER = 500  # L-BFGS-B iterations per start
+# L-BFGS-B evaluations per start: differencing itself, scipy counts 8 per step
+# against its default maxfun 15000; given the gradient it counts 1
+_MAX_FUN = 15000 // 8
 _RESTART_RNG = RngSpec(0)
 # scipy's forward-difference steps for L-BFGS-B: its default absolute step and
 # the relative fallback sqrt(machine epsilon) of `approx_derivative`
 _ABS_STEP = 1e-8
 _REL_STEP = np.finfo(np.float64).eps ** 0.5
+# `scipy.optimize.brentq`'s default relative tolerance and iteration cap
+_BRENTQ_RTOL = 4 * np.finfo(np.float64).eps
+_BRENTQ_ITER = 100
 # The grid on which the GPD profile likelihood's maxima are bracketed, in
 # units of 1/max(y): theta max(y) runs over (-1, 1e6) at 4 points a decade,
 # log-spaced toward the singular end -1 (to within 1e-12), toward 0 from
@@ -94,24 +108,24 @@ _THETA_GRID = np.concatenate([-1.0 + np.logspace(-12, -0.25, 48),
                               -np.logspace(-0.375, -3.875, 15), np.logspace(-4, 6, 41)])
 
 
-def _linear_filter_from(directory):
-    """`_linear_filter` of the compiled module `scipy.signal._sigtools` found in
-    `directory`, loaded from its file: the package `scipy.signal` is not
-    imported.  Python may register the module under that name, and
-    `scipy.signal`, imported later, then uses it.  ImportError, naming the
-    directory and the scipy version, if the directory holds no such module."""
-    directory = os.fspath(directory)
-    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec("scipy.signal._sigtools")
+def _extension(name: str):
+    """The compiled scipy module `name`, such as "scipy.optimize._lbfgsb",
+    loaded from its file: the package that holds it is not imported.  Python
+    may register the module under its name, and the package, imported later,
+    then uses it.  ImportError, naming the module and the scipy version, if
+    scipy has no such file."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
     if spec is None:
-        raise ImportError(f"no compiled scipy.signal._sigtools in {directory!r} "
-                          f"(scipy {scipy.__version__})")
+        raise ImportError(f"no compiled {name} in {directory!r} (scipy {scipy.__version__})")
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module._linear_filter
+    return module
 
 
-_linear_filter = _linear_filter_from(os.path.join(os.path.dirname(scipy.__file__), "signal"))
+_linear_filter = _extension("scipy.signal._sigtools")._linear_filter
+_lbfgsb = _extension("scipy.optimize._lbfgsb")
+_brentq = _extension("scipy.optimize._zeros")._brentq
 
 
 def _one_pole(pole, drive, zi):
@@ -328,6 +342,63 @@ def _nll_and_grad(theta, u, sig2_init, lb, ub):
     return f[0], (f[1:] - f[0]) / (stepped - theta)
 
 
+class _Minimum(NamedTuple):
+    """The end of an L-BFGS-B run: the last iterate, its function value,
+    whether L-BFGS-B converged and the iterations it took."""
+
+    x: np.ndarray
+    fun: float
+    success: bool
+    nit: int
+
+
+def minimize(fun, x0, args, bounds, maxiter: int, maxfun: int) -> _Minimum:
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on `fun(x, *args)`, which
+    returns the value and the gradient, in the finite box `bounds` of
+    (low, high) pairs.
+
+    The loop of scipy's `_minimize_lbfgsb` around the compiled step
+    `_lbfgsb.setulb`, with its default constants: 10 corrections, ftol
+    2.2204460492503131e-09, gtol 1e-5 and 20 line-search steps.  The start
+    is clipped into the box and evaluated; after that `fun` runs only at an
+    x that is not `array_equal` to the last one it ran at, as scipy's
+    `ScalarFunction` caches it, and only those runs count against `maxfun`.
+    The run stops after `maxiter` iterations, or once more than `maxfun`
+    evaluations have run, and succeeds when L-BFGS-B itself converged.
+    """
+    low, high = np.ascontiguousarray(np.array(bounds, dtype=np.float64).T)
+    x = np.clip(np.asarray(x0, dtype=np.float64), low, high)
+    n, m = x.size, 10
+    point = x.copy()
+    value = fun(point, *args)
+    nfev, nit = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task, lsave = (np.zeros(k, dtype=np.int32) for k in (2, 2, 4))
+    isave, dsave = np.zeros(44, dtype=np.int32), np.zeros(29)
+    nbd = np.full(n, 2, dtype=np.int32)  # L-BFGS-B's code for a lower and an upper bound
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    while True:
+        _lbfgsb.setulb(m, x, low, high, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave, isave,
+                       dsave, 20, ln_task)
+        if task[0] == 3:  # setulb asks for f and g at x
+            if not np.array_equal(x, point):
+                point = x.copy()
+                value = fun(point, *args)
+                nfev += 1
+            f, g = value
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    return _Minimum(x, f, bool(task[0] == 4), nit)
+
+
 def garch_fit(series, init: Optional[GarchParams] = None) -> GarchFit:
     """Joint quasi-MLE of the seven model parameters.
 
@@ -372,10 +443,8 @@ def garch_fit(series, init: Optional[GarchParams] = None) -> GarchFit:
     lb, ub = np.array(bounds, dtype=np.float64).T
     best = None
     for k, x0 in enumerate(starts()):
-        # differencing itself, scipy counts 8 evaluations per step against
-        # maxfun (default 15000); given the gradient it counts 1
-        res = minimize(_nll_and_grad, x0, args=(u, var, lb, ub), jac=True, method="L-BFGS-B",
-                       bounds=bounds, options={"maxiter": _MAX_ITER, "maxfun": 15000 // 8})
+        res = minimize(_nll_and_grad, x0, args=(u, var, lb, ub), bounds=bounds,
+                       maxiter=_MAX_ITER, maxfun=_MAX_FUN)
         if np.isfinite(res.fun) and res.fun < _BIG:
             if best is None or res.fun < best.fun:
                 best = res
@@ -439,14 +508,24 @@ def _grimshaw_h(theta, y):
     return (1.0 + np.log1p(t).sum(axis=-1) / k) * ((1.0 / (1.0 + t)).sum(axis=-1) / k) - 1.0
 
 
+def _checked_h(theta, y):
+    """`_grimshaw_h` at the one theta `_brentq` asks for, PoolmaxError where it
+    is NaN: the guard `scipy.optimize.brentq` puts around its function."""
+    h = _grimshaw_h(theta, y)
+    if np.isnan(h):
+        raise PoolmaxError(f"Grimshaw's h is NaN at theta={theta!r}; the root search cannot go on")
+    return h
+
+
 def _profile_mle(y) -> Optional[float]:
     """The theta of the highest interior maximum of the profile likelihood.
 
-    Each grid cell where h falls through 0 holds a maximum, which `brentq`
-    solves for.  None when there is no such cell: the likelihood then has
-    its supremum at an end of the domain, theta -> -1/max(y) (xi -> -inf,
-    the support closing onto the sample maximum, where it is unbounded) or
-    theta -> inf (xi -> inf, unbounded when an excess is 0).
+    Each grid cell where h falls through 0 holds a maximum, which `_brentq`
+    solves for as `scipy.optimize.brentq` does with its defaults.  None when
+    there is no such cell: the likelihood then has its supremum at an end of
+    the domain, theta -> -1/max(y) (xi -> -inf, the support closing onto the
+    sample maximum, where it is unbounded) or theta -> inf (xi -> inf,
+    unbounded when an excess is 0).
     """
     top = y.max()
     grid = _THETA_GRID / top
@@ -454,8 +533,8 @@ def _profile_mle(y) -> Optional[float]:
     cells = np.flatnonzero((h[:-1] > 0) & (h[1:] <= 0))
     if cells.size == 0:
         return None
-    roots = np.array([brentq(_grimshaw_h, grid[i], grid[i + 1], args=(y,), xtol=1e-14 / top)
-                      for i in cells])
+    roots = np.array([_brentq(_checked_h, grid[i], grid[i + 1], 1e-14 / top, _BRENTQ_RTOL,
+                              _BRENTQ_ITER, (y,), False, True) for i in cells])
     return float(roots[np.argmin(_profile_nll(roots, y))])
 
 

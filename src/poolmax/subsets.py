@@ -215,7 +215,10 @@ def build_family(p: int, q: int, d: int, rng: RngSpec) -> SubsetFamily:
     `SubsetFamily` of the windows, the chosen rows and a shorter extension,
     ``SubsetFamily(p, q, np.concatenate([build_family(p, q, p, rng).members,
     rows, random_extension(p, q, d - p - len(rows), rng)]))``, whose
-    constructor checks every row.
+    constructor checks every row.  Rows of dtype uint64 are cast to int64
+    first (``rows.astype(np.int64)``): int64 and uint64 concatenate to
+    float64, which the constructor refuses as it refuses float rows, whose
+    cast would truncate.
     """
     check_design(p, q, d)
     extra = random_extension(p, q, d - p, rng)

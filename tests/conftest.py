@@ -81,16 +81,18 @@ def reference_nll(theta, u, sig2_init):
 def use_scipy_finite_differences(monkeypatch):
     """Fit with L-BFGS-B's own finite differences of `reference_nll`.
 
-    Replaces `riskmodels.minimize` by scipy's `minimize` on the one-point
-    likelihood with no gradient, so scipy differences it itself: the
-    reference for the bitwise tests of the batched gradient.
+    Replaces `riskmodels.minimize`, the L-BFGS-B driver, by scipy's
+    `minimize` with method L-BFGS-B on the one-point likelihood with no
+    gradient, so scipy differences it itself and counts its evaluations
+    against its default maxfun: the reference for the bitwise tests of the
+    batched gradient and of the driver.
     """
     from scipy.optimize import minimize
 
-    def fd_minimize(fun, x0, args, jac, method, bounds, options):
+    def fd_minimize(fun, x0, args, bounds, maxiter, maxfun):
         u, sig2_init, _, _ = args
-        return minimize(reference_nll, x0, args=(u, sig2_init), method=method,
-                        bounds=bounds, options={"maxiter": options["maxiter"]})
+        return minimize(reference_nll, x0, args=(u, sig2_init), method="L-BFGS-B",
+                        bounds=bounds, options={"maxiter": maxiter})
 
     monkeypatch.setattr(riskmodels, "minimize", fd_minimize)
 

@@ -100,32 +100,57 @@ def test_sstd_loads_no_scipy_stats():
     assert out.split() == ["[]"]
 
 
-# One horizon-1 rolling forecast in a fresh interpreter; prints the scipy.signal
-# and scipy.stats modules it loaded, then whether scipy.signal, imported after
-# it, filters with the bytes of the GARCH layer's one-pole filter.
+# Horizon-1 rolling forecasts by the skew-t and the EVT method (the one
+# caller of the root finder) in a fresh interpreter; prints the scipy.signal,
+# scipy.stats and scipy.optimize modules they loaded, then whether
+# scipy.signal and scipy.optimize, imported after them, filter and fit with
+# the bytes of the GARCH layer's one-pole filter and L-BFGS-B driver.
 FORECAST_CHILD = """
 import json, sys
 import numpy as np
-from poolmax.riskmodels import (
-    GarchParams, VarMethod, _one_pole, garch_simulate, rolling_forecasts)
+from poolmax import riskmodels
+from poolmax.riskmodels import GarchParams, VarMethod, garch_simulate, rolling_forecasts
+calls = []
+driver = riskmodels.minimize
+def recording_minimize(*args, **kwargs):
+    calls.append((args, kwargs))
+    return driver(*args, **kwargs)
+riskmodels.minimize = recording_minimize
 shocks = np.random.default_rng(0).standard_normal(301)
 u = garch_simulate(GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85), shocks)
-rolling_forecasts(u, 300, 1, VarMethod("skew-t"), 0.01)
-loaded = sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats")))
+for kind in ("skew-t", "evt"):
+    rolling_forecasts(u, 300, 1, VarMethod(kind), 0.01)
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("scipy.signal", "scipy.stats", "scipy.optimize")))
+from scipy.optimize import minimize
 from scipy.signal import lfilter
 gen = np.random.default_rng(1)
 x, zi = gen.exponential(size=(3, 50)), gen.exponential(size=(3, 1))
-same = _one_pole(0.9, x, zi).tobytes() == lfilter([1.0], [1.0, -0.9], x, zi=zi)[0].tobytes()
-print(json.dumps({"loaded": loaded, "same": same}))
+same_filter = (riskmodels._one_pole(0.9, x, zi).tobytes()
+               == lfilter([1.0], [1.0, -0.9], x, zi=zi)[0].tobytes())
+(fun, x0), kw = calls[0]
+got = driver(fun, x0, **kw)
+want = minimize(fun, x0, args=kw["args"], jac=True, method="L-BFGS-B", bounds=kw["bounds"],
+                options={"maxiter": kw["maxiter"], "maxfun": kw["maxfun"]})
+same_fit = (got.x.tobytes() == want.x.tobytes()
+            and np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+            and (got.nit, got.success) == (want.nit, want.success))
+print(json.dumps({"loaded": loaded, "fits": len(calls), "same_filter": same_filter,
+                  "same_fit": same_fit}))
 """
 
 
 def test_garch_layer_loads_no_scipy_signal_or_stats():
+    """Nor does it run any module of scipy.optimize: the GARCH layer loads
+    the three compiled kernels alone, which keep the bytes of the packages'
+    own routines."""
     res = json.loads(fresh_python("-c", FORECAST_CHILD).splitlines()[-1])
     # Python's loader registers a single-phase extension module under its own
-    # name, so the filter kernel may show, though its package never ran
-    assert res["loaded"] in ([], ["scipy.signal._sigtools"])
-    assert res["same"] is True
+    # name, so the compiled kernels may show, though their packages never ran
+    assert set(res["loaded"]) <= {"scipy.signal._sigtools", "scipy.optimize._lbfgsb",
+                                  "scipy.optimize._zeros"}
+    assert res["fits"] == 2
+    assert res["same_filter"] is True and res["same_fit"] is True
 
 
 def test_every_public_name_resolves_to_its_home():
@@ -178,7 +203,7 @@ def test_library_raises_only_its_own_classes_and_three_builtins():
     """A bad value raises a poolmax.errors class (a ValueError), never a bare
     ValueError.  cli.py is left out: its `_whole` raises a ValueError that
     `_checked` turns into an argparse error.  The one other raise is the
-    ImportError of riskmodels when scipy's filter kernel is missing."""
+    ImportError of riskmodels when one of scipy's compiled kernels is missing."""
     allowed = {"PoolmaxError", "SubsetDesignError", "DegenerateVarianceError",
                "NonFiniteError", "TypeError", "AttributeError", "KeyError"}
     named = {}

@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -72,10 +73,12 @@ class TestFilter:
             assert got.shape == want.shape == x.shape
             assert got.tobytes() == want.tobytes()
 
-    def test_missing_filter_kernel_raises_import_error(self, tmp_path):
+    def test_missing_filter_kernel_raises_import_error(self):
+        name = "scipy.signal._no_such_filter"
+        directory = os.path.join(os.path.dirname(scipy.__file__), "signal")
         with pytest.raises(ImportError) as info:
-            riskmodels._linear_filter_from(tmp_path)
-        assert str(info.value) == (f"no compiled scipy.signal._sigtools in {str(tmp_path)!r} "
+            riskmodels._extension(name)
+        assert str(info.value) == (f"no compiled {name} in {directory!r} "
                                    f"(scipy {scipy.__version__})")
 
 
@@ -381,6 +384,43 @@ class TestGpdFit:
         assert fit.method == "mle"
         assert gpd_loglik(y, fit) >= gpd_loglik(y, scipy_gpd_fit(y))
 
+    def test_roots_bitwise_equal_to_scipy_brentq(self, monkeypatch):
+        """Every root `_profile_mle` finds on the corpus has the bytes of
+        `scipy.optimize.brentq` with its defaults on the same bracket."""
+        from scipy.optimize import brentq  # the reference, in the test only
+
+        found = []
+        profile_nll = riskmodels._profile_nll
+
+        def recording_nll(roots, y):
+            found.append(roots)
+            return profile_nll(roots, y)
+
+        monkeypatch.setattr(riskmodels, "_profile_nll", recording_nll)
+        count = 0
+        for _, y in tail_corpus():
+            found.clear()
+            riskmodels._profile_mle(y)
+            grid = riskmodels._THETA_GRID / y.max()
+            h = riskmodels._grimshaw_h(grid, y)
+            want = np.array([brentq(riskmodels._grimshaw_h, grid[i], grid[i + 1], args=(y,),
+                                    xtol=1e-14 / y.max())
+                             for i in np.flatnonzero((h[:-1] > 0) & (h[1:] <= 0))])
+            got = found[0] if found else np.array([])
+            assert got.tobytes() == want.tobytes()
+            count += want.size
+        assert count > 300
+
+    def test_nan_in_the_root_search_raises(self, monkeypatch):
+        """A NaN from the function `_brentq` brackets raises PoolmaxError, as
+        `scipy.optimize.brentq` raises its ValueError."""
+        grimshaw_h = riskmodels._grimshaw_h
+        monkeypatch.setattr(riskmodels, "_grimshaw_h", lambda theta, y: (
+            grimshaw_h(theta, y) if np.ndim(theta) else np.float64(np.nan)))
+        y = top_excesses(np.random.default_rng(12).standard_t(5, 500))
+        with pytest.raises(PoolmaxError, match="^Grimshaw's h is NaN at theta="):
+            gpd_tail_fit(y)
+
     def test_evt_var_never_calls_scipy_fit(self, monkeypatch):
         r = np.random.default_rng(9).standard_t(5, 1000)
         want = evt_var(r, 0.01, 50)
@@ -618,6 +658,53 @@ def test_edge_fits_bitwise_equal_to_scipy_finite_differences(garch_path, monkeyp
     use_scipy_finite_differences(monkeypatch)
     assert ([fit_bytes(f, x) for f, x in zip(got, series)]
             == [fit_bytes(f, x) for f, x in zip(fits(), series)])
+
+
+def first_start(series, monkeypatch, init=None):
+    """(fun, x0, keyword arguments) of the first optimizer start of
+    `garch_fit(series, init)`."""
+    calls = []
+    minimize = riskmodels.minimize
+
+    def recording_minimize(fun, x0, **kwargs):
+        calls.append((fun, x0.copy(), kwargs))
+        return minimize(fun, x0, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(riskmodels, "minimize", recording_minimize)
+        garch_fit(series, init)
+    return calls[0]
+
+
+@pytest.mark.parametrize("case, maxiter, maxfun", [
+    ("converged", 500, 1875), ("maxiter", 3, 1875), ("maxfun", 500, 3), ("maxfun", 500, 10),
+    ("b1-bound", 500, 1875), ("outside", 500, 1875)])
+def test_minimize_bitwise_equal_to_scipy_lbfgsb(case, maxiter, maxfun, garch_path, monkeypatch):
+    """`minimize` ends where scipy's L-BFGS-B ends, given the same gradient:
+    the bytes of x and of the value, the iterations and the success flag, on
+    a converged fit, stops at maxiter and at maxfun, a fit that ends with b1
+    on its bound and a start outside the box."""
+    from scipy.optimize import minimize  # the reference, in the test only
+
+    u = garch_path[1][:1000]
+    series, init = u, None
+    if case == "b1-bound":
+        series = np.random.default_rng(3).standard_normal(1000)
+    if case == "outside":
+        init = GarchParams(a0=20 * u.std(), a1=0.0, b0=0.1, b1=0.05, b2=0.85, nu=150.0, gamma=20.0)
+    fun, x0, kwargs = first_start(series, monkeypatch, init)
+    got = riskmodels.minimize(fun, x0, **dict(kwargs, maxiter=maxiter, maxfun=maxfun))
+    want = minimize(fun, x0, args=kwargs["args"], jac=True, method="L-BFGS-B",
+                    bounds=kwargs["bounds"], options={"maxiter": maxiter, "maxfun": maxfun})
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.fun).tobytes() == np.float64(want.fun).tobytes()
+    assert (got.nit, got.success) == (want.nit, want.success)
+    # each case reached the ending it names
+    lb, ub = np.array(kwargs["bounds"]).T
+    assert {"converged": want.success, "maxiter": want.nit == maxiter,
+            "maxfun": "EVALUATIONS EXCEEDS LIMIT" in want.message and want.nfev > maxfun,
+            "b1-bound": want.success and want.x[3] == 0.0,
+            "outside": ((x0 < lb) | (x0 > ub)).any()}[case]
 
 
 def test_every_likelihood_point_lies_in_the_box(garch_path, monkeypatch):

@@ -109,6 +109,22 @@ def test_chosen_family_keeps_its_rows():
     assert fam.members[7].tolist() == random_extension(5, 2, 1, RngSpec(1))[0].tolist()
 
 
+def test_chosen_uint64_rows_are_cast_to_int64():
+    """int64 windows and uint64 rows concatenate to float64, which the
+    constructor refuses; the rows cast to int64 first are kept."""
+    rows = np.array([[10, 9, 8]], dtype=np.uint64)
+    with pytest.raises(SubsetDesignError, match="^subset indices must be integers, got float64$"):
+        chosen_family(10, 3, 15, RngSpec(2), rows)
+    fam = chosen_family(10, 3, 15, RngSpec(2), rows.astype(np.int64))
+    assert fam.members[10].tolist() == [8, 9, 10]
+
+
+def test_chosen_float_row_keeps_its_error():
+    """A float row is refused, not cast: a cast would truncate 9.5 to 9."""
+    with pytest.raises(SubsetDesignError, match="^subset indices must be integers, got float64$"):
+        chosen_family(10, 3, 15, RngSpec(2), [(8.0, 9.5, 10.0)])
+
+
 # sha256 of the members of build_family(p, q, d, RngSpec(seed)), or, given
 # rows, of the family that chosen_family composes from them, as built when
 # every block was checked on its own and again in the whole.
