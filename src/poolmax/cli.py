@@ -238,7 +238,8 @@ def _formatted(args, result) -> str:
 
 
 # Each command imports only the layers it computes with: simlab loads
-# scipy.special, and pool-test, the cold-start path, needs neither it nor backtest.
+# scipy's compiled normal ufuncs, and pool-test, the cold-start path, needs
+# neither it nor backtest.
 
 
 def _cmd_backtest(args, parser):

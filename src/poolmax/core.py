@@ -9,14 +9,22 @@ parallelism degree.  `substream_normals` draws any increasing range of
 replicates at once; it derives the Philox keys of just those rows, starting
 each from NumPy's SeedSequence pool of the seed, and no other module handles
 a key.
+
+`_extension` is the one loader of scipy's compiled modules, which the
+skew-t, Monte Carlo and GARCH layers call without their packages.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import importlib
 import io
 import json
 import operator
+import os
+import sys
+import types
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -262,3 +270,41 @@ def csv_text(rows) -> str:
         csv.writer(buf, lineterminator="\r\n").writerow(row)
         lines.append(buf.getvalue()[:-2] + "\n")
     return "".join(lines)
+
+
+@functools.lru_cache(maxsize=None)
+def _extension(name: str):
+    """The compiled scipy module `name`, such as "scipy.special._ufuncs".
+
+    Where its package is imported already, this is `import_module(name)`.
+    Otherwise the package's `__init__` does not run: a bare module holds the
+    package's name in `sys.modules` while `name` loads, with the package's
+    directory as its `__path__`, so each compiled sibling the module imports
+    loads from its file the same way.  Then that holder and every module the
+    load registered under the package go again, and a later import of the
+    package runs it as usual, with these very modules.  Each name loads once
+    and is cached.  ImportError, naming the module, its directory and the
+    scipy version, if scipy has no such module."""
+    import scipy  # here, not above: pool-test loads no scipy
+
+    package = name.rpartition(".")[0]
+    directory = os.path.join(os.path.dirname(scipy.__file__), *package.split(".")[1:])
+    held = package not in sys.modules
+    if held:
+        before = set(sys.modules)
+        holder = sys.modules[package] = types.ModuleType(package)
+        holder.__path__ = [directory]
+    try:
+        return importlib.import_module(name)
+    except ModuleNotFoundError as exc:
+        raise ImportError(f"no compiled {name} in {directory!r} "
+                          f"(scipy {scipy.__version__})") from exc
+    finally:
+        if held:
+            for added in set(sys.modules) - before:
+                if added == package or added.startswith(package + "."):
+                    del sys.modules[added]
+            # vars, not getattr: scipy's lazy __getattr__ would import the package
+            attribute = package.rpartition(".")[2]
+            if vars(scipy).get(attribute) is holder:
+                delattr(scipy, attribute)

@@ -23,6 +23,7 @@ from .core import (
     TestResult,
     _check_count,
     _check_level,
+    _extension,
     substream_normals,
     validate_matrix,
 )
@@ -201,15 +202,14 @@ def max_statistic(panel: PooledPanel) -> float:
 def naive_test(x, alpha: float) -> TestResult:
     """The pooled statistic of one subset holding all p dimensions, i.e. the
     studentized full row sum, against the two-sided normal quantile."""
-    from scipy.special import ndtr, ndtri  # here, not above: only this test needs scipy
-
+    ufuncs = _extension("scipy.special._ufuncs")  # here, not above: only this test needs scipy
     x = validate_matrix(x)
     alpha = _check_level("alpha", alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # `_studentized` checks the sums
         y = x.sum(axis=1)
     t = float(_studentized(y[:, None]).t_stats[0])
-    z = float(ndtri(1 - alpha / 2))
-    p_value = float(2 * ndtr(-abs(t)))
+    z = float(ufuncs.ndtri(1 - alpha / 2))
+    p_value = float(2 * ufuncs.ndtr(-abs(t)))
     return TestResult(
         statistic=t,
         critical_value=z,

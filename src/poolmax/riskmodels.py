@@ -17,15 +17,17 @@ keeps the likelihood fast enough for daily refitting.
 The layer's three numerical kernels are scipy's compiled ones, called
 directly: the IIR filter `_sigtools._linear_filter`, which
 `scipy.signal.lfilter` runs for a two-term denominator (`_one_pole`), the
-L-BFGS-B step `_lbfgsb.setulb` and the root finder `_zeros._brentq`.  One
-loader (`_extension`) loads each from its file without importing the
-package that holds it: `scipy.signal` would load `scipy.stats` with it,
+L-BFGS-B step `_lbfgsb.setulb` and the root finder `_zeros._brentq`.  The
+one loader of scipy's compiled modules, `core._extension`, loads each from
+its file without running the package that holds it, and leaves nothing of
+that package registered: `scipy.signal` would load `scipy.stats` with it,
 and `scipy.optimize` some 250 scipy modules of its own, which together
-cost a rolling forecast about two fifths of its peak memory.  Every value
-keeps the bytes the public routines give.  `minimize` is the L-BFGS-B
-driver of scipy's `_minimize_lbfgsb` (`scipy/optimize/_lbfgsb_py.py`) for
-a function that returns its gradient, with scipy's default constants and
-its evaluation cache; `_profile_mle` calls `_brentq` as `scipy.optimize.brentq`
+cost a rolling forecast about two fifths of its peak memory.  The skew-t
+kernels of `sstd` come through the same loader.  Every value keeps the
+bytes the public routines give.  `minimize` is the L-BFGS-B driver of
+scipy's `_minimize_lbfgsb` (`scipy/optimize/_lbfgsb_py.py`) for a function
+that returns its gradient, with scipy's default constants and its
+evaluation cache; `_profile_mle` calls `_brentq` as `scipy.optimize.brentq`
 does with its default tolerances.  The tests compare both with scipy's own
 routines.
 
@@ -54,16 +56,12 @@ maximum with xi < 1 exists, probability-weighted moments (Hosking & Wallis
 from __future__ import annotations
 
 import operator
-import os
 from dataclasses import dataclass, fields
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy
 
-from .core import RngSpec, _check_count, _check_level, _raise_first_nonfinite
+from .core import RngSpec, _check_count, _check_level, _extension, _raise_first_nonfinite
 from .errors import DegenerateVarianceError, PoolmaxError
 from .sstd import _check as _check_sstd, sstd_logpdf, sstd_quantile
 
@@ -106,21 +104,6 @@ _BRENTQ_ITER = 100
 # land exactly on the spurious root of `_grimshaw_h`.
 _THETA_GRID = np.concatenate([-1.0 + np.logspace(-12, -0.25, 48),
                               -np.logspace(-0.375, -3.875, 15), np.logspace(-4, 6, 41)])
-
-
-def _extension(name: str):
-    """The compiled scipy module `name`, such as "scipy.optimize._lbfgsb",
-    loaded from its file: the package that holds it is not imported.  Python
-    may register the module under its name, and the package, imported later,
-    then uses it.  ImportError, naming the module and the scipy version, if
-    scipy has no such file."""
-    directory = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])
-    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        raise ImportError(f"no compiled {name} in {directory!r} (scipy {scipy.__version__})")
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 _linear_filter = _extension("scipy.signal._sigtools")._linear_filter

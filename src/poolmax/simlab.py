@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .core import RngSpec, _check_count, _check_level, csv_text, substream, validate_matrix
+from .core import (RngSpec, _check_count, _check_level, _extension, csv_text, substream,
+                   validate_matrix)
 from .errors import PoolmaxError
 from .pooltest import (
     BootstrapConfig,
@@ -28,6 +28,9 @@ from .pooltest import (
     pooled_panel,
 )
 from .subsets import build_family, check_design
+
+_ufuncs = _extension("scipy.special._ufuncs")
+ndtr, ndtri = _ufuncs.ndtr, _ufuncs.ndtri
 
 __all__ = [
     "DgpSpec",

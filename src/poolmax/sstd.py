@@ -6,9 +6,14 @@ variance 1.  gamma = 1 recovers the symmetric standardized t; gamma > 1
 skews to the right.  The mass left of the (pre-standardization) mode is
 1 / (1 + gamma^2), which drives the piecewise quantile inversion.
 
-The Student-t kernel is evaluated with `scipy.special` directly, without
-the `scipy.stats.t` wrapper, whose argument handling cost most of a GARCH
-likelihood evaluation.  `_t1_logpdf` performs the operations of scipy's
+The Student-t kernel is evaluated with scipy.special's ufuncs directly,
+without the `scipy.stats.t` wrapper, whose argument handling cost most of a
+GARCH likelihood evaluation.  `gammaln`, `poch`, `stdtr` and `stdtrit` are
+taken from the compiled module `scipy.special._ufuncs`, which
+`core._extension` loads from its file without running the `scipy.special`
+package (its array-API layer and vendored libraries cost a rolling
+forecast about a fifth of its peak memory); they are the very objects that
+package exposes.  `_t1_logpdf` performs the operations of scipy's
 own `t._logpdf` in the same order, and `stdtr`/`stdtrit` are what `t.cdf`
 and `t.ppf` compute, so every value is bitwise equal to the `scipy.stats.t`
 form.  That equality matters: L-BFGS-B with finite differences follows a
@@ -21,9 +26,12 @@ fails there.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln, poch, stdtr, stdtrit
 
+from .core import _extension
 from .errors import PoolmaxError
+
+_ufuncs = _extension("scipy.special._ufuncs")
+gammaln, poch, stdtr, stdtrit = _ufuncs.gammaln, _ufuncs.poch, _ufuncs.stdtr, _ufuncs.stdtrit
 
 __all__ = ["sstd_logpdf", "sstd_pdf", "sstd_cdf", "sstd_quantile", "sstd_moments"]
 

@@ -75,11 +75,21 @@ def test_taildep_loads_no_scipy(panels):
     assert res == {"codes": [0], "scipy": [], "rational": []}
 
 
+# The scipy.special package (with its array-API layer) that the normal and
+# Student-t ufuncs are loaded without, and scipy.stats.
+UNLOADED = ("scipy.special", "scipy._lib._array_api", "scipy.stats")
+
+
+def unloaded(modules):
+    return [m for m in modules if m.startswith(UNLOADED)]
+
+
 def test_naive_test_loads_scipy(panels):
+    """Scipy's compiled normal ufuncs, without the scipy.special package."""
     res = fresh_run(["naive-test", "--in", panels["x"], "--out", panels["out"]])
     assert res["codes"] == [0]
-    assert "scipy.special" in res["scipy"]
-    assert not [m for m in res["scipy"] if m.startswith("scipy.stats")]
+    assert "scipy" in res["scipy"]
+    assert unloaded(res["scipy"]) == []
 
 
 def test_simulate_loads_no_scipy_stats(tmp_path):
@@ -90,19 +100,103 @@ def test_simulate_loads_no_scipy_stats(tmp_path):
     }))
     res = fresh_run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.csv")])
     assert res["codes"] == [0]
-    assert "scipy.special" in res["scipy"]
-    assert not [m for m in res["scipy"] if m.startswith("scipy.stats")]
+    assert unloaded(res["scipy"]) == []
+
+
+# Imports the modules named in argv in a fresh interpreter; prints the scipy
+# modules registered afterwards and whether scipy's namespace holds "special".
+IMPORT_CHILD = """
+import importlib, json, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+import scipy
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.startswith("scipy.")),
+                  "special": "special" in vars(scipy)}))
+"""
 
 
 def test_sstd_loads_no_scipy_stats():
-    out = fresh_python("-c", "import sys, poolmax.sstd; print(sorted("
-                       "m for m in sys.modules if m.startswith('scipy.stats')))")
-    assert out.split() == ["[]"]
+    """Nor does any layer that takes scipy.special's ufuncs run that package,
+    or leave a module of it registered."""
+    for module in ("poolmax.sstd", "poolmax.simlab", "poolmax.riskmodels"):
+        res = json.loads(fresh_python("-c", IMPORT_CHILD, module).splitlines()[-1])
+        assert res["scipy"] and unloaded(res["scipy"]) == [], module
+        assert not [m for m in res["scipy"]
+                    if m.startswith(("scipy.signal", "scipy.optimize"))], module
+        assert res["special"] is False, module
+
+
+# Imports the skew-t and GARCH layers, then the three scipy packages whose
+# compiled modules they loaded without them, in a fresh interpreter; prints
+# which of those modules each package holds as an attribute, and whether
+# the packages' routines are the very objects the layers call.
+PACKAGES_AFTER_CHILD = """
+import json
+import poolmax.sstd, poolmax.riskmodels
+import scipy.optimize, scipy.signal, scipy.special, scipy.stats
+from poolmax import riskmodels, sstd
+special = ("_special_ufuncs", "_ufuncs_cxx", "_ellip_harm_2", "_gufuncs", "_ufuncs")
+held = [f"special.{n}" for n in special if hasattr(scipy.special, n)]
+held += [f"optimize.{n}" for n in ("_lbfgsb", "_zeros") if hasattr(scipy.optimize, n)]
+held += ["signal._sigtools"] if hasattr(scipy.signal, "_sigtools") else []
+print(json.dumps({"held": held, "same": [
+    all(getattr(scipy.special, n) is getattr(sstd, n)
+        for n in ("gammaln", "poch", "stdtr", "stdtrit")),
+    scipy.optimize._lbfgsb.setulb is riskmodels._lbfgsb.setulb,
+    scipy.optimize._zeros._brentq is riskmodels._brentq,
+    scipy.signal._sigtools._linear_filter is riskmodels._linear_filter,
+    bool(scipy.stats.t.ppf(0.99, 5) == sstd.stdtrit(5, 0.99))]}))
+"""
+
+
+def test_packages_imported_afterwards_hold_the_loaded_modules():
+    """The loader leaves no module of a package it did not run registered,
+    so the package, imported later, loads them its usual way and holds each
+    as its attribute: the compiled modules are the ones the layers call."""
+    res = json.loads(fresh_python("-c", PACKAGES_AFTER_CHILD).splitlines()[-1])
+    assert res["held"] == ["special._special_ufuncs", "special._ufuncs_cxx",
+                           "special._ellip_harm_2", "special._gufuncs", "special._ufuncs",
+                           "optimize._lbfgsb", "optimize._zeros", "signal._sigtools"]
+    assert res["same"] == [True] * 5
+
+
+def test_loader_takes_the_imported_packages_own_modules():
+    """Where the package is imported before poolmax, the loader does not
+    hold its name: the layers take the package's own compiled modules."""
+    out = fresh_python("-c", """
+import sys
+import scipy.special
+from poolmax import core, simlab, sstd
+ufuncs = sys.modules["scipy.special._ufuncs"]
+print(core._extension("scipy.special._ufuncs") is ufuncs, sstd._ufuncs is ufuncs,
+      simlab.ndtri is scipy.special.ndtri, sys.modules["scipy.special"] is scipy.special)
+""")
+    assert out.split() == ["True"] * 4
+
+
+def test_missing_module_leaves_no_holder():
+    """A name scipy lacks raises the loader's ImportError, and the bare
+    module that held the package's name goes with the failed load."""
+    out = fresh_python("-c", """
+import json, os, sys
+import scipy
+from poolmax.core import _extension
+name = "scipy.signal._no_such_filter"
+try:
+    _extension(name)
+except ImportError as exc:
+    message = str(exc)
+directory = os.path.join(os.path.dirname(scipy.__file__), "signal")
+print(json.dumps([message == f"no compiled {name} in {directory!r} (scipy {scipy.__version__})",
+                  [m for m in sys.modules if m.startswith("scipy.signal")],
+                  "signal" in vars(scipy)]))
+""")
+    assert json.loads(out.splitlines()[-1]) == [True, [], False]
 
 
 # Horizon-1 rolling forecasts by the skew-t and the EVT method (the one
 # caller of the root finder) in a fresh interpreter; prints the scipy.signal,
-# scipy.stats and scipy.optimize modules they loaded, then whether
+# scipy.stats, scipy.optimize and scipy.special modules left registered, then whether
 # scipy.signal and scipy.optimize, imported after them, filter and fit with
 # the bytes of the GARCH layer's one-pole filter and L-BFGS-B driver.
 FORECAST_CHILD = """
@@ -121,7 +215,8 @@ u = garch_simulate(GarchParams(a0=0.0, a1=0.1, b0=0.05, b1=0.1, b2=0.85), shocks
 for kind in ("skew-t", "evt"):
     rolling_forecasts(u, 300, 1, VarMethod(kind), 0.01)
 loaded = sorted(m for m in sys.modules
-                if m.startswith(("scipy.signal", "scipy.stats", "scipy.optimize")))
+                if m.startswith(("scipy.signal", "scipy.stats", "scipy.optimize",
+                                 "scipy.special")))
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 gen = np.random.default_rng(1)
@@ -141,14 +236,11 @@ print(json.dumps({"loaded": loaded, "fits": len(calls), "same_filter": same_filt
 
 
 def test_garch_layer_loads_no_scipy_signal_or_stats():
-    """Nor does it run any module of scipy.optimize: the GARCH layer loads
-    the three compiled kernels alone, which keep the bytes of the packages'
-    own routines."""
+    """Nor does it run any module of scipy.optimize or scipy.special: the
+    GARCH layer loads the compiled kernels alone, leaves none of them
+    registered, and keeps the bytes of the packages' own routines."""
     res = json.loads(fresh_python("-c", FORECAST_CHILD).splitlines()[-1])
-    # Python's loader registers a single-phase extension module under its own
-    # name, so the compiled kernels may show, though their packages never ran
-    assert set(res["loaded"]) <= {"scipy.signal._sigtools", "scipy.optimize._lbfgsb",
-                                  "scipy.optimize._zeros"}
+    assert res["loaded"] == []
     assert res["fits"] == 2
     assert res["same_filter"] is True and res["same_fit"] is True
 
@@ -203,7 +295,7 @@ def test_library_raises_only_its_own_classes_and_three_builtins():
     """A bad value raises a poolmax.errors class (a ValueError), never a bare
     ValueError.  cli.py is left out: its `_whole` raises a ValueError that
     `_checked` turns into an argparse error.  The one other raise is the
-    ImportError of riskmodels when one of scipy's compiled kernels is missing."""
+    ImportError of core's loader when one of scipy's compiled modules is missing."""
     allowed = {"PoolmaxError", "SubsetDesignError", "DegenerateVarianceError",
                "NonFiniteError", "TypeError", "AttributeError", "KeyError"}
     named = {}
@@ -216,7 +308,7 @@ def test_library_raises_only_its_own_classes_and_three_builtins():
                 named[f"{path.name}:{node.lineno}"] = getattr(exc, "id", None) or ast.unparse(node)
     assert named
     assert [(at.split(":")[0], name) for at, name in named.items()
-            if name not in allowed] == [("riskmodels.py", "ImportError")]
+            if name not in allowed] == [("core.py", "ImportError")]
 
 
 def test_library_uses_the_level_its_check_returns():

@@ -9,6 +9,7 @@ from scipy.stats import genpareto
 
 from conftest import reference_nll, use_scipy_finite_differences, use_scipy_stats_t
 from poolmax import RngSpec, riskmodels
+from poolmax.core import _extension
 from poolmax.errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from poolmax.riskmodels import (
     GarchParams,
@@ -77,7 +78,7 @@ class TestFilter:
         name = "scipy.signal._no_such_filter"
         directory = os.path.join(os.path.dirname(scipy.__file__), "signal")
         with pytest.raises(ImportError) as info:
-            riskmodels._extension(name)
+            _extension(name)
         assert str(info.value) == (f"no compiled {name} in {directory!r} "
                                    f"(scipy {scipy.__version__})")
 

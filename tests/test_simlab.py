@@ -358,10 +358,11 @@ def test_normal_functions_bitwise_equal_to_scipy_stats_norm():
     """simlab's ndtri and ndtr give the bytes of norm.ppf and norm.cdf.
 
     scipy.stats is imported here only: the library calls the scipy.special
-    functions that norm.ppf, norm.cdf and norm.sf (as ndtr(-x)) evaluate.
+    ufuncs that norm.ppf, norm.cdf and norm.sf (as ndtr(-x)) evaluate.
     """
-    from scipy.special import ndtr, ndtri
     from scipy.stats import norm
+
+    from poolmax.simlab import ndtr, ndtri
 
     gen = np.random.default_rng(11)
     q = np.concatenate([[0.0, 1e-300, 1e-16, 0.5, 1 - 1e-16, 1.0], gen.uniform(size=500)])
