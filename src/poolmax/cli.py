@@ -312,47 +312,39 @@ def _cmd_simulate(args, parser):
     if not isinstance(cfg, dict):
         raise PoolmaxError(f"sweep config must be a JSON object, got a {type(cfg).__name__}")
 
-    def setting(key, convert, default=None):
-        """cfg[key] through `convert`, or `default` if absent; a missing key
-        without a default, or a value `convert` rejects, is a PoolmaxError."""
-        if key not in cfg:
-            if default is None:
-                raise PoolmaxError(f"sweep config {key!r}: missing")
-            return default
-        try:
-            return convert(cfg[key])
-        except argparse.ArgumentTypeError as e:
-            raise PoolmaxError(f"sweep config {key!r}: {e}") from None
-
     model = _checked(str, MODELS.__contains__, f"one of {', '.join(MODELS)}")
     flag = _checked(lambda v: v, lambda v: isinstance(v, bool), "true or false")
     number = _checked(float, math.isfinite, "a finite number")
     grid = _checked(_list_of(_whole), bool, "a non-empty list of integers")
     methods = _checked(lambda v: v, lambda ms: isinstance(ms, list) and ms
                        and all(isinstance(m, str) for m in ms), "a non-empty list of strings")
-
-    def given(**converters):
-        """The keys of `converters` that cfg sets, each through its converter;
-        the library's own defaults stand for the others."""
-        return {key: setting(key, convert) for key, convert in converters.items()
-                if key in cfg}
-
-    spec = DgpSpec(
-        model=setting("model", model),
-        n=setting("n", _POSITIVE),
-        p=setting("p", _POSITIVE),
-        p0=setting("p0", _NONNEGATIVE),
-        under_null=setting("under_null", flag),
-        rng=RngSpec(setting("seed", _NONNEGATIVE, 0),
-                    setting("stream_id", _NONNEGATIVE, 0)),
-        **given(alpha_n=number),
-    )
-    _write(args.out, _formatted(args, run_sweep(
-        spec,
-        q_grid=setting("q_grid", grid, [49]),
-        d_grid=setting("d_grid", grid, [2 * spec.p]),
-        **given(alpha=_LEVEL, B=_POSITIVE, mc_reps=_NONNEGATIVE, methods=methods),
-    )))
+    # Every key a config may set, with its converter.  The required ones must
+    # be given; seed and stream_id default to 0, q_grid to [49] and d_grid to
+    # [2p], and any other key left out is not passed, so the library's
+    # default stands.
+    required = ("model", "n", "p", "p0", "under_null")
+    converters = {"model": model, "n": _POSITIVE, "p": _POSITIVE, "p0": _NONNEGATIVE,
+                  "under_null": flag, "seed": _NONNEGATIVE, "stream_id": _NONNEGATIVE,
+                  "alpha_n": number, "q_grid": grid, "d_grid": grid, "alpha": _LEVEL,
+                  "B": _POSITIVE, "mc_reps": _NONNEGATIVE, "methods": methods}
+    for key in cfg:
+        if key not in converters:
+            raise PoolmaxError(f"sweep config {key!r}: unknown key")
+    given = {}
+    for key, convert in converters.items():
+        if key not in cfg:
+            if key in required:
+                raise PoolmaxError(f"sweep config {key!r}: missing")
+            continue
+        try:
+            given[key] = convert(cfg[key])
+        except argparse.ArgumentTypeError as e:
+            raise PoolmaxError(f"sweep config {key!r}: {e}") from None
+    spec = DgpSpec(rng=RngSpec(given.pop("seed", 0), given.pop("stream_id", 0)),
+                   **{key: given.pop(key) for key in (*required, "alpha_n") if key in given})
+    given.setdefault("q_grid", [49])
+    given.setdefault("d_grid", [2 * spec.p])
+    _write(args.out, _formatted(args, run_sweep(spec, **given)))
 
 
 _TEST_FLAGS = ["--in", "--out", "--alpha", "--format"]

@@ -24,6 +24,7 @@ from .core import (
     _check_count,
     _check_level,
     _extension,
+    _raise_first_nonfinite,
     substream_normals,
     validate_matrix,
 )
@@ -282,7 +283,7 @@ def _bootstrap_rejects(panel: PooledPanel, alpha: float, cfg: BootstrapConfig) -
     whatever their order of summation; dividing by the scale, taking the
     absolute value and the max over subsets add at most a few roundoffs of
     the values compared.  If any draw lies within `_MARGIN_SLACK` times that
-    bound, the full bootstrap decides.
+    bound, all B draws of the full bootstrap are counted instead.
     """
     B = cfg.replicates
     k = _order_index(alpha, B)
@@ -300,8 +301,7 @@ def _bootstrap_rejects(panel: PooledPanel, alpha: float, cfg: BootstrapConfig) -
         bound = 2 * gamma * c * np.sqrt(np.einsum("ij,ij->i", xi, xi)) \
             + 4 * u * (abs(stat) + np.abs(draws))
         if not (np.abs(draws - stat) > _MARGIN_SLACK * bound).all():
-            draws = multiplier_bootstrap(panel, cfg)
-            return _bootstrap_result(panel, alpha, draws, "").reject
+            return np.count_nonzero(multiplier_bootstrap(panel, cfg) < stat) >= k
         n_below = int(np.count_nonzero(draws < stat))
         below += n_below
         above += hi - lo - n_below
@@ -323,10 +323,12 @@ def _order_index(alpha: float, B: int) -> int:
 
 
 def bootstrap_quantile(draws, alpha: float) -> float:
-    """The ceil((1-alpha)(B+1))-th order statistic, clamped to the max draw."""
+    """The ceil((1-alpha)(B+1))-th order statistic, clamped to the max draw;
+    a NaN or inf draw raises NonFiniteError at the first one."""
     draws = np.asarray(draws, dtype=np.float64)
     if draws.size == 0:
         raise PoolmaxError("no bootstrap draws")
+    _raise_first_nonfinite(~np.isfinite(draws))
     return float(np.sort(draws)[_order_index(alpha, draws.size) - 1])
 
 

@@ -17,8 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import (RngSpec, _check_count, _check_level, _extension, csv_text, substream,
-                   validate_matrix)
+from .core import RngSpec, _check_count, _check_level, _extension, csv_text, substream
 from .errors import PoolmaxError
 from .pooltest import (
     BootstrapConfig,
@@ -32,20 +31,7 @@ from .subsets import build_family, check_design
 _ufuncs = _extension("scipy.special._ufuncs")
 ndtr, ndtri = _ufuncs.ndtr, _ufuncs.ndtri
 
-__all__ = [
-    "DgpSpec",
-    "SweepResult",
-    "sigma1",
-    "sigma2",
-    "sample_gaussian",
-    "model_a",
-    "theta_profile",
-    "mu_profile",
-    "g_transform",
-    "model_b",
-    "generate_panel",
-    "run_sweep",
-]
+__all__ = ["DgpSpec", "SweepResult", "generate_panel", "run_sweep", "sigma1", "sigma2"]
 
 MODELS = ("A1", "A2", "B1", "B2")
 METHODS = ("subsets-pool", "naive", "marginal")
@@ -67,97 +53,17 @@ def sigma2(p: int) -> np.ndarray:
     return 0.5 ** np.abs(idx[:, None] - idx[None, :])
 
 
-def sample_gaussian(n: int, cov: np.ndarray, rng: RngSpec) -> np.ndarray:
-    """n i.i.d. rows from N(0, cov) via Cholesky; a cov that is not
-    positive definite raises PoolmaxError."""
-    cov = np.asarray(cov, dtype=np.float64)
-    try:
-        root = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as e:
-        raise PoolmaxError(f"Cholesky factorization failed: {e}") from None
-    z = rng.generator().standard_normal((n, cov.shape[0]))
-    return z @ root.T
-
-
-def _check_p0(p: int, p0: int, m: int) -> None:
-    """The one check of p0, the number of raised dimensions of a profile
-    whose deviations take m*p0 of its p dimensions."""
-    if p0 < 0:
-        raise PoolmaxError(f"need p0 >= 0, got p0={p0}")
-    if m * p0 > p:
-        raise PoolmaxError(f"need {m}*p0 <= p, got p0={p0}, p={p}")
-
-
-def theta_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
-    """Exceedance probabilities for the indicator models.
-
-    Null: all 0.01.  Alternative: p0 raised to 0.025 and 3*p0 lowered to
-    0.005 at the leading indices, so the average stays exactly 0.01.
-    """
-    _check_p0(p, p0, 4)
-    theta = np.full(p, 0.01)
-    if not under_null:
-        theta[:p0] = 0.025
-        theta[p0 : 4 * p0] = 0.005
-    return theta
-
-
-def mu_profile(p: int, p0: int, under_null: bool) -> np.ndarray:
-    """Mean shifts for the mixture models; the profile always sums to 0."""
-    _check_p0(p, p0, 2)
-    mu = np.zeros(p)
-    if not under_null:
-        mu[:p0] = -0.0075
-        mu[p0 : 2 * p0] = 0.0075
-    return mu
-
-
-def model_a(z: np.ndarray, thetas) -> np.ndarray:
-    """Centered rare-event indicators: 1{Z > z_{1-theta_j}} - 0.01."""
-    z = np.asarray(z, dtype=np.float64)
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.shape != (z.shape[1],):
-        raise PoolmaxError("thetas must have one entry per column")
-    if np.any((thetas <= 0) | (thetas >= 1)):
-        raise PoolmaxError("thetas must lie in (0, 1)")
-    cut = ndtri(1 - thetas)
-    return (z > cut).astype(np.float64) - 0.01
-
-
-def g_transform(x, alpha_n: float):
-    """Piecewise-linear map of [0,1] onto [-1,1].
-
-    Thin uniform body on (-alpha_n, alpha_n) with probability 1-alpha_n,
-    wide uniform tail on (-1, 1) with probability alpha_n; mean zero.
-    The left branch is closed at x = 1 - alpha_n.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    alpha_n = _check_level("alpha_n", alpha_n, 0.5)
-    if np.any((x < 0) | (x > 1)):
-        raise PoolmaxError("x must lie in [0, 1]")
-    body = (2 * alpha_n / (1 - alpha_n)) * x - alpha_n
-    tail = (2 / alpha_n) * x + 1 - 2 / alpha_n
-    out = np.where(x <= 1 - alpha_n, body, tail)
-    return out if out.shape else float(out)
-
-
-def model_b(z: np.ndarray, mus, alpha_n: float = 0.01) -> np.ndarray:
-    """Bounded continuous observations: g(Phi(Z)) - mu_j."""
-    z = np.asarray(z, dtype=np.float64)
-    mus = np.asarray(mus, dtype=np.float64)
-    if mus.shape != (z.shape[1],):
-        raise PoolmaxError("mus must have one entry per column")
-    return g_transform(ndtr(z), alpha_n) - mus
-
-
 @dataclass(frozen=True)
 class DgpSpec:
-    """One data-generating process; every check runs when it is made.
+    """One data-generating process, and the one check of a design: every
+    check runs when the spec is made, so `generate_panel` checks nothing.
 
     n, p and p0 are stored as Python ints (through `operator.index`), so a
     fractional one raises `TypeError`, and alpha_n as the Python float its
     check returns.  n below 2 raises the message of
-    `validate_matrix`, and p below 1 that of `sigma1` and `sigma2`.
+    `validate_matrix`, and p below 1 that of `sigma1` and `sigma2`.  The
+    deviating dimensions must fit in p: 4*p0 <= p for A, 2*p0 <= p for B,
+    and p0 >= 0.
     """
 
     model: str
@@ -177,18 +83,55 @@ class DgpSpec:
             raise PoolmaxError(f"need at least 2 observations, got {self.n}")
         _check_count("p", self.p, 1)
         object.__setattr__(self, "alpha_n", _check_level("alpha_n", self.alpha_n, 0.5))
-        _check_p0(self.p, self.p0, 4 if self.model.startswith("A") else 2)
+        if self.p0 < 0:
+            raise PoolmaxError(f"need p0 >= 0, got p0={self.p0}")
+        m = 4 if self.model.startswith("A") else 2
+        if m * self.p0 > self.p:
+            raise PoolmaxError(f"need {m}*p0 <= p, got p0={self.p0}, p={self.p}")
 
 
 def generate_panel(spec: DgpSpec, rng: RngSpec) -> np.ndarray:
-    """One synthetic dataset from the given process, using `rng` only."""
-    cov = sigma1(spec.p) if spec.model in ("A1", "B1") else sigma2(spec.p)
-    z = sample_gaussian(spec.n, cov, rng)
+    """One synthetic n x p panel of the checked `spec`, drawn from `rng` only.
+
+    Its rows are i.i.d. Z ~ N(0, Sigma), with Sigma = sigma1(p) for A1 and
+    B1 and sigma2(p) for A2 and B2, drawn as standard normals times the
+    transposed Cholesky root of Sigma.  Deviating parameters sit at the
+    leading indices, balanced so that the grand mean keeps its null value.
+
+    - A1/A2, centered rare-event indicators:
+      X_ij = 1{Z_ij > z_(1-theta_j)} - 0.01, with z_(1-theta) =
+      Phi^-1(1 - theta).  Null: every theta_j is 0.01.  Alternative: p0
+      raised to 0.025 and the next 3*p0 lowered to 0.005, so the average
+      stays exactly 0.01.
+    - B1/B2, bounded continuous observations: X_ij = g(Phi(Z_ij)) - mu_j.
+      g maps [0, 1] onto [-1, 1], piecewise linearly: g(x) =
+      2 alpha_n / (1 - alpha_n) x - alpha_n for x <= 1 - alpha_n (the left
+      branch is closed there) and 2 x / alpha_n + 1 - 2 / alpha_n above.
+      So g(U) is a thin uniform body on (-alpha_n, alpha_n) with
+      probability 1 - alpha_n and a wide uniform tail on (-1, 1) with
+      probability alpha_n; its mean is zero.  Null: every mu_j is 0.
+      Alternative: p0 shifted to -0.0075 and the next p0 to 0.0075, so the
+      profile sums to 0.
+
+    The panel is a new C-contiguous float64 array of finite entries.
+    """
+    n, p, p0, a = spec.n, spec.p, spec.p0, spec.alpha_n
+    root = np.linalg.cholesky(sigma1(p) if spec.model in ("A1", "B1") else sigma2(p))
+    z = rng.generator().standard_normal((n, p)) @ root.T
     if spec.model.startswith("A"):
-        x = model_a(z, theta_profile(spec.p, spec.p0, spec.under_null))
-    else:
-        x = model_b(z, mu_profile(spec.p, spec.p0, spec.under_null), spec.alpha_n)
-    return validate_matrix(x)
+        theta = np.full(p, 0.01)
+        if not spec.under_null:
+            theta[:p0] = 0.025
+            theta[p0 : 4 * p0] = 0.005
+        return (z > ndtri(1 - theta)).astype(np.float64) - 0.01
+    mu = np.zeros(p)
+    if not spec.under_null:
+        mu[:p0] = -0.0075
+        mu[p0 : 2 * p0] = 0.0075
+    x = ndtr(z)
+    body = (2 * a / (1 - a)) * x - a
+    tail = (2 / a) * x + 1 - 2 / a
+    return np.where(x <= 1 - a, body, tail) - mu
 
 
 @dataclass

@@ -46,7 +46,7 @@ from poolmax.riskmodels import (
     gpd_tail_fit,
     rolling_forecasts,
 )
-from poolmax.simlab import DgpSpec, mu_profile, run_sweep, sigma1, sigma2, theta_profile
+from poolmax.simlab import DgpSpec, run_sweep, sigma1, sigma2
 from poolmax.subsets import build_family, random_extension
 
 U = np.random.default_rng(0).standard_normal((40, 7))
@@ -139,14 +139,15 @@ CASES = {
         (PoolmaxError, "need at least 1000 points")),
     "DgpSpec-p0": (lambda: DgpSpec("A1", n=50, p=10, p0=-1, under_null=False,
                                     rng=RngSpec(0)), P0),
+    "DgpSpec-2p0": (lambda: DgpSpec("B1", n=50, p=10, p0=6, under_null=False,
+                                     rng=RngSpec(0)),
+                    (PoolmaxError, "need 2*p0 <= p, got p0=6, p=10")),
     "DgpSpec-p0-fraction": (lambda: DgpSpec("A1", n=50, p=10, p0=1.5, under_null=False,
                                              rng=RngSpec(0)), NOT_INT),
     "DgpSpec-n": (lambda: DgpSpec("A1", n=1, p=10, p0=1, under_null=False, rng=RngSpec(0)),
                   (PoolmaxError, "need at least 2 observations, got 1")),
     "DgpSpec-p": (lambda: DgpSpec("B1", n=50, p=0, p0=0, under_null=True, rng=RngSpec(0)),
                   (PoolmaxError, "p must be >= 1")),
-    "theta_profile-p0": (lambda: theta_profile(10, -1, False), P0),
-    "mu_profile-p0": (lambda: mu_profile(10, -1, False), P0),
     "run_sweep-mc_reps": (lambda: run_sweep(SPEC, [3], [14], B=20, mc_reps=-1),
                           (PoolmaxError, "mc_reps must be >= 0")),
     "BootstrapConfig-replicates": (lambda: BootstrapConfig(rng=RngSpec(0), replicates=2.5),
@@ -204,6 +205,10 @@ CASES = {
                                         NOT_INT),
     "bootstrap_quantile-no-draws": (lambda: bootstrap_quantile(np.array([]), 0.05),
                                     (PoolmaxError, "no bootstrap draws")),
+    "bootstrap_quantile-nan": (lambda: bootstrap_quantile([np.nan, 1.0, 2.0], 0.05),
+                               (NonFiniteError, "non-finite entry at (0, 0)")),
+    "bootstrap_quantile-inf": (lambda: bootstrap_quantile([1.0, 2.0, np.inf], 0.05),
+                               (NonFiniteError, "non-finite entry at (2, 0)")),
     "gpd_tail_fit-negative": (lambda: gpd_tail_fit([-1.0, 1.0]),
                               (PoolmaxError, "excesses must be non-negative")),
     "GarchParams-b0": (lambda: GarchParams(0, 0, 0, 0, 0),
@@ -263,7 +268,6 @@ LEVEL_CALLS = {
     "generate_panel-B1": lambda v: simlab.generate_panel(
         DgpSpec("B1", n=50, p=10, p0=1, under_null=False, rng=RngSpec(0), alpha_n=v),
         RngSpec(5)),
-    "g_transform": lambda v: simlab.g_transform(np.linspace(0, 1, 101), v),
     "exceedance_matrix": lambda v: exceedance_matrix(U, R, v),
     "score": lambda v: score(R, U, v),
     "tail_dependence": lambda v: tail_dependence(RESIDUALS.reshape(200, 5), v),

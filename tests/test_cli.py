@@ -431,10 +431,11 @@ def test_simulate_leaves_library_defaults_to_the_library(tmp_path, monkeypatch):
     ({"stream_id": True}, "'stream_id': expected an integer >= 0, got True"),
     ({"q_grid": [2.9]}, "'q_grid': expected a non-empty list of integers, got [2.9]"),
     ({"d_grid": [18, True]}, "'d_grid': expected a non-empty list of integers, got [18, True]"),
+    ({"mc_rep": 2, "method": ["naive"]}, "'mc_rep': unknown key"),
 ], ids=["missing-key", "bad-int", "unknown-model", "grid-not-list", "flag-string",
         "method-not-string", "n-fraction", "p-bool", "p0-fraction", "B-fraction",
         "mc_reps-bool", "seed-fraction", "stream_id-bool", "q_grid-fraction",
-        "d_grid-bool"])
+        "d_grid-bool", "unknown-key"])
 def test_simulate_bad_config_exits_3(tmp_path, capsys, edit, message):
     cfg = {k: v for k, v in {**SWEEP_CONFIG, **edit}.items() if v is not None}
     cfg_path = tmp_path / "cfg.json"

@@ -14,18 +14,7 @@ from poolmax import (
     substream,
 )
 from poolmax.errors import DegenerateVarianceError, PoolmaxError, SubsetDesignError
-from poolmax.simlab import (
-    DgpSpec,
-    g_transform,
-    generate_panel,
-    model_a,
-    model_b,
-    mu_profile,
-    sample_gaussian,
-    sigma1,
-    sigma2,
-    theta_profile,
-)
+from poolmax.simlab import DgpSpec, generate_panel, sigma1, sigma2
 
 
 def test_sigma1_values():
@@ -41,82 +30,161 @@ def test_sigma2_values():
     assert np.array_equal(sigma2(1), [[1.0]])
 
 
+# The paper's models, written out here as the reference that generate_panel
+# must match bit for bit (test_generate_panel_bitwise_equal_to_the_reference).
+
+def _gaussian(n, cov, rng):
+    """n i.i.d. rows from N(0, cov), through its Cholesky root."""
+    return rng.generator().standard_normal((n, cov.shape[0])) @ np.linalg.cholesky(cov).T
+
+
+def _theta(p, p0, under_null):
+    """The A models' exceedance probabilities: all 0.01, or p0 raised to
+    0.025 and the next 3*p0 lowered to 0.005."""
+    theta = np.full(p, 0.01)
+    if not under_null:
+        theta[:p0] = 0.025
+        theta[p0:4 * p0] = 0.005
+    return theta
+
+
+def _mu(p, p0, under_null):
+    """The B models' mean shifts: all 0, or p0 at -0.0075 and the next p0 at 0.0075."""
+    mu = np.zeros(p)
+    if not under_null:
+        mu[:p0] = -0.0075
+        mu[p0:2 * p0] = 0.0075
+    return mu
+
+
+def _g(x, alpha_n):
+    """The piecewise-linear map of [0, 1] onto [-1, 1], its left branch closed
+    at 1 - alpha_n."""
+    body = (2 * alpha_n / (1 - alpha_n)) * x - alpha_n
+    tail = (2 / alpha_n) * x + 1 - 2 / alpha_n
+    return np.where(x <= 1 - alpha_n, body, tail)
+
+
+def _reference_panel(spec, rng):
+    from scipy.stats import norm
+
+    cov = sigma1(spec.p) if spec.model in ("A1", "B1") else sigma2(spec.p)
+    z = _gaussian(spec.n, cov, rng)
+    if spec.model.startswith("A"):
+        theta = _theta(spec.p, spec.p0, spec.under_null)
+        return (z > norm.ppf(1 - theta)).astype(np.float64) - 0.01
+    return _g(norm.cdf(z), spec.alpha_n) - _mu(spec.p, spec.p0, spec.under_null)
+
+
+class _Drawn:
+    """In place of an RngSpec: its generator's standard normals are `z`."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=np.float64)
+
+    def generator(self):
+        return self
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z
+
+
+def _one_column(model, z, alpha_n=0.01):
+    """generate_panel's null panel of one column, whose Cholesky root is 1,
+    from the standard normals z."""
+    z = np.asarray(z, dtype=np.float64)[:, None]
+    return generate_panel(DgpSpec(model, len(z), 1, 0, True, RngSpec(0), alpha_n), _Drawn(z))[:, 0]
+
+
+@pytest.mark.parametrize("model", ["A1", "A2", "B1", "B2"])
+@pytest.mark.parametrize("under_null", [True, False], ids=["null", "alternative"])
+@pytest.mark.parametrize("n, p, p0, alpha_n", [(2, 1, 0, 0.01), (3, 2, 0, 0.2), (40, 12, 3, 0.01),
+                                               (300, 150, 20, 0.2), (50, 999, 100, 0.01)])
+def test_generate_panel_bitwise_equal_to_the_reference(model, under_null, n, p, p0, alpha_n):
+    spec = DgpSpec(model, n, p, p0, under_null, RngSpec(3), alpha_n)
+    rng = RngSpec(9, 4)
+    x = generate_panel(spec, rng)
+    assert x.dtype == np.float64 and x.flags.c_contiguous and x.shape == (n, p)
+    assert x.tobytes() == _reference_panel(spec, rng).tobytes()
+
+
 def test_sample_gaussian_moments():
-    x = sample_gaussian(10**5, np.eye(3), RngSpec(1))
+    """The reference's Gaussian rows, and so generate_panel's, have covariance Sigma."""
+    x = _gaussian(10**5, np.eye(3), RngSpec(1))
     assert np.all(np.abs(x.mean(axis=0)) < 0.02)
     assert np.all(np.abs(x.var(axis=0) - 1) < 0.03)
-    y = sample_gaussian(10**5, sigma1(4), RngSpec(2))
+    y = _gaussian(10**5, sigma1(4), RngSpec(2))
     assert np.corrcoef(y[:, 0], y[:, 1])[0, 1] == pytest.approx(0.7, abs=0.02)
-    assert np.array_equal(y, sample_gaussian(10**5, sigma1(4), RngSpec(2)))
-
-
-def test_sample_gaussian_rejects_a_covariance_cholesky_rejects():
-    with pytest.raises(PoolmaxError, match="^Cholesky factorization failed: "
-                       "Matrix is not positive definite$"):
-        sample_gaussian(5, [[1.0, 1.0], [1.0, 1.0]], RngSpec(0))
+    assert np.array_equal(y, _gaussian(10**5, sigma1(4), RngSpec(2)))
 
 
 def test_theta_profile():
-    alt = theta_profile(100, 20, under_null=False)
+    alt = _theta(100, 20, under_null=False)
     assert (alt[:20] == 0.025).all()
     assert (alt[20:80] == 0.005).all()
     assert (alt[80:] == 0.01).all()
     assert alt.mean() == pytest.approx(0.01, abs=1e-15)
-    assert (theta_profile(100, 20, under_null=True) == 0.01).all()
+    assert (_theta(100, 20, under_null=True) == 0.01).all()
+    x = generate_panel(DgpSpec("A2", 10**5, 8, 2, False, RngSpec(3)), RngSpec(4))
+    assert np.abs(x.mean(axis=0) - (_theta(8, 2, False) - 0.01)).max() < 0.002
     with pytest.raises(PoolmaxError, match=r"^need 4\*p0 <= p, got p0=30, p=100$"):
-        theta_profile(100, 30, under_null=False)
+        DgpSpec("A1", 50, 100, 30, False, RngSpec(0))
 
 
 def test_mu_profile_balances():
-    mu = mu_profile(50, 10, under_null=False)
+    mu = _mu(50, 10, under_null=False)
     assert mu.sum() == 0.0
     assert (mu[:10] == -0.0075).all() and (mu[10:20] == 0.0075).all()
-    assert (mu_profile(50, 10, under_null=True) == 0).all()
+    assert (_mu(50, 10, under_null=True) == 0).all()
+    x = generate_panel(DgpSpec("B1", 10**5, 8, 2, False, RngSpec(3)), RngSpec(4))
+    assert np.abs(x.mean(axis=0) + _mu(8, 2, False)).max() < 0.001
+    with pytest.raises(PoolmaxError, match=r"^need 2\*p0 <= p, got p0=26, p=50$"):
+        DgpSpec("B2", 50, 50, 26, False, RngSpec(0))
 
 
 def test_model_a_values():
-    z = np.array([[1.0], [-1.0]])
-    x = model_a(z, [0.5])
-    assert x[0, 0] == pytest.approx(0.99)
-    assert x[1, 0] == pytest.approx(-0.01)
+    """A normal draw above z_0.99 is a hit, 0.99; one below it is -0.01."""
+    x = _one_column("A1", [3.0, -1.0, 2.3])
+    assert x[0] == pytest.approx(0.99)
+    assert x[1] == pytest.approx(-0.01) and x[2] == pytest.approx(-0.01)
 
 
 def test_model_a_null_mean():
-    z = sample_gaussian(10**6, np.eye(1), RngSpec(3))
-    x = model_a(z, [0.01])
+    x = generate_panel(DgpSpec("A1", 10**6, 1, 0, True, RngSpec(6)), RngSpec(3))
     assert abs(x.mean()) < 0.0005
 
 
 def test_g_transform_values():
-    assert g_transform(0.0, 0.01) == pytest.approx(-0.01)
-    assert g_transform(0.995, 0.01) == pytest.approx(0.0, abs=1e-12)
-    assert g_transform(1.0, 0.01) == pytest.approx(1.0)
-    with pytest.raises(PoolmaxError, match=r"^x must lie in \[0, 1\]$"):
-        g_transform(1.5, 0.01)
+    """g at 0, on either side of 1 - alpha_n, at 1 - alpha_n / 2 and at 1:
+    Phi of -inf, z_0.99 -+ 1e-6, z_0.995 and inf."""
+    z99, z995 = simlab.ndtri(0.99), simlab.ndtri(0.995)
+    x = _one_column("B1", [-np.inf, z99 - 1e-6, z99 + 1e-6, z995, np.inf])
+    assert x[0] == pytest.approx(-0.01)
+    assert x[1] == pytest.approx(0.01, abs=1e-6)
+    assert x[2] == pytest.approx(-1.0, abs=1e-5)
+    assert x[3] == pytest.approx(0.0, abs=1e-12)
+    assert x[4] == pytest.approx(1.0)
     with pytest.raises(PoolmaxError, match=r"^alpha_n must lie in \(0, 0\.5\)$"):
-        g_transform(0.5, 0.7)
+        DgpSpec("B1", 50, 10, 1, True, RngSpec(0), alpha_n=0.7)
 
 
 def test_g_transform_mixture_law():
-    u = RngSpec(4).generator().uniform(size=10**6)
-    g = g_transform(u, 0.01)
-    assert abs(g.mean()) < 0.001
+    x = generate_panel(DgpSpec("B1", 10**6, 1, 0, True, RngSpec(6)), RngSpec(4))
+    assert abs(x.mean()) < 0.001
     # tail mass beyond alpha_n comes only from the wide uniform component
-    frac = np.mean(np.abs(g) > 0.01)
+    frac = np.mean(np.abs(x) > 0.01)
     assert frac == pytest.approx(0.01 * 0.99, abs=0.002)
-    assert g.min() >= -1 and g.max() <= 1
+    assert x.min() >= -1 and x.max() <= 1
 
 
 def test_model_b_center_value():
-    z = np.zeros((2, 1))
-    x = model_b(z, [0.0], 0.01)
-    assert x[0, 0] == pytest.approx((0.02 / 0.99) * 0.5 - 0.01)
+    assert _one_column("B2", [0.0, 0.0])[0] == pytest.approx((0.02 / 0.99) * 0.5 - 0.01)
 
 
 def test_model_b_null_mean_and_range():
-    z = sample_gaussian(10**6, np.eye(1), RngSpec(5))
-    x = model_b(z, [0.0], 0.01)
-    assert abs(x.mean()) < 0.001
+    x = generate_panel(DgpSpec("B2", 2 * 10**5, 3, 0, True, RngSpec(6)), RngSpec(5))
+    assert np.all(np.abs(x.mean(axis=0)) < 0.001)
     assert x.min() >= -1 and x.max() <= 1
 
 
@@ -357,8 +425,9 @@ def test_sweep_csv():
 def test_normal_functions_bitwise_equal_to_scipy_stats_norm():
     """simlab's ndtri and ndtr give the bytes of norm.ppf and norm.cdf.
 
-    scipy.stats is imported here only: the library calls the scipy.special
-    ufuncs that norm.ppf, norm.cdf and norm.sf (as ndtr(-x)) evaluate.
+    scipy.stats is imported in the tests only: the library calls the
+    scipy.special ufuncs that norm.ppf, norm.cdf and norm.sf (as ndtr(-x))
+    evaluate.
     """
     from scipy.stats import norm
 
@@ -372,10 +441,3 @@ def test_normal_functions_bitwise_equal_to_scipy_stats_norm():
     assert ndtr(x).tobytes() == norm.cdf(x).tobytes()
     assert ndtr(-x).tobytes() == norm.sf(x).tobytes()
 
-    z = np.column_stack([x[:500], gen.standard_normal(500), x[9:509] * 0.1])
-    thetas = np.array([1e-300, 0.01, 1 - 1e-16])
-    want_a = (z > norm.ppf(1 - thetas)).astype(np.float64) - 0.01
-    assert model_a(z, thetas).tobytes() == want_a.tobytes()
-    mus = np.array([0.0, 0.0075, -0.0075])
-    want_b = g_transform(norm.cdf(z), 0.01) - mus
-    assert model_b(z, mus).tobytes() == want_b.tobytes()
