@@ -80,7 +80,9 @@ class PooledPanel:
     """Per-subset pooled sums and their studentized statistics.
 
     y[i, ell] is the sum of row i over subset ell; sigma_hat uses the
-    mean-centered divisor-n variance of the pooled column.
+    mean-centered divisor-n variance of the pooled column.  A panel may
+    hold one block of a family's subsets: `pool_test` bootstraps each block
+    as a panel of its own, so ell counts from the block's first subset.
     """
 
     y: np.ndarray
@@ -96,12 +98,13 @@ class PooledPanel:
         return self.y.shape[1]
 
 
-# Bytes that one column block of a d-wide temporary of the pooling path may
-# take: of the p x d indicator, of the B x d bootstrap draws and of the n x d
-# squared deviations behind the variance (see `_blocks`).  Each pooling block
-# re-packs x for BLAS, and each bootstrap block the B x n weights, so a
-# smaller budget costs time: a cold 250 x 2000 `pool-test` peaks at 60 MB,
-# against 69 MB with 16 MiB blocks and 114 MB unblocked.
+# Bytes that one column block of a d-wide temporary may take: of the p x d
+# indicator, of the n x d pooled sums and their squared deviations, and of
+# the B x d bootstrap draws (see `_blocks`).  `pool_test` pools, studentizes
+# and bootstraps one block of subsets at a time, so none of these exists
+# whole.  Each block re-packs x and the B x n weights for BLAS, so a smaller
+# budget costs time: a cold 250 x 2000 `pool-test` peaks at 51 MB, against
+# 58.6 MB when it held the whole n x d panel and 114 MB unblocked.
 _BLOCK_BYTES = 4 << 20
 
 # No block but the last is narrower than this.  At p = 6000 the budget holds
@@ -130,70 +133,119 @@ def _blocks(total: int, unit_bytes: int):
     return list(zip(starts, starts[1:] + [total]))
 
 
-def pooled_panel(x, fam: SubsetFamily) -> PooledPanel:
-    """The subset sums y = x @ fam.indicator() and their t-statistics.
-
-    The product runs over column blocks of subsets (`_blocks`), each
-    written straight into y, so about `_BLOCK_BYTES` of the p x d
-    indicator exists at once.  A family that fits the budget runs as one
-    block.
-    """
+def _pooling_input(x, fam: SubsetFamily) -> np.ndarray:
+    """x as the checked panel that `fam` pools; raise unless it is one."""
     if fam.d == 0:
         raise SubsetDesignError("family has no subsets")
     x = validate_matrix(x)
-    p = x.shape[1]
-    if fam.p != p:
-        raise PoolmaxError(f"family has p={fam.p}, panel has p={p}")
+    if fam.p != x.shape[1]:
+        raise PoolmaxError(f"family has p={fam.p}, panel has p={x.shape[1]}")
+    return x
+
+
+def _pooled_blocks(x: np.ndarray, fam: SubsetFamily, y=None):
+    """The studentized panel of each block of `fam`'s subsets, as (lo, panel)
+    pairs in order, for a checked panel x (`_pooling_input`).
+
+    This is the one place that pools.  A block is as wide as both its
+    p x w indicator and its n x w pooled sums allow (`_blocks`).  Its sums
+    go to columns lo:hi of y when an n x d array y is given, and otherwise
+    to one n x w buffer that the next block overwrites, so that a consumer
+    must be done with a panel before it asks for the next.  A family that
+    fits the budget is one block.
+    """
+    n, p = x.shape
+    blocks = _blocks(fam.d, 8 * max(p, n))
+    buf = np.empty((n, max(hi - lo for lo, hi in blocks))) if y is None else None
+
+    def sums():
+        for lo, hi in blocks:
+            out = buf[:, :hi - lo] if y is None else y[:, lo:hi]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked when studentized
+                np.matmul(x, fam.indicator(lo, hi), out=out)
+            yield lo, out
+
+    return _studentized_blocks(sums(), fam.d)
+
+
+def pooled_panel(x, fam: SubsetFamily) -> PooledPanel:
+    """The subset sums y = x @ fam.indicator() and their t-statistics.
+
+    The blocks of `_pooled_blocks` are written straight into y, so besides
+    y about `_BLOCK_BYTES` of the p x d indicator exists at once.
+    """
+    x = _pooling_input(x, fam)
     y = np.empty((x.shape[0], fam.d))
-    with np.errstate(over="ignore", invalid="ignore"):  # `_studentized` checks the sums
-        for lo, hi in _blocks(fam.d, 8 * p):
-            np.matmul(x, fam.indicator(lo, hi), out=y[:, lo:hi])
-    return _studentized(y)
+    return _gathered(y, _pooled_blocks(x, fam, y))
 
 
 def _studentized(y: np.ndarray) -> PooledPanel:
-    """The panel whose pooled sums are the columns of y.
+    """The panel whose pooled sums are the columns of y, studentized over
+    column blocks (`_blocks`), so about `_BLOCK_BYTES` of squared
+    deviations exists at once."""
+    n, d = y.shape
+    blocks = ((lo, y[:, lo:hi]) for lo, hi in _blocks(d, 8 * n))
+    return _gathered(y, _studentized_blocks(blocks, d))
 
-    The column sums are taken once, and serve as the mean of the variance
-    and as the numerator of the t-statistics; the variance runs over column
-    blocks (`_blocks`), so about `_BLOCK_BYTES` of squared deviations
-    exists at once.  Both equal `y.sum(axis=0)` and `y.var(axis=0)` bit for
-    bit, since numpy's axis-0 reduction adds the rows of a block of two or
-    more columns in the same order as those of the whole array.
+
+def _gathered(y: np.ndarray, blocks) -> PooledPanel:
+    """The panel of pooled sums y, from the (lo, panel) pairs of its blocks."""
+    sigma_hat, t_stats = np.empty(y.shape[1]), np.empty(y.shape[1])
+    for lo, block in blocks:
+        sigma_hat[lo:lo + block.d] = block.sigma_hat
+        t_stats[lo:lo + block.d] = block.t_stats
+    return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
+
+
+def _studentized_blocks(blocks, d: int):
+    """The panel of each (lo, y) pair of `blocks`, whose y holds columns
+    lo, lo + 1, ... of a d-column array of pooled sums, as (lo, panel).
+
+    A block's column sums are taken once, and serve as the mean of the
+    variance and as the numerator of the t-statistics.  Both equal the
+    whole array's ``sum(axis=0)`` and ``var(axis=0)`` bit for bit, since
+    numpy's axis-0 reduction adds the rows of a block of two or more
+    columns in the same order as those of the whole array.
 
     This is the one place that tells a degenerate pooled sum from an
     out-of-range one.  A constant column of finite sums, or a variance that
     under- or overflows the float range, would make a t-statistic infinite,
-    zero or inexact; each raises instead, the first constant column before
-    the first bad variance.  A column with a non-finite sum (the pooling
+    zero or inexact; each raises instead, and the error is the whole
+    array's: the first constant column anywhere before the first bad
+    variance.  So a block with a bad variance yields nothing, later blocks
+    are only searched for a constant column, and the first bad variance is
+    raised after the last block.  A column with a non-finite sum (the pooling
     overflowed) is out of range, not constant.  A subnormal variance counts
-    as underflow: it has lost bits.  Messages name the column only when y
-    has more than one.
+    as underflow: it has lost bits.  Messages name the column by its index
+    in the whole array, and only when d > 1.
     """
-    n, d = y.shape
     where = " (subset/column {})" if d > 1 else ""
-    blocks = _blocks(d, 8 * n)
-    constant = np.concatenate([(y[:, lo:hi] == y[0, lo:hi]).all(axis=0) for lo, hi in blocks])
-    constant &= np.isfinite(y[0])
-    if constant.any():
-        raise DegenerateVarianceError(f"zero variance estimate{where.format(constant.argmax())}")
-    sigma_hat = np.empty(d)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        total = y.sum(axis=0)
-        mean = total / n
-        for lo, hi in blocks:
-            dev = y[:, lo:hi] - mean[lo:hi]
+    held = None
+    for lo, y in blocks:
+        constant = (y == y[0]).all(axis=0) & np.isfinite(y[0])
+        if constant.any():
+            j = lo + constant.argmax()
+            raise DegenerateVarianceError(f"zero variance estimate{where.format(j)}")
+        if held is not None:
+            continue
+        n = y.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            total = y.sum(axis=0)
+            dev = y - total / n
             np.multiply(dev, dev, out=dev)
-            np.sum(dev, axis=0, out=sigma_hat[lo:hi])
-        sigma_hat /= n
-        scale = n * sigma_hat
-    bad = np.flatnonzero(~(np.isfinite(scale) & (sigma_hat >= np.finfo(np.float64).tiny)))
-    if bad.size:
-        j = bad[0]
-        raise DegenerateVarianceError(f"variance estimate {float(sigma_hat[j])!r} is out of "
-                                      f"floating-point range{where.format(j)}")
-    t_stats = total / np.sqrt(scale)
-    return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
+            sigma_hat = dev.sum(axis=0)
+            del dev  # not held while the consumer bootstraps the block
+            sigma_hat /= n
+            scale = n * sigma_hat
+        bad = np.flatnonzero(~(np.isfinite(scale) & (sigma_hat >= np.finfo(np.float64).tiny)))
+        if bad.size:
+            j = bad[0]
+            held = (f"variance estimate {float(sigma_hat[j])!r} is out of "
+                    f"floating-point range{where.format(lo + j)}")
+            continue
+        yield lo, PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=total / np.sqrt(scale))
+    if held is not None:
+        raise DegenerateVarianceError(held)
 
 
 def max_statistic(panel: PooledPanel) -> float:
@@ -234,7 +286,9 @@ def multiplier_bootstrap(
     over column blocks of subsets (`_blocks`), so about `_BLOCK_BYTES` of
     the B x d weighted sums exists at once and each block re-packs only the
     B x n weights, never the n x d panel; a running max over blocks is the
-    max over all of them.
+    max over all of them.  So the draws of a panel are the running max of
+    the draws of its column blocks, each taken as a panel of its own, and
+    `pool_test` calls this once per block of subsets.
     """
     return _weighted_max(panel, cfg.weights(panel.n), one_sided)
 
@@ -266,8 +320,9 @@ _MARGIN_SLACK = 2.0
 
 
 def _bootstrap_rejects(panel: PooledPanel, alpha: float, cfg: BootstrapConfig) -> bool:
-    """The verdict of ``_bootstrap_result(panel, alpha, multiplier_bootstrap(
-    panel, cfg), ...)``, drawing replicates only until it is fixed.
+    """The verdict of ``_bootstrap_result(panel.t_stats, alpha,
+    multiplier_bootstrap(panel, cfg), ...)``, drawing replicates only until
+    it is fixed.
 
     The statistic rejects iff at least k of the B draws lie below it
     (`_order_index`).  Replicates are drawn in order, in chunks, from the
@@ -323,9 +378,12 @@ def _order_index(alpha: float, B: int) -> int:
 
 
 def bootstrap_quantile(draws, alpha: float) -> float:
-    """The ceil((1-alpha)(B+1))-th order statistic, clamped to the max draw;
-    a NaN or inf draw raises NonFiniteError at the first one."""
+    """The ceil((1-alpha)(B+1))-th order statistic of a 1-d array of draws,
+    clamped to the max draw; a NaN or inf draw raises NonFiniteError at the
+    first one."""
     draws = np.asarray(draws, dtype=np.float64)
+    if draws.ndim != 1:
+        raise PoolmaxError(f"expected 1-d draws, got ndim={draws.ndim}")
     if draws.size == 0:
         raise PoolmaxError("no bootstrap draws")
     _raise_first_nonfinite(~np.isfinite(draws))
@@ -333,13 +391,13 @@ def bootstrap_quantile(draws, alpha: float) -> float:
 
 
 def _bootstrap_result(
-    panel: PooledPanel,
+    t_stats: np.ndarray,
     alpha: float,
     draws: np.ndarray,
     method: str,
     one_sided: bool = False,
 ) -> TestResult:
-    stat = float(panel.t_stats.max()) if one_sided else max_statistic(panel)
+    stat = float(t_stats.max() if one_sided else np.abs(t_stats).max())
     c = bootstrap_quantile(draws, alpha)
     B = draws.size
     p_value = float((1 + np.count_nonzero(draws >= stat)) / (B + 1))
@@ -350,7 +408,7 @@ def _bootstrap_result(
         reject=stat > c,
         alpha=alpha,
         method=method,
-        per_subset_t=panel.t_stats.copy(),
+        per_subset_t=t_stats.copy(),
     )
 
 
@@ -362,11 +420,22 @@ def pool_test(
     Two-sided: the max absolute t-statistic against the max absolute
     bootstrap draws.  One-sided: the max signed t-statistic against the max
     signed draws, so only pooled sums above zero count as evidence.
+
+    The statistic and each draw are maxima over subsets, so the test runs
+    over the blocks of `_pooled_blocks`: each block's pooled sums are
+    studentized, bootstrapped as a panel of their own and dropped, and the
+    draws are the running max over blocks.  No n x d array of pooled sums
+    exists; the result equals that of `pooled_panel` and
+    `multiplier_bootstrap` on the whole panel, errors included.
     """
     alpha = _check_level("alpha", alpha)
-    panel = pooled_panel(x, fam)
-    draws = multiplier_bootstrap(panel, cfg, one_sided)
-    return _bootstrap_result(panel, alpha, draws, "subsets-pool", one_sided)
+    x = _pooling_input(x, fam)
+    t_stats = np.empty(fam.d)
+    draws = -np.inf
+    for lo, block in _pooled_blocks(x, fam):
+        t_stats[lo:lo + block.d] = block.t_stats
+        draws = np.maximum(draws, multiplier_bootstrap(block, cfg, one_sided))
+    return _bootstrap_result(t_stats, alpha, draws, "subsets-pool", one_sided)
 
 
 def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
@@ -375,4 +444,4 @@ def marginal_test(x, alpha: float, cfg: BootstrapConfig) -> TestResult:
     x = validate_matrix(x)
     alpha = _check_level("alpha", alpha)
     panel = _studentized(x)
-    return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "marginal")
+    return _bootstrap_result(panel.t_stats, alpha, multiplier_bootstrap(panel, cfg), "marginal")

@@ -14,9 +14,9 @@ stands for:
 - a random subset is one ``Generator.choice`` call.
 
 It calls none of the paths it checks: `substream_normals`, `_philox_keys`,
-`pooled_panel`, `_studentized`, `_weighted_max`, `_blocks`,
-`_bootstrap_rejects`, `_floyd`, `random_extension`,
-`SubsetFamily.indicator` and `BootstrapConfig.weights`.
+`pooled_panel`, `_pooled_blocks`, `_studentized`, `_studentized_blocks`,
+`_weighted_max`, `_blocks`, `_bootstrap_rejects`, `_floyd`,
+`random_extension`, `SubsetFamily.indicator` and `BootstrapConfig.weights`.
 
 The contract the tests hold the library to has two parts.  Where a
 docstring promises bits (keys and weights, families, studentized sums and

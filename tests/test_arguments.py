@@ -209,6 +209,10 @@ CASES = {
                                (NonFiniteError, "non-finite entry at (0, 0)")),
     "bootstrap_quantile-inf": (lambda: bootstrap_quantile([1.0, 2.0, np.inf], 0.05),
                                (NonFiniteError, "non-finite entry at (2, 0)")),
+    "bootstrap_quantile-2d-3x1": (lambda: bootstrap_quantile(np.ones((3, 1)), 0.05),
+                                  (PoolmaxError, "expected 1-d draws, got ndim=2")),
+    "bootstrap_quantile-2d-3x2": (lambda: bootstrap_quantile(np.ones((3, 2)), 0.05),
+                                  (PoolmaxError, "expected 1-d draws, got ndim=2")),
     "gpd_tail_fit-negative": (lambda: gpd_tail_fit([-1.0, 1.0]),
                               (PoolmaxError, "excesses must be non-negative")),
     "GarchParams-b0": (lambda: GarchParams(0, 0, 0, 0, 0),
@@ -236,7 +240,8 @@ def no_work(monkeypatch):
 
     for module, names in [
         (core, ["_philox_keys"]),
-        (pooltest, ["pooled_panel", "_studentized", "substream_normals"]),
+        (pooltest, ["pooled_panel", "_pooled_blocks", "_studentized", "_studentized_blocks",
+                    "substream_normals"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),
         (riskmodels, ["garch_fit", "minimize", "_one_pole", "_profile_mle"]),
     ]:

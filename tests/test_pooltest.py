@@ -334,7 +334,7 @@ class TestEarlyStoppingVerdict:
         assert _order_index(alpha, B) == k
         for stat, want in [((d[k - 1] + d[k]) / 2, True), ((d[k - 2] + d[k - 1]) / 2, False)]:
             at = PooledPanel(y=panel.y, sigma_hat=panel.sigma_hat, t_stats=np.full(panel.d, stat))
-            assert _bootstrap_result(at, alpha, draws, "").reject == want
+            assert _bootstrap_result(at.t_stats, alpha, draws, "").reject == want
             assert _bootstrap_rejects(at, alpha, cfg) == want
 
     @pytest.mark.parametrize("shift", [0.0, 1.0])
@@ -413,7 +413,7 @@ def _marginal_by_pooling(x, alpha, cfg):
     """The marginal test as the subsets-pool test over singleton subsets."""
     x = validate_matrix(x)
     panel = pooled_panel(x, singleton_family(x.shape[1]))
-    return _bootstrap_result(panel, alpha, multiplier_bootstrap(panel, cfg), "marginal")
+    return _bootstrap_result(panel.t_stats, alpha, multiplier_bootstrap(panel, cfg), "marginal")
 
 
 def _outcome(test, *args):
@@ -682,6 +682,55 @@ class TestStudentizedInBlocks:
             poolmax.pooltest._studentized(y)
 
 
+class TestPoolTestInBlocks:
+    """`pool_test` pools, studentizes and bootstraps one block of subsets at
+    a time: budgets giving 1 block, 3 blocks and 3 with a joined remainder."""
+
+    # (budget, blocks of 8 * max(p, n)-byte columns) at n = 30, p = 40 and
+    # d = 800: 320-wide blocks leave a remainder of 160 columns, and 256-wide
+    # ones a remainder of 32 past 768, which joins the third block
+    CASES = [(4 << 20, 1), (320 * 320, 3), (1, 3)]
+    CFG = BootstrapConfig(rng=RngSpec(3), replicates=50)
+
+    @pytest.mark.parametrize("one_sided", [False, True], ids=["two-sided", "one-sided"])
+    def test_bytes_do_not_depend_on_blocking(self, monkeypatch, one_sided):
+        gen = np.random.default_rng(12)
+        x = gen.standard_normal((30, 40)) + 0.05
+        fam = build_family(40, 7, 800, RngSpec(12, 1))
+        cfg = BootstrapConfig(rng=RngSpec(12, 2), replicates=129)
+        panel = oracle.studentized(oracle.pooled_sums(x, fam)[0])
+        want = oracle.result(panel, 0.05, oracle.bootstrap(panel, cfg, one_sided)[0],
+                             "subsets-pool", one_sided).to_json()
+        for budget, count in self.CASES:
+            monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", budget)
+            assert len(_blocks(800, 8 * 40)) == count
+            assert pool_test(x, fam, 0.05, cfg, one_sided).to_json() == want, budget
+
+    @pytest.fixture
+    def blocked(self, monkeypatch):
+        """A panel whose pooled sums under singleton subsets are its
+        columns, in blocks of 256."""
+        monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", 1)
+        assert _blocks(600, 8 * 600) == [(0, 256), (256, 512), (512, 600)]
+        return np.random.default_rng(3).standard_normal((20, 600))
+
+    def test_first_constant_column_named(self, blocked):
+        x = blocked
+        x[:, 10] *= 1e-170  # out of range in block 0, but a constant column comes first
+        x[:, [530, 550]] = 1.5
+        with pytest.raises(DegenerateVarianceError,
+                           match=r"^zero variance estimate \(subset/column 530\)$"):
+            pool_test(x, singleton_family(600), 0.05, self.CFG)
+
+    def test_first_out_of_range_column_named(self, blocked):
+        x = blocked
+        x[:, 280] *= 1e-170
+        x[:, 400] *= 1e160
+        with pytest.raises(DegenerateVarianceError, match=r"^variance estimate 0\.0 is out of "
+                           r"floating-point range \(subset/column 280\)$"):
+            pool_test(x, singleton_family(600), 0.05, self.CFG)
+
+
 class TestEmptyFamily:
     """A family with no subsets raises before any pooling work."""
 
@@ -738,6 +787,15 @@ def test_pool_test_makes_no_second_panel(monkeypatch):
     monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", 1 << 20)
     peak, cap = _pool_test_peak(250, 500, 4000, 500)
     assert peak < cap
+
+
+def test_pool_test_holds_no_pooled_panel(monkeypatch):
+    """With 1 MiB blocks the cap holds the B x n weights and three blocks,
+    and has no n x d term: the 7.6 MiB of pooled sums never exist whole."""
+    monkeypatch.setattr(poolmax.pooltest, "_BLOCK_BYTES", 1 << 20)
+    B, n = 500, 250
+    peak, _ = _pool_test_peak(n, 500, 4000, B)
+    assert peak < 8 * B * n + 3 * poolmax.pooltest._BLOCK_BYTES
 
 
 def test_numpy_alpha_gives_a_python_float():
