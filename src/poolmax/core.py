@@ -175,11 +175,11 @@ def validate_matrix(values) -> np.ndarray:
     Raises
     ------
     PoolmaxError
-        fewer than 2 rows or no columns
+        complex values, or fewer than 2 rows or no columns
     NonFiniteError
         any NaN/Inf entry (first offending position reported)
     """
-    x = np.ascontiguousarray(values, dtype=np.float64)
+    x = np.ascontiguousarray(_real(values), dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2:
@@ -190,6 +190,16 @@ def validate_matrix(values) -> np.ndarray:
     if p < 1:
         raise PoolmaxError("need at least 1 dimension")
     _raise_first_nonfinite(~np.isfinite(x))
+    return x
+
+
+def _real(values) -> np.ndarray:
+    """`values` as an array, which the caller casts to float64; complex
+    values raise PoolmaxError, since the cast would drop their imaginary
+    part with only a warning.  The one check that input is real."""
+    x = np.asarray(values)
+    if np.iscomplexobj(x):
+        raise PoolmaxError(f"expected real values, got {x.dtype}")
     return x
 
 

@@ -25,6 +25,7 @@ from .core import (
     _check_level,
     _extension,
     _raise_first_nonfinite,
+    _real,
     substream_normals,
     validate_matrix,
 )
@@ -143,40 +144,26 @@ def _pooling_input(x, fam: SubsetFamily) -> np.ndarray:
     return x
 
 
-def _pooled_blocks(x: np.ndarray, fam: SubsetFamily, y=None):
-    """The studentized panel of each block of `fam`'s subsets, as (lo, panel)
-    pairs in order, for a checked panel x (`_pooling_input`).
-
-    This is the one place that pools.  A block is as wide as both its
-    p x w indicator and its n x w pooled sums allow (`_blocks`).  Its sums
-    go to columns lo:hi of y when an n x d array y is given, and otherwise
-    to one n x w buffer that the next block overwrites, so that a consumer
-    must be done with a panel before it asks for the next.  A family that
-    fits the budget is one block.
-    """
-    n, p = x.shape
-    blocks = _blocks(fam.d, 8 * max(p, n))
-    buf = np.empty((n, max(hi - lo for lo, hi in blocks))) if y is None else None
-
-    def sums():
-        for lo, hi in blocks:
-            out = buf[:, :hi - lo] if y is None else y[:, lo:hi]
-            with np.errstate(over="ignore", invalid="ignore"):  # checked when studentized
-                np.matmul(x, fam.indicator(lo, hi), out=out)
-            yield lo, out
-
-    return _studentized_blocks(sums(), fam.d)
+def _pool(x: np.ndarray, fam: SubsetFamily, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """The pooled sums of `fam`'s subsets lo:hi, x @ fam.indicator(lo, hi),
+    written to the n x (hi - lo) array `out`.  This is the one place that
+    pools; an overflow is left to `_studentize` to find."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.matmul(x, fam.indicator(lo, hi), out=out)
 
 
 def pooled_panel(x, fam: SubsetFamily) -> PooledPanel:
     """The subset sums y = x @ fam.indicator() and their t-statistics.
 
-    The blocks of `_pooled_blocks` are written straight into y, so besides
-    y about `_BLOCK_BYTES` of the p x d indicator exists at once.
+    y is pooled in blocks of subsets (`_blocks`), so besides y about
+    `_BLOCK_BYTES` of the p x d indicator exists at once.
     """
     x = _pooling_input(x, fam)
-    y = np.empty((x.shape[0], fam.d))
-    return _gathered(y, _pooled_blocks(x, fam, y))
+    n, p = x.shape
+    y = np.empty((n, fam.d))
+    for lo, hi in _blocks(fam.d, 8 * max(p, n)):
+        _pool(x, fam, lo, hi, y[:, lo:hi])
+    return _studentized(y)
 
 
 def _studentized(y: np.ndarray) -> PooledPanel:
@@ -184,68 +171,51 @@ def _studentized(y: np.ndarray) -> PooledPanel:
     column blocks (`_blocks`), so about `_BLOCK_BYTES` of squared
     deviations exists at once."""
     n, d = y.shape
-    blocks = ((lo, y[:, lo:hi]) for lo, hi in _blocks(d, 8 * n))
-    return _gathered(y, _studentized_blocks(blocks, d))
-
-
-def _gathered(y: np.ndarray, blocks) -> PooledPanel:
-    """The panel of pooled sums y, from the (lo, panel) pairs of its blocks."""
-    sigma_hat, t_stats = np.empty(y.shape[1]), np.empty(y.shape[1])
-    for lo, block in blocks:
-        sigma_hat[lo:lo + block.d] = block.sigma_hat
-        t_stats[lo:lo + block.d] = block.t_stats
+    sigma_hat, t_stats = np.empty(d), np.empty(d)
+    for lo, hi in _blocks(d, 8 * n):
+        sigma_hat[lo:hi], t_stats[lo:hi] = _studentize(y[:, lo:hi], lo, d)
     return PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats)
 
 
-def _studentized_blocks(blocks, d: int):
-    """The panel of each (lo, y) pair of `blocks`, whose y holds columns
-    lo, lo + 1, ... of a d-column array of pooled sums, as (lo, panel).
+def _studentize(y: np.ndarray, lo: int, d: int):
+    """(sigma_hat, t_stats) of the pooled sums y, which are columns lo,
+    lo + 1, ... of a d-column array.
 
-    A block's column sums are taken once, and serve as the mean of the
-    variance and as the numerator of the t-statistics.  Both equal the
-    whole array's ``sum(axis=0)`` and ``var(axis=0)`` bit for bit, since
-    numpy's axis-0 reduction adds the rows of a block of two or more
-    columns in the same order as those of the whole array.
+    The column sums are taken once, and serve as the mean of the variance
+    and as the numerator of the t-statistics.  Both equal the whole array's
+    ``sum(axis=0)`` and ``var(axis=0)`` bit for bit, since numpy's axis-0
+    reduction adds the rows of a block of two or more columns in the same
+    order as those of the whole array.
 
-    This is the one place that tells a degenerate pooled sum from an
-    out-of-range one.  A constant column of finite sums, or a variance that
-    under- or overflows the float range, would make a t-statistic infinite,
-    zero or inexact; each raises instead, and the error is the whole
-    array's: the first constant column anywhere before the first bad
-    variance.  So a block with a bad variance yields nothing, later blocks
-    are only searched for a constant column, and the first bad variance is
-    raised after the last block.  A column with a non-finite sum (the pooling
-    overflowed) is out of range, not constant.  A subnormal variance counts
-    as underflow: it has lost bits.  Messages name the column by its index
-    in the whole array, and only when d > 1.
+    This is the one place that checks pooled sums.  A constant column of
+    finite sums, or a variance that under- or overflows the float range,
+    would make a t-statistic infinite, zero or inexact; the first such
+    column raises DegenerateVarianceError instead.  A column with a
+    non-finite sum (the pooling overflowed) is out of range, not constant.
+    A subnormal variance counts as underflow: it has lost bits.  Messages
+    name the column by its index in the whole array, and only when d > 1.
+    The squared deviations are freed before it returns or raises, so no
+    caller, and no traceback, holds them.
     """
-    where = " (subset/column {})" if d > 1 else ""
-    held = None
-    for lo, y in blocks:
-        constant = (y == y[0]).all(axis=0) & np.isfinite(y[0])
-        if constant.any():
-            j = lo + constant.argmax()
-            raise DegenerateVarianceError(f"zero variance estimate{where.format(j)}")
-        if held is not None:
-            continue
-        n = y.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            total = y.sum(axis=0)
-            dev = y - total / n
-            np.multiply(dev, dev, out=dev)
-            sigma_hat = dev.sum(axis=0)
-            del dev  # not held while the consumer bootstraps the block
-            sigma_hat /= n
-            scale = n * sigma_hat
-        bad = np.flatnonzero(~(np.isfinite(scale) & (sigma_hat >= np.finfo(np.float64).tiny)))
-        if bad.size:
-            j = bad[0]
-            held = (f"variance estimate {float(sigma_hat[j])!r} is out of "
-                    f"floating-point range{where.format(lo + j)}")
-            continue
-        yield lo, PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=total / np.sqrt(scale))
-    if held is not None:
-        raise DegenerateVarianceError(held)
+    n = y.shape[0]
+    constant = (y == y[0]).all(axis=0) & np.isfinite(y[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        total = y.sum(axis=0)
+        dev = y - total / n
+        np.multiply(dev, dev, out=dev)
+        sigma_hat = dev.sum(axis=0)
+        del dev
+        sigma_hat /= n
+        scale = n * sigma_hat
+    bad = constant | ~(np.isfinite(scale) & (sigma_hat >= np.finfo(np.float64).tiny))
+    if bad.any():
+        j = bad.argmax()
+        where = f" (subset/column {lo + j})" if d > 1 else ""
+        if constant[j]:
+            raise DegenerateVarianceError(f"zero variance estimate{where}")
+        raise DegenerateVarianceError(
+            f"variance estimate {float(sigma_hat[j])!r} is out of floating-point range{where}")
+    return sigma_hat, total / np.sqrt(scale)
 
 
 def max_statistic(panel: PooledPanel) -> float:
@@ -381,7 +351,7 @@ def bootstrap_quantile(draws, alpha: float) -> float:
     """The ceil((1-alpha)(B+1))-th order statistic of a 1-d array of draws,
     clamped to the max draw; a NaN or inf draw raises NonFiniteError at the
     first one."""
-    draws = np.asarray(draws, dtype=np.float64)
+    draws = np.asarray(_real(draws), dtype=np.float64)
     if draws.ndim != 1:
         raise PoolmaxError(f"expected 1-d draws, got ndim={draws.ndim}")
     if draws.size == 0:
@@ -422,18 +392,24 @@ def pool_test(
     signed draws, so only pooled sums above zero count as evidence.
 
     The statistic and each draw are maxima over subsets, so the test runs
-    over the blocks of `_pooled_blocks`: each block's pooled sums are
-    studentized, bootstrapped as a panel of their own and dropped, and the
-    draws are the running max over blocks.  No n x d array of pooled sums
-    exists; the result equals that of `pooled_panel` and
-    `multiplier_bootstrap` on the whole panel, errors included.
+    over blocks of subsets (`_blocks`): each block's pooled sums are
+    studentized, bootstrapped as a panel of their own and overwritten by
+    the next block's, and the draws are the running max over blocks.  No
+    n x d array of pooled sums exists; the result equals that of
+    `pooled_panel` and `multiplier_bootstrap` on the whole panel, errors
+    included, and no block after the first bad one is pooled.
     """
     alpha = _check_level("alpha", alpha)
     x = _pooling_input(x, fam)
+    n, p = x.shape
+    blocks = _blocks(fam.d, 8 * max(p, n))
+    buf = np.empty((n, max(hi - lo for lo, hi in blocks)))
     t_stats = np.empty(fam.d)
     draws = -np.inf
-    for lo, block in _pooled_blocks(x, fam):
-        t_stats[lo:lo + block.d] = block.t_stats
+    for lo, hi in blocks:
+        y = _pool(x, fam, lo, hi, buf[:, :hi - lo])
+        sigma_hat, t_stats[lo:hi] = _studentize(y, lo, fam.d)
+        block = PooledPanel(y=y, sigma_hat=sigma_hat, t_stats=t_stats[lo:hi])
         draws = np.maximum(draws, multiplier_bootstrap(block, cfg, one_sided))
     return _bootstrap_result(t_stats, alpha, draws, "subsets-pool", one_sided)
 

@@ -61,7 +61,14 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import RngSpec, _check_count, _check_level, _extension, _raise_first_nonfinite
+from .core import (
+    RngSpec,
+    _check_count,
+    _check_level,
+    _extension,
+    _raise_first_nonfinite,
+    _real,
+)
 from .errors import DegenerateVarianceError, PoolmaxError
 from .sstd import _check as _check_sstd, sstd_logpdf, sstd_quantile
 
@@ -181,7 +188,7 @@ def _series(values, name: str = "series", minimum: int = 1) -> np.ndarray:
     `values` as a 1-d float64 array of at least `minimum` finite points,
     which is `values` itself when it already is such an array.  A NaN or
     inf raises NonFiniteError at its index, as (i, 0)."""
-    x = np.asarray(values, dtype=np.float64)
+    x = np.asarray(_real(values), dtype=np.float64)
     if x.ndim != 1:
         raise PoolmaxError(f"expected 1-d {name}, got ndim={x.ndim}")
     if x.size < minimum:

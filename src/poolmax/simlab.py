@@ -169,9 +169,9 @@ def run_sweep(
     Each repetition generates one dataset (shared across grid points) and
     applies every requested method at every grid point (`_rep_outcomes`).
     Fully deterministic in (spec.rng, grids).  A fractional grid value or
-    mc_reps, a repeated q, d or method, an unknown method, an alpha outside
-    (0, 1), a negative mc_reps or, for a bootstrap method, a B below 1
-    raises before any repetition runs.
+    mc_reps, an empty grid or method list, a repeated q, d or method, an
+    unknown method, an alpha outside (0, 1), a negative mc_reps or, for a
+    bootstrap method, a B below 1 raises before any repetition runs.
 
     The pool and marginal verdicts are those of `pool_test` and
     `marginal_test`, but each bootstrap stops drawing replicates once its
@@ -181,6 +181,8 @@ def run_sweep(
     d_grid = [operator.index(d) for d in d_grid]
     mc_reps = _check_count("mc_reps", mc_reps, 0)
     for name, values in (("q_grid", q_grid), ("d_grid", d_grid), ("methods", methods)):
+        if not values:
+            raise PoolmaxError(f"{name} is empty")
         seen = set()
         for v in values:
             if v in seen:

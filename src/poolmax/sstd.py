@@ -37,10 +37,13 @@ __all__ = ["sstd_logpdf", "sstd_pdf", "sstd_cdf", "sstd_quantile", "sstd_moments
 
 
 def _check(nu: float, gamma: float) -> None:
-    if not nu > 2:
-        raise PoolmaxError(f"need nu > 2, got {nu}")
-    if not gamma > 0:
-        raise PoolmaxError(f"need gamma > 0, got {gamma}")
+    """Both shape parameters must be finite: at nu = inf or gamma = inf the
+    standardizing moments, and so every value, are nan."""
+    if not 2 < nu < np.inf:
+        raise PoolmaxError(f"need finite nu, got {nu}" if nu > 2 else f"need nu > 2, got {nu}")
+    if not 0 < gamma < np.inf:
+        raise PoolmaxError(f"need finite gamma, got {gamma}" if gamma > 0
+                           else f"need gamma > 0, got {gamma}")
 
 
 def sstd_moments(nu: float, gamma: float):

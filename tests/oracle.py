@@ -14,7 +14,7 @@ stands for:
 - a random subset is one ``Generator.choice`` call.
 
 It calls none of the paths it checks: `substream_normals`, `_philox_keys`,
-`pooled_panel`, `_pooled_blocks`, `_studentized`, `_studentized_blocks`,
+`pooled_panel`, `_pool`, `_studentized`, `_studentize`,
 `_weighted_max`, `_blocks`, `_bootstrap_rejects`, `_floyd`,
 `random_extension`, `SubsetFamily.indicator` and `BootstrapConfig.weights`.
 

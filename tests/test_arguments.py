@@ -47,6 +47,7 @@ from poolmax.riskmodels import (
     rolling_forecasts,
 )
 from poolmax.simlab import DgpSpec, run_sweep, sigma1, sigma2
+from poolmax.sstd import sstd_cdf, sstd_logpdf, sstd_quantile
 from poolmax.subsets import build_family, random_extension
 
 U = np.random.default_rng(0).standard_normal((40, 7))
@@ -66,6 +67,7 @@ EVT_K = (PoolmaxError, "need 10 <= k < m, got k=500, m=500")
 EVT_K_SMALL = (PoolmaxError, "need 10 <= k < m, got k=5, m=500")
 P0 = (PoolmaxError, "need p0 >= 0, got p0=-1")
 NOT_INT = (TypeError, "'float' object cannot be interpreted as an integer")
+COMPLEX = (PoolmaxError, "expected real values, got complex128")
 KINDS = ("empirical", "skew-t", "evt")
 
 
@@ -150,6 +152,12 @@ CASES = {
                   (PoolmaxError, "p must be >= 1")),
     "run_sweep-mc_reps": (lambda: run_sweep(SPEC, [3], [14], B=20, mc_reps=-1),
                           (PoolmaxError, "mc_reps must be >= 0")),
+    **{f"run_sweep-{name}-empty-{mc_reps}-reps": (
+        lambda name=name, mc_reps=mc_reps: run_sweep(
+            **{"spec": SPEC, "q_grid": [3], "d_grid": [14], "B": 20, "mc_reps": mc_reps,
+               name: []}),
+        (PoolmaxError, f"{name} is empty"))
+       for name in ("q_grid", "d_grid", "methods") for mc_reps in (0, 2)},
     "BootstrapConfig-replicates": (lambda: BootstrapConfig(rng=RngSpec(0), replicates=2.5),
                                    NOT_INT),
     # ids of two 32-bit widths, whose bisection by width needs increasing ids
@@ -182,6 +190,7 @@ CASES = {
            ("nan", _with(np.nan), (NonFiniteError, "non-finite entry at (3, 0)")),
            ("inf", _with(-np.inf, at=0), (NonFiniteError, "non-finite entry at (0, 0)")),
            ("2d", SERIES.reshape(350, 2), (PoolmaxError, f"expected 1-d {name}, got ndim=2")),
+           ("complex", SERIES * (1 + 1j), COMPLEX),
            ("short", SERIES[:minimum - 1],
             (PoolmaxError, f"need at least {minimum} observations, got {minimum - 1}")),
        ] if minimum or case != "short"},
@@ -213,6 +222,22 @@ CASES = {
                                   (PoolmaxError, "expected 1-d draws, got ndim=2")),
     "bootstrap_quantile-2d-3x2": (lambda: bootstrap_quantile(np.ones((3, 2)), 0.05),
                                   (PoolmaxError, "expected 1-d draws, got ndim=2")),
+    # complex input is refused, not cast with its imaginary part dropped
+    "bootstrap_quantile-complex": (lambda: bootstrap_quantile([1.0, 2.0, 3 + 0j], 0.05), COMPLEX),
+    "naive_test-complex": (lambda: naive_test(U * (1 + 1j), 0.05), COMPLEX),
+    "pool_test-complex": (lambda: pool_test(U.astype(complex), FAM, 0.05, CFG), COMPLEX),
+    "marginal_test-complex": (lambda: marginal_test(U * 1j, 0.05, CFG), COMPLEX),
+    "exceedance_matrix-complex": (lambda: exceedance_matrix(U * (1 + 1j), R, 0.05), COMPLEX),
+    **{f"sstd_{name}-{shape}-inf": (
+        lambda f=f, shape=shape: f(0.1, **{"nu": 5.0, "gamma": 1.0, shape: np.inf}),
+        (PoolmaxError, f"need finite {shape}, got inf"))
+       for name, f in [("logpdf", sstd_logpdf), ("cdf", sstd_cdf), ("quantile", sstd_quantile)]
+       for shape in ("nu", "gamma")},
+    **{f"sstd_cdf-{shape}-{value}": (
+        lambda shape=shape, value=value: sstd_cdf(0.1, **{"nu": 5.0, "gamma": 1.0, shape: value}),
+        (PoolmaxError, f"need {shape} > {2 if shape == 'nu' else 0}, got {value}"))
+       for shape, value in [("nu", 2.0), ("nu", -np.inf), ("nu", np.nan), ("gamma", 0.0),
+                            ("gamma", np.nan)]},
     "gpd_tail_fit-negative": (lambda: gpd_tail_fit([-1.0, 1.0]),
                               (PoolmaxError, "excesses must be non-negative")),
     "GarchParams-b0": (lambda: GarchParams(0, 0, 0, 0, 0),
@@ -240,7 +265,7 @@ def no_work(monkeypatch):
 
     for module, names in [
         (core, ["_philox_keys"]),
-        (pooltest, ["pooled_panel", "_pooled_blocks", "_studentized", "_studentized_blocks",
+        (pooltest, ["pooled_panel", "_pool", "_studentized", "_studentize",
                     "substream_normals"]),
         (simlab, ["pooled_panel", "_studentized", "generate_panel"]),
         (riskmodels, ["garch_fit", "minimize", "_one_pole", "_profile_mle"]),

@@ -286,8 +286,8 @@ def test_oracle_takes_no_fast_path(monkeypatch):
         raise AssertionError("the oracle took a fast path")
 
     for module, names in [(core, ["substream_normals", "_philox_keys"]),
-                          (pooltest, ["pooled_panel", "_pooled_blocks", "_studentized",
-                                      "_studentized_blocks", "_weighted_max", "_blocks",
+                          (pooltest, ["pooled_panel", "_pool", "_studentized",
+                                      "_studentize", "_weighted_max", "_blocks",
                                       "_bootstrap_rejects", "multiplier_bootstrap"]),
                           (subsets, ["_floyd", "random_extension"]),
                           (simlab, ["pooled_panel", "_studentized", "_bootstrap_rejects",

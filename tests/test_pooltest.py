@@ -667,10 +667,18 @@ class TestStudentizedInBlocks:
 
     def test_first_constant_column_named(self, blocked):
         y = blocked
-        y[:, 10] *= 1e-170  # out of range, but a constant column comes first
-        y[:, [300, 500]] = 1.5
+        y[:, [280, 500]] = 1.5
+        y[:, 400] *= 1e-170  # out of range, but after the constant column
         with pytest.raises(DegenerateVarianceError,
-                           match=r"^zero variance estimate \(subset/column 300\)$"):
+                           match=r"^zero variance estimate \(subset/column 280\)$"):
+            poolmax.pooltest._studentized(y)
+
+    def test_out_of_range_column_before_constant_named(self, blocked):
+        y = blocked
+        y[:, 10] *= 1e-170
+        y[:, [300, 500]] = 1.5  # constant, but after the out-of-range column
+        with pytest.raises(DegenerateVarianceError, match=r"^variance estimate 0\.0 is out of "
+                           r"floating-point range \(subset/column 10\)$"):
             poolmax.pooltest._studentized(y)
 
     def test_first_out_of_range_column_named(self, blocked):
@@ -680,6 +688,28 @@ class TestStudentizedInBlocks:
         with pytest.raises(DegenerateVarianceError, match=r"^variance estimate 0\.0 is out of "
                            r"floating-point range \(subset/column 280\)$"):
             poolmax.pooltest._studentized(y)
+
+
+    @pytest.mark.parametrize("column", [10, 280, 530])
+    @pytest.mark.parametrize("bad", ["constant", "out-of-range"])
+    def test_raising_frames_hold_no_deviations(self, blocked, bad, column):
+        """Every 2-d array that a raising pooltest frame holds is a view of
+        the pooled sums: a caller that keeps the error keeps those frames,
+        and a block of squared deviations would stay alive with them."""
+        y = blocked
+        if bad == "constant":
+            y[:, column] = 1.5
+        else:
+            y[:, column] *= 1e-170
+        with pytest.raises(DegenerateVarianceError) as info:
+            poolmax.pooltest._studentized(y)
+        tb, held = info.tb, []
+        while tb is not None:
+            if tb.tb_frame.f_globals["__name__"] == "poolmax.pooltest":
+                held += [v for v in tb.tb_frame.f_locals.values()
+                         if isinstance(v, np.ndarray) and v.ndim > 1]
+            tb = tb.tb_next
+        assert held and all(np.shares_memory(v, y) for v in held)
 
 
 class TestPoolTestInBlocks:
@@ -716,10 +746,18 @@ class TestPoolTestInBlocks:
 
     def test_first_constant_column_named(self, blocked):
         x = blocked
-        x[:, 10] *= 1e-170  # out of range in block 0, but a constant column comes first
-        x[:, [530, 550]] = 1.5
+        x[:, [270, 550]] = 1.5
+        x[:, 530] *= 1e-170  # out of range, but after the constant column
         with pytest.raises(DegenerateVarianceError,
-                           match=r"^zero variance estimate \(subset/column 530\)$"):
+                           match=r"^zero variance estimate \(subset/column 270\)$"):
+            pool_test(x, singleton_family(600), 0.05, self.CFG)
+
+    def test_out_of_range_column_before_constant_named(self, blocked):
+        x = blocked
+        x[:, 10] *= 1e-170
+        x[:, [530, 550]] = 1.5  # constant, but after the out-of-range column
+        with pytest.raises(DegenerateVarianceError, match=r"^variance estimate 0\.0 is out of "
+                           r"floating-point range \(subset/column 10\)$"):
             pool_test(x, singleton_family(600), 0.05, self.CFG)
 
     def test_first_out_of_range_column_named(self, blocked):
@@ -729,6 +767,33 @@ class TestPoolTestInBlocks:
         with pytest.raises(DegenerateVarianceError, match=r"^variance estimate 0\.0 is out of "
                            r"floating-point range \(subset/column 280\)$"):
             pool_test(x, singleton_family(600), 0.05, self.CFG)
+
+
+    @pytest.mark.parametrize("column, block", [(10, 0), (280, 1), (530, 2)])
+    @pytest.mark.parametrize("bad", ["constant", "out-of-range"])
+    def test_stops_at_first_bad_block(self, blocked, monkeypatch, column, block, bad):
+        """No block after the one holding the first bad column is pooled or
+        bootstrapped."""
+        x = blocked
+        if bad == "constant":
+            x[:, column] = 1.5
+        else:
+            x[:, column] *= 1e-170
+        x[:, 590] = 1.5  # a later bad column, which is never reached
+        calls = {"indicator": 0, "bootstrap": 0}
+
+        def counted(name, f):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(SubsetFamily, "indicator", counted("indicator", SubsetFamily.indicator))
+        monkeypatch.setattr(poolmax.pooltest, "multiplier_bootstrap",
+                            counted("bootstrap", multiplier_bootstrap))
+        with pytest.raises(DegenerateVarianceError, match=rf"\(subset/column {column}\)$"):
+            pool_test(x, singleton_family(600), 0.05, self.CFG)
+        assert calls == {"indicator": block + 1, "bootstrap": block}
 
 
 class TestEmptyFamily:
