@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import TestResult, _check_level, _raise_first_nonfinite, csv_text, validate_matrix
+from .core import TestResult, _check_level, _raise_first_nonfinite, _real, csv_text, validate_matrix
 from .errors import DegenerateVarianceError, NonFiniteError, PoolmaxError
 from .pooltest import BootstrapConfig, pool_test
 from .subsets import SubsetFamily
@@ -34,7 +34,7 @@ __all__ = [
 
 
 def logistic(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    return 1.0 / (1.0 + np.exp(-np.asarray(_real(x), dtype=np.float64)))
 
 
 def _same_shape(*mats):
@@ -67,8 +67,12 @@ def score(r, x, theta: float):
     exceedance probability theta, i.e. the (1-theta) quantile of x, so
     lower mean scores mean better forecasts.
     """
-    r = np.asarray(r, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    r = np.asarray(_real(r), dtype=np.float64)
+    x = np.asarray(_real(x), dtype=np.float64)
+    try:
+        np.broadcast_shapes(r.shape, x.shape)
+    except ValueError:
+        raise PoolmaxError(f"shapes do not broadcast: {r.shape} and {x.shape}") from None
     theta = _check_level("theta0", theta)
     _raise_first_nonfinite(~(np.isfinite(r) & np.isfinite(x)))
     hit = (x > r).astype(np.float64)

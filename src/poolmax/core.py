@@ -1,5 +1,6 @@
-"""Shared data model: validated panels, reproducible RNG streams, test
-results, and the package's one CSV writer.
+"""Shared data model: the one check of numeric input (`validate_matrix` for
+a panel, `_series` for a 1-d array, `_real` for any other array), reproducible
+RNG streams, test results, and the package's one CSV writer.
 
 The RNG contract is the backbone of every stochastic routine in the
 package: an :class:`RngSpec` is a cheap immutable token (seed, stream_id)
@@ -189,6 +190,19 @@ def validate_matrix(values) -> np.ndarray:
         raise PoolmaxError(f"need at least 2 observations, got {n}")
     if p < 1:
         raise PoolmaxError("need at least 1 dimension")
+    _raise_first_nonfinite(~np.isfinite(x))
+    return x
+
+
+def _series(values, name: str = "series", minimum: int = 1) -> np.ndarray:
+    """`values` as a 1-d float64 array of at least `minimum` finite points,
+    which is `values` itself when it already is such an array.  A NaN or
+    inf raises NonFiniteError at its index, as (i, 0)."""
+    x = np.asarray(_real(values), dtype=np.float64)
+    if x.ndim != 1:
+        raise PoolmaxError(f"expected 1-d {name}, got ndim={x.ndim}")
+    if x.size < minimum:
+        raise PoolmaxError(f"need at least {minimum} observations, got {x.size}")
     _raise_first_nonfinite(~np.isfinite(x))
     return x
 

@@ -19,10 +19,10 @@ A new class needs a caller that catches it or reads its attributes.
 
 One rule covers a bad argument: a value out of its range (a level, a count
 below its minimum, an unknown kind, a parameter a model forbids, a series
-that is not 1-d or too short) raises ``PoolmaxError``, which is a
-``ValueError``, before any work; a NaN or inf in a panel or series raises
-``NonFiniteError`` there too, and a count that is not an integer raises
-``TypeError``.
+that is not 1-d or too short, complex values, shapes that do not broadcast)
+raises ``PoolmaxError``, which is a ``ValueError``, before any work; a NaN
+or inf in a panel or series raises ``NonFiniteError`` there too, and a count
+that is not an integer raises ``TypeError``.
 """
 
 

@@ -24,8 +24,7 @@ from .core import (
     _check_count,
     _check_level,
     _extension,
-    _raise_first_nonfinite,
-    _real,
+    _series,
     substream_normals,
     validate_matrix,
 )
@@ -351,12 +350,9 @@ def bootstrap_quantile(draws, alpha: float) -> float:
     """The ceil((1-alpha)(B+1))-th order statistic of a 1-d array of draws,
     clamped to the max draw; a NaN or inf draw raises NonFiniteError at the
     first one."""
-    draws = np.asarray(_real(draws), dtype=np.float64)
-    if draws.ndim != 1:
-        raise PoolmaxError(f"expected 1-d draws, got ndim={draws.ndim}")
+    draws = _series(draws, "draws", minimum=0)
     if draws.size == 0:
         raise PoolmaxError("no bootstrap draws")
-    _raise_first_nonfinite(~np.isfinite(draws))
     return float(np.sort(draws)[_order_index(alpha, draws.size) - 1])
 
 

@@ -66,8 +66,7 @@ from .core import (
     _check_count,
     _check_level,
     _extension,
-    _raise_first_nonfinite,
-    _real,
+    _series,
 )
 from .errors import DegenerateVarianceError, PoolmaxError
 from .sstd import _check as _check_sstd, sstd_logpdf, sstd_quantile
@@ -181,20 +180,6 @@ class VarMethod:
         if self.kind not in ("empirical", "skew-t", "evt"):
             raise PoolmaxError(f"unknown VaR method {self.kind!r}")
         object.__setattr__(self, "k", operator.index(self.k))
-
-
-def _series(values, name: str = "series", minimum: int = 1) -> np.ndarray:
-    """The one check of a loss series, residual, shock or excess array:
-    `values` as a 1-d float64 array of at least `minimum` finite points,
-    which is `values` itself when it already is such an array.  A NaN or
-    inf raises NonFiniteError at its index, as (i, 0)."""
-    x = np.asarray(_real(values), dtype=np.float64)
-    if x.ndim != 1:
-        raise PoolmaxError(f"expected 1-d {name}, got ndim={x.ndim}")
-    if x.size < minimum:
-        raise PoolmaxError(f"need at least {minimum} observations, got {x.size}")
-    _raise_first_nonfinite(~np.isfinite(x))
-    return x
 
 
 def _window_var(u: np.ndarray) -> float:

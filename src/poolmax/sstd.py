@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _extension
+from .core import _extension, _real
 from .errors import PoolmaxError
 
 _ufuncs = _extension("scipy.special._ufuncs")
@@ -83,7 +83,7 @@ def _t1_ppf(u, nu):
 
 def sstd_logpdf(z, nu: float, gamma: float):
     m, s = sstd_moments(nu, gamma)
-    x = m + s * np.asarray(z, dtype=np.float64)
+    x = m + s * np.asarray(_real(z), dtype=np.float64)
     scaled = np.where(x >= 0, x / gamma, x * gamma)
     out = (
         np.log(2.0 / (gamma + 1.0 / gamma))
@@ -99,7 +99,7 @@ def sstd_pdf(z, nu: float, gamma: float):
 
 def sstd_cdf(z, nu: float, gamma: float):
     m, s = sstd_moments(nu, gamma)
-    x = m + s * np.asarray(z, dtype=np.float64)
+    x = m + s * np.asarray(_real(z), dtype=np.float64)
     w = 2.0 / (gamma + 1.0 / gamma)
     neg = w / gamma * _t1_cdf(x * gamma, nu)
     pos = 1.0 - w * gamma * (1.0 - _t1_cdf(x / gamma, nu))
@@ -113,8 +113,8 @@ def sstd_quantile(prob, nu: float, gamma: float):
     Raises PoolmaxError where the Student-t quantile is not finite.
     """
     m, s = sstd_moments(nu, gamma)
-    prob = np.asarray(prob, dtype=np.float64)
-    if np.any((prob <= 0) | (prob >= 1)):
+    prob = np.asarray(_real(prob), dtype=np.float64)
+    if not np.all((prob > 0) & (prob < 1)):
         raise PoolmaxError("prob must lie in (0, 1)")
     split = 1.0 / (1.0 + gamma**2)
     w = 2.0 / (gamma + 1.0 / gamma)

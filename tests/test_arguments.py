@@ -20,6 +20,7 @@ from poolmax.backtest import (
     comparative_test,
     exceedance_matrix,
     full_backtest,
+    logistic,
     score,
     score_diff_matrix,
     tail_dependence,
@@ -47,7 +48,7 @@ from poolmax.riskmodels import (
     rolling_forecasts,
 )
 from poolmax.simlab import DgpSpec, run_sweep, sigma1, sigma2
-from poolmax.sstd import sstd_cdf, sstd_logpdf, sstd_quantile
+from poolmax.sstd import sstd_cdf, sstd_logpdf, sstd_pdf, sstd_quantile
 from poolmax.subsets import build_family, random_extension
 
 U = np.random.default_rng(0).standard_normal((40, 7))
@@ -228,6 +229,17 @@ CASES = {
     "pool_test-complex": (lambda: pool_test(U.astype(complex), FAM, 0.05, CFG), COMPLEX),
     "marginal_test-complex": (lambda: marginal_test(U * 1j, 0.05, CFG), COMPLEX),
     "exceedance_matrix-complex": (lambda: exceedance_matrix(U * (1 + 1j), R, 0.05), COMPLEX),
+    "score-complex-r": (lambda: score(R * (1 + 1j), U, 0.05), COMPLEX),
+    "score-complex-x": (lambda: score(R, U * (1 + 1j), 0.05), COMPLEX),
+    "logistic-complex": (lambda: logistic(U * (1 + 1j)), COMPLEX),
+    **{f"sstd_{name}-complex": (lambda f=f: f(np.array([0.5 + 1j]), 5.0, 1.0), COMPLEX)
+       for name, f in [("logpdf", sstd_logpdf), ("pdf", sstd_pdf), ("cdf", sstd_cdf),
+                       ("quantile", sstd_quantile)]},
+    # NaN fails every comparison, so a check for p <= 0 or p >= 1 lets it through
+    "sstd_quantile-nan-prob": (lambda: sstd_quantile(np.nan, 5.0, 1.0),
+                               (PoolmaxError, "prob must lie in (0, 1)")),
+    "score-shapes": (lambda: score(np.zeros(3), np.zeros(4), 0.05),
+                     (PoolmaxError, "shapes do not broadcast: (3,) and (4,)")),
     **{f"sstd_{name}-{shape}-inf": (
         lambda f=f, shape=shape: f(0.1, **{"nu": 5.0, "gamma": 1.0, shape: np.inf}),
         (PoolmaxError, f"need finite {shape}, got inf"))
